@@ -12,8 +12,9 @@ Library layout:
 * :mod:`qoctl.controllability` -- Lie-rank and graph controllability tests.
 * :mod:`qoctl.scenarios` / :mod:`qoctl.cli` -- config-driven runner.
 
-The hot propagation loops are compiled (Cython) when the extension built;
-``qoctl.kernel_backend()`` reports which implementation is active.
+The hot propagation loops are one numpy implementation in
+``qoctl._kernels``; ``qoctl.kernel_backend()`` names it (``"python"``) so
+that benchmark results can stamp the environment they ran in.
 """
 
 from ._kernels import BACKEND as _KERNEL_BACKEND
@@ -22,5 +23,5 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the active propagation kernel backend."""
+    """Name of the propagation kernel implementation (always ``"python"``)."""
     return _KERNEL_BACKEND

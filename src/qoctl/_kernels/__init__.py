@@ -1,25 +1,9 @@
-"""Propagation kernel selection: compiled extension if available, else numpy.
+"""Propagation kernels: one numpy implementation, in :mod:`._fallback`.
 
-Set the environment variable ``QOCTL_PURE_PYTHON=1`` to force the fallback
-(used by the parity tests and the benchmark).
+Every caller (dynamics, optimizers, scenarios) goes through these four
+entry points; ensembles and propagator columns are passed as ``(W, N)``
+blocks rather than member by member.
 """
 
-import os
-
-from . import _fallback
-
-if os.environ.get("QOCTL_PURE_PYTHON", "") == "1":
-    _impl = _fallback
-else:
-    try:
-        from . import _step as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _fallback
-
-BACKEND = _impl.BACKEND
-propagate_pwc_ket = _impl.propagate_pwc_ket
-propagate_pwc_dm = _impl.propagate_pwc_dm
-krotov_forward_ket = _impl.krotov_forward_ket
-krotov_forward_dm = _impl.krotov_forward_dm
-
-expm_hermitian = _fallback.expm_hermitian
+from ._fallback import (BACKEND, krotov_forward_dm, krotov_forward_ket,
+                        propagate_pwc_dm, propagate_pwc_ket)

@@ -1,11 +1,6 @@
-"""Pure-numpy propagation kernels.
+"""Piecewise-constant propagation kernels in numpy.
 
-Reference implementation of the hot loops; the compiled extension in
-``_step.pyx`` provides the same four entry points with identical semantics.
-Given the same inputs both backends agree to close to machine precision
-(see tests/test_kernels.py).
-
-Conventions shared by both backends:
+Conventions shared by the four entry points:
 
 * ``amps`` has shape ``(nt - 1, n_controls)``: one sample per midpoint.
 * Step ``k`` applies the exponential of the generator built from
@@ -16,6 +11,10 @@ Conventions shared by both backends:
   (adjoint) run is requested by passing ``-dt``.  For density matrices the
   step operator is ``expm(G * dt)``; adjointing the generator for backward
   runs is the caller's job.
+* A boundary state of shape ``(N,)`` is one state; ``(W, N)`` is a block of
+  W states (an ensemble, or the columns of a propagator) stepped together
+  through the same step operators.  States are rows, so a step is applied
+  as ``state @ step.T``.
 """
 
 import numpy as np
@@ -23,15 +22,23 @@ from scipy.linalg import expm
 
 BACKEND = "python"
 
+# Step operators are built a block at a time: one batched eigh (kets) or
+# one generator assembly (GKLS) per block amortizes the Python overhead per
+# step.  A block holds at most BLOCK steps, and at most as many elements as
+# BLOCK 4x4 matrices, so its memory grows with neither the grid nor the
+# dimension.
+BLOCK = 1024
+
 
 def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    """``expm(scale * h)`` for Hermitian ``h`` via eigendecomposition."""
+    """``expm(scale * h)`` for Hermitian ``h`` (or a stack of them)."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(scale * w)[..., None, :]) @ np.conj(
+        np.swapaxes(v, -1, -2))
 
 
 def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
-    """Piecewise-constant-exponential propagation of a state vector.
+    """Piecewise-constant-exponential propagation of a state vector block.
 
     Parameters
     ----------
@@ -41,51 +48,32 @@ def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
     amps : (nt-1, M) float ndarray
     dt : float
         Signed: negative ``dt`` realizes the adjoint (backward) step.
-    psi0 : (N,) complex ndarray
-        Boundary state: at ``t0`` for ``direction=+1``, at ``tf`` for ``-1``.
+    psi0 : (N,) or (W, N) complex ndarray
+        Boundary state(s): at ``t0`` for ``direction=+1``, at ``tf`` for
+        ``-1``.
     direction : int
 
     Returns
     -------
-    (nt, N) complex ndarray, indexed by state-grid point.
+    (nt, N) or (nt, W, N) complex ndarray, indexed by state-grid point.
     """
-    n_steps = amps.shape[0]
-    out = np.empty((n_steps + 1, drift.shape[0]), dtype=complex)
-    if direction > 0:
-        out[0] = psi0
-        for k in range(n_steps):
-            h = _assemble(drift, coups, amps[k])
-            out[k + 1] = expm_hermitian(h, -1j * dt) @ out[k]
-    else:
-        out[n_steps] = psi0
-        for k in range(n_steps - 1, -1, -1):
-            h = _assemble(drift, coups, amps[k])
-            out[k] = expm_hermitian(h, -1j * dt) @ out[k + 1]
-    return out
+    return _propagate(lambda block: _unitaries_t(drift, coups, block, dt),
+                      amps, psi0, direction)
 
 
 def propagate_pwc_dm(gen0, gens, amps, dt, rho0_vec, direction):
-    """Same stepping for a vectorized density matrix under a GKLS generator.
+    """Same stepping for vectorized density matrices under a GKLS generator.
 
     The generator per step is ``gen0 + sum_j amps[k, j] * gens[j]`` and the
     step operator is its matrix exponential times ``dt`` (Pade scaling and
-    squaring; the generator is not normal).  For backward (adjoint)
-    propagation the caller passes the conjugate-transposed generator parts.
+    squaring, one step at a time; the generator is not normal).  For
+    backward (adjoint) propagation the caller passes the
+    conjugate-transposed generator parts.  ``rho0_vec`` is ``(N,)`` or a
+    ``(W, N)`` block, as for kets.
     """
-    n_steps = amps.shape[0]
-    dim = gen0.shape[0]
-    out = np.empty((n_steps + 1, dim), dtype=complex)
-    if direction > 0:
-        out[0] = rho0_vec
-        for k in range(n_steps):
-            g = _assemble(gen0, gens, amps[k])
-            out[k + 1] = expm(g * dt) @ out[k]
-    else:
-        out[n_steps] = rho0_vec
-        for k in range(n_steps - 1, -1, -1):
-            g = _assemble(gen0, gens, amps[k])
-            out[k] = expm(g * dt) @ out[k + 1]
-    return out
+    def steps_t(block):
+        return [expm(g).T for g in _generator(gen0 * dt, gens * dt, block)]
+    return _propagate(steps_t, amps, rho0_vec, direction)
 
 
 def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
@@ -111,17 +99,15 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     -------
     (nt, W, N) complex ndarray of forward-propagated states.
     """
-    n_steps, n_ctrl = amps.shape
-    n_ens, dim = psi0.shape
-    out = np.empty((n_steps + 1, n_ens, dim), dtype=complex)
+    n_mid = amps.shape[0]
+    out = np.empty((n_mid + 1,) + psi0.shape, dtype=complex)
     out[0] = psi0
-    for k in range(n_steps):
-        for j in range(n_ctrl):
-            upd = 0.0
-            for w in range(n_ens):
-                upd += np.vdot(chi[k, w], coups[j] @ out[k, w]).imag
-            amps[k, j] += gain[k] * upd / n_ens
-        step = expm_hermitian(_assemble(drift, coups, amps[k]), -1j * dt)
+    chi_conj = chi.conj()
+    rate = gain / psi0.shape[0]  # the update is an ensemble mean
+    for k in range(n_mid):
+        amps[k] += rate[k] * np.einsum("wi,jik,wk->j", chi_conj[k], coups,
+                                       out[k]).imag
+        step = expm_hermitian(_generator(drift, coups, amps[k]), -1j * dt)
         out[k + 1] = out[k] @ step.T
     return out
 
@@ -132,23 +118,52 @@ def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
     ``comms[j]`` is the vectorized commutator map ``[H_j, .]`` so that the
     update reads ``du_j = gain[k] * mean_w Im( chi[k,w]^dag comms[j] rho )``.
     """
-    n_steps, n_ctrl = amps.shape
-    n_ens, dim = rho0_vec.shape
-    out = np.empty((n_steps + 1, n_ens, dim), dtype=complex)
+    n_mid = amps.shape[0]
+    out = np.empty((n_mid + 1,) + rho0_vec.shape, dtype=complex)
     out[0] = rho0_vec
-    for k in range(n_steps):
-        for j in range(n_ctrl):
-            upd = 0.0
-            for w in range(n_ens):
-                upd += np.vdot(chi[k, w], comms[j] @ out[k, w]).imag
-            amps[k, j] += gain[k] * upd / n_ens
-        step = expm(_assemble(gen0, gens, amps[k]) * dt)
+    chi_conj = chi.conj()
+    rate = gain / rho0_vec.shape[0]  # the update is an ensemble mean
+    gen0, gens = gen0 * dt, gens * dt
+    for k in range(n_mid):
+        amps[k] += rate[k] * np.einsum("wi,jik,wk->j", chi_conj[k], comms,
+                                       out[k]).imag
+        step = expm(_generator(gen0, gens, amps[k]))
         out[k + 1] = out[k] @ step.T
     return out
 
 
-def _assemble(base, parts, amplitudes):
-    m = base.copy()
-    for j in range(parts.shape[0]):
-        m += amplitudes[j] * parts[j]
-    return m
+def _propagate(steps_t, amps, state0, direction):
+    """Apply the transposed step operators ``steps_t(amps block)`` in
+    sequence, one block of steps at a time."""
+    n_mid = amps.shape[0]
+    out = np.empty((n_mid + 1,) + np.shape(state0), dtype=complex)
+    dim = out.shape[-1]
+    rows = max(1, min(BLOCK, BLOCK * 4 ** 2 // dim ** 2))
+    starts = range(0, n_mid, rows)
+    if direction > 0:
+        out[0] = state0
+        for k0 in starts:
+            block = steps_t(amps[k0:k0 + rows])
+            for i in range(k0, k0 + len(block)):
+                np.matmul(out[i], block[i - k0], out=out[i + 1])
+    else:
+        out[n_mid] = state0
+        for k0 in reversed(starts):
+            block = steps_t(amps[k0:k0 + rows])
+            for i in range(k0 + len(block) - 1, k0 - 1, -1):
+                np.matmul(out[i + 1], block[i - k0], out=out[i])
+    return out
+
+
+def _unitaries_t(drift, coups, amps, dt):
+    """Transposed step unitaries ``exp(-1j * H_k * dt).T``, one per row of
+    ``amps``, from one batched eigendecomposition."""
+    return np.swapaxes(expm_hermitian(_generator(drift, coups, amps),
+                                      -1j * dt), -1, -2)
+
+
+def _generator(base, parts, amps):
+    """``base + sum_j amps[..., j] * parts[j]`` for one row of ``amps`` or a
+    block of rows (one matrix product instead of a loop over controls)."""
+    flat = np.dot(amps, parts.reshape(parts.shape[0], base.size))
+    return flat.reshape(amps.shape[:-1] + base.shape) + base

@@ -62,6 +62,9 @@ def main(argv=None) -> int:
         return _fail("numerics", exc, 3, args.out)
     except OSError as exc:
         return _fail("io", exc, 4, args.out)
+    except Exception as exc:  # any other failure keeps the JSON contract
+        log.debug("unclassified failure", exc_info=True)
+        return _fail("numerics", exc, 3, args.out)
     log.info("scenario %s finished", bundle.summary["scenario"])
     if bundle.summary_path is not None:
         print(bundle.summary_path)

@@ -209,20 +209,12 @@ class _KetEngine:
                              f"{kind!r}")
 
     def forward_all(self, amps):
-        out = np.empty((self.grid.nt, len(self.psi0), self.drift.shape[0]),
-                       dtype=complex)
-        for w, psi in enumerate(self.psi0):
-            out[:, w, :] = _kernels.propagate_pwc_ket(
-                self.drift, self.coups, amps, self.grid.dt, psi, 1)
-        return out
+        return _kernels.propagate_pwc_ket(self.drift, self.coups, amps,
+                                          self.grid.dt, self.psi0, 1)
 
     def backward_all(self, amps, chi_final):
-        out = np.empty((self.grid.nt, len(chi_final), self.drift.shape[0]),
-                       dtype=complex)
-        for w, chi in enumerate(chi_final):
-            out[:, w, :] = _kernels.propagate_pwc_ket(
-                self.drift, self.coups, amps, -self.grid.dt, chi, -1)
-        return out
+        return _kernels.propagate_pwc_ket(self.drift, self.coups, amps,
+                                          -self.grid.dt, chi_final, -1)
 
     def cost_value(self, finals) -> float:
         if self.problem.cost.kind == "state_to_state":
@@ -246,28 +238,24 @@ class _KetEngine:
         """Exact discrete gradient of the cost w.r.t. every sample."""
         fwd = self.forward_all(amps)
         chi = self.backward_all(amps, self.chi_boundary(fwd[-1]))
-        dt = self.grid.dt
-        n_steps, n_ctrl = amps.shape
-        grad = np.zeros_like(amps)
-        for k in range(n_steps):
-            ham = self.drift + np.tensordot(amps[k], self.coups, axes=1)
-            w, v = np.linalg.eigh(ham)
-            phases = np.exp(-1j * dt * w)
-            denom = w[:, None] - w[None, :]
-            ratio = np.where(
-                np.abs(denom) > 1e-14,
-                (phases[:, None] - phases[None, :])
-                / np.where(np.abs(denom) > 1e-14, denom, 1.0),
-                -1j * dt * phases[:, None])
-            for j in range(n_ctrl):
-                inner = v.conj().T @ self.coups[j] @ v
-                dstep = v @ (ratio * inner) @ v.conj().T
-                acc = 0.0
-                for wi in range(fwd.shape[1]):
-                    acc += np.vdot(chi[k + 1, wi],
-                                   dstep @ fwd[k, wi]).real
-                grad[k, j] = -2.0 * acc / fwd.shape[1]
-        return grad
+        # Every step Hamiltonian diagonalized at once; in its eigenbasis the
+        # Frechet derivative of exp(-i H dt) along C_j is ratio * C_j.
+        w, v = np.linalg.eigh(self.drift
+                              + np.tensordot(amps, self.coups, axes=1))
+        phases = np.exp(-1j * self.grid.dt * w)
+        denom = w[:, :, None] - w[:, None, :]
+        close = np.abs(denom) <= 1e-14
+        ratio = np.where(
+            close, -1j * self.grid.dt * phases[:, :, None],
+            (phases[:, :, None] - phases[:, None, :])
+            / np.where(close, 1.0, denom))
+        vh = np.conj(np.swapaxes(v, 1, 2))
+        fwd_e = np.einsum("kab,kwb->kwa", vh, fwd[:-1])
+        chi_e = np.einsum("kab,kwb->kwa", vh, chi[1:])
+        coups_e = vh[:, None] @ self.coups[None] @ v[:, None]
+        pair = ratio * np.einsum("kwa,kwb->kab", chi_e.conj(), fwd_e)
+        return -2.0 * np.einsum("kab,kjab->kj", pair,
+                                coups_e).real / fwd.shape[1]
 
 
 class _DensityEngine:
@@ -287,23 +275,15 @@ class _DensityEngine:
         self.tgt = np.stack([vectorize_density(t.rho) for t in tgt])
 
     def forward_all(self, amps):
-        dim = self.gen0.shape[0]
-        out = np.empty((self.grid.nt, len(self.rho0), dim), dtype=complex)
-        for w, rho in enumerate(self.rho0):
-            out[:, w, :] = _kernels.propagate_pwc_dm(
-                self.gen0, self.gens, amps, self.grid.dt, rho, 1)
-        return out
+        return _kernels.propagate_pwc_dm(self.gen0, self.gens, amps,
+                                         self.grid.dt, self.rho0, 1)
 
     def backward_all(self, amps, chi_final):
         gen0_adj = np.ascontiguousarray(self.gen0.conj().T)
         gens_adj = np.ascontiguousarray(
             np.conj(np.transpose(self.gens, (0, 2, 1))))
-        dim = self.gen0.shape[0]
-        out = np.empty((self.grid.nt, len(chi_final), dim), dtype=complex)
-        for w, chi in enumerate(chi_final):
-            out[:, w, :] = _kernels.propagate_pwc_dm(
-                gen0_adj, gens_adj, amps, self.grid.dt, chi, -1)
-        return out
+        return _kernels.propagate_pwc_dm(gen0_adj, gens_adj, amps,
+                                         self.grid.dt, chi_final, -1)
 
     def cost_value(self, finals) -> float:
         diff = finals - self.tgt

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import core, shapes
+from . import _kernels, core, shapes
 from .adiabatic import counterdiabatic_tls, landau_zener
 from .controllability import build_graph, graph_controllability, lie_rank
 from .core import ControlledHamiltonian, Liouvillian, Operator, QuantumState
@@ -163,9 +163,14 @@ def emit_plot_data(bundle: ResultBundle, kind: str) -> Path:
 def _rabi(config, bundle, seed_field):
     system = config.get("system", {})
     _check_keys(system, {"rabi0", "detuning", "periods", "frame"}, "system")
-    rabi0 = float(system.get("rabi0", 2 * np.pi))
-    detuning = float(system.get("detuning", 0.0))
-    periods = float(system.get("periods", 10.0))
+    try:
+        rabi0 = float(system.get("rabi0", 2 * np.pi))
+        detuning = float(system.get("detuning", 0.0))
+        periods = float(system.get("periods", 10.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid rabi system value: {exc}") from exc
+    if not rabi0 > 0.0:
+        raise ConfigError(f"rabi0 must be positive, got {rabi0}")
     frame = system.get("frame", "carrier")
     default_grid = {"t0": 0.0, "tf": periods * 2 * np.pi / rabi0,
                     "nt": 2001}
@@ -493,11 +498,14 @@ def _gate_opt(config, bundle, seed_field):
 
 
 def _realized_gate(problem: ControlProblem, fields) -> Operator:
-    cols = [propagate_ket(problem.hamiltonian, fields, problem.grid,
-                          core.basis_ket(problem.hamiltonian.dim, k)
-                          ).array[-1]
-            for k in range(problem.hamiltonian.dim)]
-    return Operator(np.stack(cols, axis=1))
+    """Final-time propagator: the basis columns stepped as one block."""
+    h = problem.hamiltonian
+    coups = np.stack([op.matrix for op in h.control_operators()])
+    amps = np.stack([f.samples for f in fields], axis=1)
+    finals = _kernels.propagate_pwc_ket(h.drift.matrix, coups, amps,
+                                        problem.grid.dt,
+                                        np.eye(h.dim, dtype=complex), 1)[-1]
+    return Operator(finals.T)
 
 
 _SYSTEM_BUILDERS = {}
@@ -609,7 +617,7 @@ _RUNNERS = {
 }
 
 _TOP_KEYS = {"schema_version", "scenario", "seed", "grid", "system",
-             "fields", "cost", "optimizer", "outputs"}
+             "optimizer", "outputs"}
 
 
 def load_config(path) -> dict:

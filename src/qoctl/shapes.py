@@ -1,6 +1,7 @@
-"""Named field envelope builders used by guesses, update shapes and the CLI.
+"""Field envelopes for guesses and update shapes.
 
-All builders return a :class:`~qoctl.dynamics.ControlField` sampled on the
+Config files name these envelopes through ``scenarios.build_field``.  All
+builders return a :class:`~qoctl.dynamics.ControlField` sampled on the
 midpoint grid.
 """
 
@@ -41,19 +42,3 @@ def sin2_ramp(grid: TimeGrid, amplitude: float = 1.0,
     out[falling] = np.sin(0.5 * np.pi * (t_off - t[falling]) / ramp) ** 2
     return ControlField(grid, amplitude * out)
 
-
-_BUILDERS = {
-    "flat": flat,
-    "gaussian": gaussian,
-    "sin2_ramp": sin2_ramp,
-}
-
-
-def build(name: str, grid: TimeGrid, **params) -> ControlField:
-    """Construct a named envelope; used by the scenario config parser."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown field shape {name!r}; "
-                         f"known: {sorted(_BUILDERS)}") from None
-    return builder(grid, **params)

@@ -1,142 +1,161 @@
-"""Parity between the compiled propagation kernels and the numpy fallback.
+"""The block kernels against a plain per-step ``scipy.linalg.expm`` loop.
 
-Every entry point is exercised on random inputs; both backends must agree
-to near machine precision since they implement the same discretization.
+The references below step one member at a time through the textbook
+exponential of every step generator, so they check the batched
+eigendecomposition, the block layout of ensembles and the in-place field
+update of the Krotov passes at once.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from qoctl import _kernels
 from qoctl._kernels import _fallback
 
-try:
-    from qoctl._kernels import _step as compiled
-except ImportError:
-    compiled = None
+RTOL = 1e-12
 
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernels not built")
+
+def close(got, ref, rtol=RTOL):
+    return np.max(np.abs(got - ref)) <= rtol * max(1.0, np.max(np.abs(ref)))
+
+
+def random_block(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def reference_propagation(gen0, gens, amps, scale, state0, direction):
+    """Step by step: ``state <- expm(scale * G_k) @ state`` per member."""
+    n_mid = amps.shape[0]
+    out = np.empty((n_mid + 1,) + state0.shape, dtype=complex)
+    order = range(n_mid) if direction > 0 else range(n_mid - 1, -1, -1)
+    out[0 if direction > 0 else n_mid] = state0
+    for k in order:
+        g = gen0.copy()
+        for j in range(gens.shape[0]):
+            g += amps[k, j] * gens[j]
+        step = expm(scale * g)
+        src, dst = (k, k + 1) if direction > 0 else (k + 1, k)
+        for w in np.ndindex(state0.shape[:-1]):
+            out[(dst,) + w] = step @ out[(src,) + w]
+    return out
+
+
+def reference_krotov(gen0, gens, ops, amps, chi, state0, scale, gain):
+    """Per-control, per-member update loop, then the expm step."""
+    n_mid, n_ctrl = amps.shape
+    n_ens = state0.shape[0]
+    out = np.empty((n_mid + 1,) + state0.shape, dtype=complex)
+    out[0] = state0
+    for k in range(n_mid):
+        for j in range(n_ctrl):
+            upd = sum(np.vdot(chi[k, w], ops[j] @ out[k, w]).imag
+                      for w in range(n_ens))
+            amps[k, j] += gain[k] * upd / n_ens
+        g = gen0.copy()
+        for j in range(n_ctrl):
+            g += amps[k, j] * gens[j]
+        step = expm(scale * g)
+        for w in range(n_ens):
+            out[k + 1, w] = step @ out[k, w]
+    return out
 
 
 @pytest.fixture
-def problem_data(rng):
-    n, m, n_steps = 3, 2, 40
-    mats = rng.normal(size=(1 + m, n, n)) \
-        + 1j * rng.normal(size=(1 + m, n, n))
+def hamiltonian_data(rng):
+    n, m = 3, 2
+    mats = random_block(rng, (1 + m, n, n))
     herm = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-    amps = rng.normal(size=(n_steps, m))
-    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    psi0 /= np.linalg.norm(psi0)
-    return herm[0].copy(), herm[1:].copy(), amps, psi0
+    return herm[0].copy(), herm[1:].copy()
 
 
-@needs_compiled
-class TestKetParity:
+@pytest.fixture
+def generator_data(rng):
+    n, m = 16, 2  # vectorized two-qubit generator
+    return (0.25 * random_block(rng, (n, n)),
+            0.25 * random_block(rng, (m, n, n)))
+
+
+class TestKetPropagation:
+    # more steps than one eigh block, so block edges are crossed both ways
+    N_STEPS = 2 * _fallback.BLOCK + 5
+
+    @pytest.mark.parametrize("n_ens", [None, 1, 3])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_propagation(self, problem_data, direction):
-        drift, coups, amps, psi0 = problem_data
+    def test_matches_expm_loop(self, hamiltonian_data, rng, direction,
+                               n_ens):
+        drift, coups = hamiltonian_data
+        amps = rng.normal(size=(self.N_STEPS, coups.shape[0]))
         dt = 0.05 * direction
-        ref = _fallback.propagate_pwc_ket(drift, coups, amps, dt, psi0,
-                                          direction)
-        got = compiled.propagate_pwc_ket(drift, coups, amps, dt, psi0,
+        shape = (drift.shape[0],) if n_ens is None \
+            else (n_ens, drift.shape[0])
+        psi0 = random_block(rng, shape)
+        got = _kernels.propagate_pwc_ket(drift, coups, amps, dt, psi0,
                                          direction)
-        assert np.max(np.abs(got - ref)) <= 1e-13
+        ref = reference_propagation(drift, coups, amps, -1j * dt, psi0,
+                                    direction)
+        assert got.shape == ref.shape == (self.N_STEPS + 1,) + shape
+        assert close(got, ref)
 
-    def test_no_controls(self, rng):
+    def test_no_controls(self):
         drift = np.diag([1.0, -1.0]).astype(complex)
         coups = np.zeros((0, 2, 2), dtype=complex)
         amps = np.zeros((10, 0))
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        ref = _fallback.propagate_pwc_ket(drift, coups, amps, 0.1, psi0, 1)
-        got = compiled.propagate_pwc_ket(drift, coups, amps, 0.1, psi0, 1)
-        assert np.max(np.abs(got - ref)) <= 1e-14
-
-    def test_krotov_forward(self, problem_data, rng):
-        drift, coups, amps, _ = problem_data
-        n = drift.shape[0]
-        n_ens = 2
-        psi0 = rng.normal(size=(n_ens, n)) + 1j * rng.normal(size=(n_ens, n))
-        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
-        chi = rng.normal(size=(amps.shape[0] + 1, n_ens, n)) \
-            + 1j * rng.normal(size=(amps.shape[0] + 1, n_ens, n))
-        gain = rng.uniform(0, 0.5, size=amps.shape[0])
-        amps_a = amps.copy()
-        amps_b = amps.copy()
-        ref = _fallback.krotov_forward_ket(drift, coups, amps_a, chi, psi0,
-                                           0.05, gain)
-        got = compiled.krotov_forward_ket(drift, coups, amps_b, chi, psi0,
-                                          0.05, gain)
-        assert np.max(np.abs(amps_a - amps_b)) <= 1e-12
-        assert np.max(np.abs(got - ref)) <= 1e-12
+        got = _kernels.propagate_pwc_ket(drift, coups, amps, 0.1, psi0, 1)
+        ref = reference_propagation(drift, coups, amps, -0.1j, psi0, 1)
+        assert close(got, ref)
 
 
-@needs_compiled
-class TestDensityParity:
-    @pytest.fixture
-    def generator_data(self, rng):
-        n, m, n_steps = 4, 2, 25  # vectorized qubit: dim 4
-        gen0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        gens = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
-        amps = rng.normal(size=(n_steps, m))
-        rho0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        return gen0, gens, amps, rho0
+class TestDensityPropagation:
+    # 16-dimensional steps come in blocks of 64, so edges are crossed
+    N_STEPS = 150
 
+    @pytest.mark.parametrize("n_ens", [None, 3])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_propagation(self, generator_data, direction):
-        gen0, gens, amps, rho0 = generator_data
-        ref = _fallback.propagate_pwc_dm(gen0, gens, amps, 0.08, rho0,
-                                         direction)
-        got = compiled.propagate_pwc_dm(gen0, gens, amps, 0.08, rho0,
+    def test_matches_expm_loop(self, generator_data, rng, direction, n_ens):
+        gen0, gens = generator_data
+        amps = rng.normal(size=(self.N_STEPS, gens.shape[0]))
+        shape = (gen0.shape[0],) if n_ens is None \
+            else (n_ens, gen0.shape[0])
+        rho0 = random_block(rng, shape)
+        got = _kernels.propagate_pwc_dm(gen0, gens, amps, 0.08, rho0,
                                         direction)
-        assert np.max(np.abs(got - ref)) <= 1e-11
+        ref = reference_propagation(gen0, gens, amps, 0.08, rho0, direction)
+        assert got.shape == ref.shape == (self.N_STEPS + 1,) + shape
+        assert close(got, ref)
 
-    def test_large_norm_scaling_branch(self, rng):
-        # force the squaring phase of the Pade evaluation
-        n = 5
-        gen0 = 40.0 * (rng.normal(size=(n, n))
-                       + 1j * rng.normal(size=(n, n)))
-        gens = np.zeros((0, n, n), dtype=complex)
-        amps = np.zeros((3, 0))
-        rho0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        ref = _fallback.propagate_pwc_dm(gen0, gens, amps, 0.3, rho0, 1)
-        got = compiled.propagate_pwc_dm(gen0, gens, amps, 0.3, rho0, 1)
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(got - ref)) / scale <= 1e-9
 
-    def test_krotov_forward(self, generator_data, rng):
+class TestKrotovForward:
+    def test_ket(self, hamiltonian_data, rng):
+        drift, coups = hamiltonian_data
+        n_mid, n_ens, n = 40, 2, drift.shape[0]
+        amps = rng.normal(size=(n_mid, coups.shape[0]))
+        psi0 = random_block(rng, (n_ens, n))
+        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+        chi = random_block(rng, (n_mid + 1, n_ens, n))
+        gain = rng.uniform(0, 0.5, size=n_mid)
+        amps_ref = amps.copy()
+        got = _kernels.krotov_forward_ket(drift, coups, amps, chi, psi0,
+                                          0.05, gain)
+        ref = reference_krotov(drift, coups, coups, amps_ref, chi, psi0,
+                               -0.05j, gain)
+        assert close(amps, amps_ref)
+        assert close(got, ref)
+
+    def test_density(self, generator_data, rng):
         # scaled down so the random sequential feedback stays bounded
-        gen0, gens, amps, _ = generator_data
-        gen0 = 0.2 * gen0
-        gens = 0.2 * gens
-        n = gen0.shape[0]
-        n_ens = 3
-        rho0 = rng.normal(size=(n_ens, n)) + 1j * rng.normal(size=(n_ens, n))
-        comms = rng.normal(size=(gens.shape[0], n, n)) \
-            + 1j * rng.normal(size=(gens.shape[0], n, n))
-        chi = rng.normal(size=(amps.shape[0] + 1, n_ens, n)) \
-            + 1j * rng.normal(size=(amps.shape[0] + 1, n_ens, n))
-        gain = rng.uniform(0, 0.1, size=amps.shape[0])
-        amps_a = amps.copy()
-        amps_b = amps.copy()
-        ref = _fallback.krotov_forward_dm(gen0, gens, comms, amps_a, chi,
-                                          rho0, 0.05, gain)
-        got = compiled.krotov_forward_dm(gen0, gens, comms, amps_b, chi,
-                                         rho0, 0.05, gain)
-        amp_scale = max(1.0, float(np.max(np.abs(amps_a))))
-        assert np.max(np.abs(amps_a - amps_b)) / amp_scale <= 1e-11
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(got - ref)) / scale <= 1e-10
-
-
-@needs_compiled
-def test_backend_selection_env(tmp_path):
-    import subprocess
-    import sys
-    code = ("import qoctl; print(qoctl.kernel_backend())")
-    out = subprocess.run([sys.executable, "-c", code], env={
-        "QOCTL_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True, text=True)
-    assert out.stdout.strip() == "python"
-    out = subprocess.run([sys.executable, "-c", code], env={
-        "PATH": "/usr/bin:/bin"}, capture_output=True, text=True)
-    assert out.stdout.strip() == "compiled"
+        gen0, gens = (0.2 * g for g in generator_data)
+        n_mid, n_ens, n = 25, 3, gen0.shape[0]
+        amps = rng.normal(size=(n_mid, gens.shape[0]))
+        rho0 = random_block(rng, (n_ens, n))
+        comms = random_block(rng, gens.shape)
+        chi = random_block(rng, (n_mid + 1, n_ens, n))
+        gain = rng.uniform(0, 0.1, size=n_mid)
+        amps_ref = amps.copy()
+        got = _kernels.krotov_forward_dm(gen0, gens, comms, amps, chi, rho0,
+                                         0.05, gain)
+        ref = reference_krotov(gen0, gens, comms, amps_ref, chi, rho0, 0.05,
+                               gain)
+        assert close(amps, amps_ref)
+        assert close(got, ref)

@@ -239,6 +239,29 @@ class TestCliProcess:
         assert payload["error"]["type"] == "config"
         assert (out / "error.json").exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"cost": {}}, {"fields": []},
+        {"system": {"rabi0": "abc"}}, {"system": {"rabi0": 0}}])
+    def test_config_error_exit_code(self, tmp_path, extra):
+        cfg = write_config(tmp_path, {"scenario": "rabi", **extra})
+        result = self.run_cli("run", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert json.loads(result.stdout)["error"]["type"] == "config"
+
+    def test_unexpected_failure_reported_as_json(self, tmp_path,
+                                                 monkeypatch, capsys):
+        from qoctl import cli
+
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("unexpected")
+
+        monkeypatch.setattr(cli, "run_scenario", boom)
+        cfg = write_config(tmp_path, {"scenario": "rabi"})
+        assert cli.main(["run", str(cfg)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {"type": "numerics",
+                                    "message": "unexpected"}
+
     def test_missing_config_file_io_error(self, tmp_path):
         result = self.run_cli("run", str(tmp_path / "absent.json"))
         assert result.returncode == 4
