@@ -1,7 +1,7 @@
 """Config-driven reference scenarios.
 
-Each scenario parses a strict JSON config (unknown keys rejected before any
-numerics), runs deterministically for a given seed field, re-asserts the
+Each config is checked against one schema table (``SCHEMA``) before any
+numerics run, runs deterministically for a given seed field, re-asserts the
 dynamics invariants (trace/norm drift, positivity, monotonicity) and
 records them in the summary.  Summaries contain no wall-clock data, so
 identical configs produce byte-identical JSON.
@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .controllability import build_graph, graph_controllability, lie_rank
 from .core import ControlledHamiltonian, Liouvillian, Operator, QuantumState
 from .dynamics import (ControlField, TimeGrid, propagate_density,
                        propagate_ket)
-from .frames import (ThreeLevelDriveSpec, TwoLevelDriveSpec, chirped_field,
+from .frames import (FRAME_CHOICES, ThreeLevelDriveSpec, TwoLevelDriveSpec,
                      rwa_three_level, rwa_two_level)
 from .functionals import (CostSpec, bichromatic_visibility, pe_distance,
                           weyl_coordinates)
@@ -32,8 +32,15 @@ from .optimize import (ControlProblem, KrotovSettings, Parametrization,
 
 SCHEMA_VERSION = 1
 
-SCENARIOS = ("rabi", "landau_zener", "stirap", "bichromatic", "qubit_reset",
-             "gate_opt", "controllability")
+# Caps on the keys that set the work of a run, above every default, test
+# and benchmark value
+MAX_NT = 100_001        # grid points of one propagation
+MAX_COUNT = 10_000      # iterations, Nelder-Mead evaluations, phases
+MAX_FOURIER = 64        # Fourier terms per control
+MAX_LEVELS = 16         # ladder levels; the Lie closure grows as levels**6
+
+REQUIRED = object()     # default of a key that must be given
+_HUGE = np.finfo(float).max
 
 
 class ConfigError(ValueError):
@@ -56,53 +63,63 @@ class ResultBundle:
     out_dir: Optional[Path] = None
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; "
-                          f"allowed: {sorted(allowed)}")
+@dataclass(frozen=True)
+class Key:
+    """One row of the schema table: a key's default, JSON type and range.
+
+    ``kind`` is ``float`` (ints accepted), ``int``, a tuple of the allowed
+    values, a list ``[row]`` (at least ``lo`` entries), a dict of rows (a
+    section) or ``None`` (left to ``build``, which makes what the runners
+    use; its errors are config errors).  Numbers are finite, lie in
+    ``[lo, hi]`` and are above 0 if ``positive``; null needs ``nullable``.
+    """
+
+    default: object
+    kind: object = float
+    lo: float = -np.inf
+    hi: float = np.inf
+    positive: bool = False
+    nullable: bool = False
+    build: Optional[Callable] = None
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return section[key]
-
-
-def _grid_from(config: dict, default=None) -> TimeGrid:
-    section = config.get("grid", default)
-    if section is None:
-        raise ConfigError("missing 'grid' section")
-    _check_keys(section, {"t0", "tf", "nt"}, "grid")
+def _check(value, row: Key, where: str):
+    """``value`` checked against ``row``, with its defaults filled in."""
+    if value is REQUIRED:
+        raise ConfigError(f"{where} is required")
+    if value is None and row.nullable:
+        return None
+    if isinstance(row.kind, dict):
+        if not isinstance(value, dict) or set(value) - set(row.kind):
+            raise ConfigError(f"{where} must be a JSON object with keys from "
+                              f"{sorted(row.kind)}, got {value!r}")
+        value = {k: _check(value.get(k, r.default), r, f"{where}.{k}")
+                 for k, r in row.kind.items()}
+    elif isinstance(row.kind, list):
+        if not isinstance(value, list) or len(value) < row.lo:
+            raise ConfigError(f"{where} must be a list, length >= {row.lo:g}")
+        value = [_check(entry, row.kind[0], f"{where}[{i}]")
+                 for i, entry in enumerate(value)]
+    elif isinstance(row.kind, tuple):
+        if not any(type(value) is type(c) and value == c for c in row.kind):
+            raise ConfigError(f"{where} must be one of {list(row.kind)}")
+    elif row.kind is not None:
+        # json.load reads NaN, Infinity and 1e400 as floats; bools are ints
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not -_HUGE <= value <= _HUGE \
+                or not row.lo <= value <= row.hi \
+                or row.positive and value <= 0 \
+                or row.kind is int and value % 1:
+            low = "(0" if row.positive else f"[{row.lo:g}"
+            raise ConfigError(f"{where} must be a finite {row.kind.__name__} "
+                              f"in {low}, {row.hi:g}], got {value!r}")
+        value = row.kind(value)
+    if row.build is None:
+        return value
     try:
-        return TimeGrid(float(section.get("t0", 0.0)),
-                        float(_require(section, "tf", "grid")),
-                        int(_require(section, "nt", "grid")))
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-
-
-def build_field(spec: dict, grid: TimeGrid) -> ControlField:
-    """Named guess-field builder: flat, gaussian, sin2_ramp or chirped."""
-    _check_keys(spec, {"shape", "amplitude", "center", "width",
-                       "ramp_fraction", "e0", "omega_l", "alpha",
-                       "envelope"}, "field spec")
-    name = _require(spec, "shape", "field spec")
-    if name == "flat":
-        return shapes.flat(grid, float(spec.get("amplitude", 1.0)))
-    if name == "gaussian":
-        return shapes.gaussian(grid, float(spec.get("amplitude", 1.0)),
-                               float(_require(spec, "center", "gaussian")),
-                               float(_require(spec, "width", "gaussian")))
-    if name == "sin2_ramp":
-        return shapes.sin2_ramp(grid, float(spec.get("amplitude", 1.0)),
-                                float(spec.get("ramp_fraction", 0.05)))
-    if name == "chirped":
-        envelope = build_field(spec.get("envelope", {"shape": "flat"}), grid)
-        return chirped_field(float(spec.get("e0", 1.0)), envelope,
-                             float(_require(spec, "omega_l", "chirped")),
-                             float(spec.get("alpha", 0.0)))
-    raise ConfigError(f"unknown field shape {name!r}")
+        return row.build(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _json_default(obj):
@@ -161,27 +178,15 @@ def emit_plot_data(bundle: ResultBundle, kind: str) -> Path:
 # Scenario implementations ---------------------------------------------------
 
 def _rabi(config, bundle, seed_field):
-    system = config.get("system", {})
-    _check_keys(system, {"rabi0", "detuning", "periods", "frame"}, "system")
-    try:
-        rabi0 = float(system.get("rabi0", 2 * np.pi))
-        detuning = float(system.get("detuning", 0.0))
-        periods = float(system.get("periods", 10.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid rabi system value: {exc}") from exc
-    if not rabi0 > 0.0:
-        raise ConfigError(f"rabi0 must be positive, got {rabi0}")
-    frame = system.get("frame", "carrier")
-    default_grid = {"t0": 0.0, "tf": periods * 2 * np.pi / rabi0,
-                    "nt": 2001}
-    grid = _grid_from(config, default_grid)
+    system = config["system"]
+    rabi0, detuning = system["rabi0"], system["detuning"]
+    frame = system["frame"]
+    grid = config["grid"] or TimeGrid(
+        0.0, system["periods"] * 2 * np.pi / rabi0, 2001)
     spec = TwoLevelDriveSpec(omega0=100 * rabi0,
                              omegaL=100 * rabi0 - detuning, rabi0=rabi0,
                              shape=seed_field or shapes.flat(grid, 1.0))
-    try:
-        res = rwa_two_level(spec, frame=frame)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    res = rwa_two_level(spec, frame=frame)
     traj = propagate_ket(res.hamiltonian, res.fields, grid,
                          core.basis_ket(2, 0))
     pops = traj.populations()
@@ -209,20 +214,13 @@ def _rabi(config, bundle, seed_field):
 
 
 def _landau_zener(config, bundle, seed_field):
-    system = config.get("system", {})
-    _check_keys(system, {"gap", "rates", "adiabaticity", "span",
-                         "with_counterdiabatic"}, "system")
-    rates = [float(r) for r in system.get("rates", [1.0])]
-    span = float(system.get("span", 60.0))
-    with_cd = bool(system.get("with_counterdiabatic", False))
-    adiab = system.get("adiabaticity")
+    system = config["system"]
+    span, adiab = system["span"], system["adiabaticity"]
     results = []
     prob_rows = []
-    for rate in rates:
-        gap = float(system.get("gap", 1.0)) if adiab is None \
-            else float(np.sqrt(float(adiab) * rate))
-        grid = _grid_from(config, {"t0": -span / rate, "tf": span / rate,
-                                   "nt": 40001})
+    for rate in system["rates"]:
+        gap = system["gap"] if adiab is None else float(np.sqrt(adiab * rate))
+        grid = config["grid"] or TimeGrid(-span / rate, span / rate, 40001)
         h, fields = landau_zener(grid, gap, rate)
         theta0 = np.arctan2(gap, rate * grid.t0)
         thetaf = np.arctan2(gap, rate * grid.tf)
@@ -238,7 +236,7 @@ def _landau_zener(config, bundle, seed_field):
                  "p_formula": formula,
                  "relative_error": abs(p_dia - formula) / formula,
                  "norm_drift": traj.max_norm_drift()}
-        if with_cd:
+        if system["with_counterdiabatic"]:
             entry["cd_max_infidelity"] = _lz_cd_infidelity(grid, gap, rate)
         results.append(entry)
         prob_rows.append((rate, p_dia))
@@ -279,24 +277,17 @@ def _stirap_pulses(grid, rabi0, tau, delay, ordering):
 
 
 def _stirap(config, bundle, seed_field):
-    system = config.get("system", {})
-    _check_keys(system, {"rabi0", "tau", "delay", "gamma", "ordering"},
-                "system")
-    rabi0 = float(system.get("rabi0", 12.0))
-    tau = float(system.get("tau", 2.5))
-    delay = float(system.get("delay", 3.0))
-    gamma = float(system.get("gamma", 1.0))
-    ordering = system.get("ordering", "counterintuitive")
-    if ordering not in ("counterintuitive", "intuitive"):
-        raise ConfigError("ordering must be counterintuitive or intuitive")
-    grid = _grid_from(config, {"t0": 0.0, "tf": 20.0, "nt": 2001})
-    pump, stokes = _stirap_pulses(grid, rabi0, tau, delay, ordering)
+    system = config["system"]
+    ordering = system["ordering"]
+    grid = config["grid"] or TimeGrid(0.0, 20.0, 2001)
+    pump, stokes = _stirap_pulses(grid, system["rabi0"], system["tau"],
+                                  system["delay"], ordering)
     spec = ThreeLevelDriveSpec(energies=(0.0, 30.0, 60.0),
                                rabi=(pump, stokes), carriers=(30.0, 30.0))
     h, fields = rwa_three_level(spec)
     jump = np.zeros((3, 3), dtype=complex)
     jump[0, 1] = 1.0
-    liou = Liouvillian(h, [np.sqrt(gamma) * Operator(jump)])
+    liou = Liouvillian(h, [np.sqrt(system["gamma"]) * Operator(jump)])
     traj = propagate_density(liou, fields, grid,
                              core.basis_ket(3, 0).to_density())
     pops = traj.populations()
@@ -323,19 +314,13 @@ def _stirap(config, bundle, seed_field):
 
 
 def _bichromatic(config, bundle, seed_field):
-    system = config.get("system", {})
-    _check_keys(system, {"splitting", "omega_f", "rabi_peak", "c1", "c2",
-                         "n_phases"}, "system")
-    splitting = float(system.get("splitting", 1.0))
-    omega_f = float(system.get("omega_f", 40.0))
-    rabi_peak = float(system.get("rabi_peak", 0.01))
-    c1 = complex(system.get("c1", np.sqrt(0.7)))
-    c2 = complex(system.get("c2", np.sqrt(0.3)))
-    n_phases = int(system.get("n_phases", 16))
-    grid = _grid_from(config, {"t0": 0.0, "tf": 60.0, "nt": 24001})
+    system = config["system"]
+    splitting, omega_f = system["splitting"], system["omega_f"]
+    rabi_peak, c1, c2 = system["rabi_peak"], system["c1"], system["c2"]
+    grid = config["grid"] or TimeGrid(0.0, 60.0, 24001)
 
-    psi0 = QuantumState.from_ket(np.array([c1, c2, 0.0])
-                                 / np.hypot(abs(c1), abs(c2)))
+    psi0 = QuantumState.from_ket(np.array([c1, c2, 0.0], dtype=complex)
+                                 / np.hypot(c1, c2))
     drift = Operator(np.diag([0.0, splitting, omega_f]).astype(complex))
     c1f = Operator([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
     c2f = Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -343,7 +328,8 @@ def _bichromatic(config, bundle, seed_field):
     envelope = np.sin(np.pi * (grid.midpoints - grid.t0)
                       / (grid.tf - grid.t0)) ** 2
     omega1, omega2 = omega_f, omega_f - splitting
-    phases = np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False)
+    phases = np.linspace(0.0, 2 * np.pi, system["n_phases"],
+                         endpoint=False)
     pf = []
     worst_drift = 0.0
     for phi in phases:
@@ -395,39 +381,28 @@ def qubit_reset_purity(rho_joint: np.ndarray) -> float:
 
 
 def _qubit_reset(config, bundle, seed_field):
-    system = config.get("system", {})
-    _check_keys(system, {"coupling", "omega_s", "omega_b", "kappa",
-                         "p_exc", "duration_fractions", "nt"}, "system")
-    coupling = float(system.get("coupling", 0.15))
-    fractions = [float(f) for f in system.get(
-        "duration_fractions", np.arange(0.5, 1.35, 0.1).tolist())]
-    nt = int(system.get("nt", 301))
-    opt = config.get("optimizer", {})
-    _check_keys(opt, {"lambda", "max_iters", "dj_threshold",
-                      "stall_shrink", "guess_amplitude"}, "optimizer")
+    system, opt = config["system"], config["optimizer"]
+    coupling = system["coupling"]
     t_min = np.pi / (2 * coupling)
     durations, purities, monotone = [], [], True
-    for frac in fractions:
+    for frac in system["duration_fractions"]:
         duration = frac * t_min
         h, jumps, rho0, target, resonance = reset_model(
-            coupling,
-            omega_s=float(system.get("omega_s", 10.0)),
-            omega_b=float(system.get("omega_b", 12.0)),
-            kappa=float(system.get("kappa", 2e-4)),
-            p_exc=float(system.get("p_exc", 0.05)))
-        grid = TimeGrid(0.0, duration, nt)
+            coupling, omega_s=system["omega_s"], omega_b=system["omega_b"],
+            kappa=system["kappa"], p_exc=system["p_exc"])
+        grid = TimeGrid(0.0, duration, system["nt"])
         problem = ControlProblem(h, grid, [rho0],
                                  CostSpec("state_to_state", target=target),
                                  jump_operators=jumps)
-        guess_amp = float(opt.get("guess_amplitude", 0.9 * resonance))
+        amp = opt["guess_amplitude"]
         guess = [seed_field if seed_field is not None and
                  seed_field.grid == grid else
-                 ControlField.constant(grid, guess_amp)]
+                 ControlField.constant(grid, 0.9 * resonance if amp is None
+                                       else amp)]
         record = krotov_ensemble(problem, guess, KrotovSettings(
-            lambda_=float(opt.get("lambda", 0.2)),
-            max_iters=int(opt.get("max_iters", 200)),
-            dj_threshold=float(opt.get("dj_threshold", 1e-9)),
-            stall_shrink=opt.get("stall_shrink", 0.7)))
+            lambda_=opt["lambda"], max_iters=opt["max_iters"],
+            dj_threshold=opt["dj_threshold"],
+            stall_shrink=opt["stall_shrink"]))
         monotone = monotone and record.monotonic(1e-12)
         traj = propagate_density(problem.liouvillian(), record.final_fields,
                                  grid, rho0)
@@ -452,31 +427,24 @@ def _qubit_reset(config, bundle, seed_field):
 
 def _gate_opt(config, bundle, seed_field):
     from qoctl.functionals import canonical_gate
-    system = config.get("system", {})
-    _check_keys(system, {"coupling"}, "system")
-    coupling = float(system.get("coupling", 1.0))
-    grid = _grid_from(config, {"t0": 0.0, "tf": 2.0, "nt": 401})
-    opt = config.get("optimizer", {})
-    _check_keys(opt, {"lambda", "max_iters", "j_threshold", "budget",
-                      "n_fourier"}, "optimizer")
+    opt = config["optimizer"]
+    grid = config["grid"] or TimeGrid(0.0, 2.0, 401)
     sx, sz, eye = core.sigma_x(), core.sigma_z(), core.identity(2)
-    drift = coupling * core.tensor_product(sx, sx)
+    drift = config["system"]["coupling"] * core.tensor_product(sx, sx)
     h = ControlledHamiltonian(drift, [(core.tensor_product(sz, eye), 0),
                                       (core.tensor_product(eye, sz), 1)])
     target = canonical_gate(np.pi / 2, 0, 0)
     basis = [core.basis_ket(4, k) for k in range(4)]
     problem = ControlProblem(h, grid, basis, CostSpec("gate", target=target))
-    settings = KrotovSettings(lambda_=float(opt.get("lambda", 2.0)),
-                              max_iters=int(opt.get("max_iters", 800)),
-                              j_threshold=float(opt.get("j_threshold",
-                                                        2e-7)))
-    budget = int(opt.get("budget", 40))
-    n_fourier = int(opt.get("n_fourier", 2))
+    settings = KrotovSettings(lambda_=opt["lambda"],
+                              max_iters=opt["max_iters"],
+                              j_threshold=opt["j_threshold"])
+    n_fourier = opt["n_fourier"]
     par = Parametrization(basis="fourier", n_controls=2, n_terms=n_fourier,
                           bounds=[(-2.0, 2.0)] * (2 * n_fourier),
                           baseline=[seed_field, seed_field]
                           if seed_field is not None else None)
-    record = hybrid_optimize(problem, par, settings, budget=budget)
+    record = hybrid_optimize(problem, par, settings, budget=opt["budget"])
     realized = _realized_gate(problem, record.final_fields)
     coords = weyl_coordinates(realized)
     krotov_js = [e.j_tf for e in record.iterations if e.phase == "krotov"]
@@ -508,28 +476,13 @@ def _realized_gate(problem: ControlProblem, fields) -> Operator:
     return Operator(finals.T)
 
 
-_SYSTEM_BUILDERS = {}
-
-
-def _register_system(name):
-    def wrap(func):
-        _SYSTEM_BUILDERS[name] = func
-        return func
-    return wrap
-
-
-@_register_system("tls")
 def _sys_tls(params):
-    _check_keys(params, {"name", "omega"}, "system")
-    return ControlledHamiltonian(0.5 * float(params.get("omega", 1.0))
-                                 * core.sigma_z(), [(core.sigma_x(), 0)])
+    return ControlledHamiltonian(0.5 * params["omega"] * core.sigma_z(),
+                                 [(core.sigma_x(), 0)])
 
 
-@_register_system("ladder")
 def _sys_ladder(params):
-    _check_keys(params, {"name", "levels", "anharmonicity"}, "system")
-    n = int(params.get("levels", 3))
-    anh = float(params.get("anharmonicity", 0.11))
+    n, anh = params["levels"], params["anharmonicity"]
     energies = np.array([k + 0.5 * anh * k * (k - 1) for k in range(n)])
     coupling = np.zeros((n, n), dtype=complex)
     for k in range(n - 1):
@@ -538,11 +491,8 @@ def _sys_ladder(params):
                                  [(Operator(coupling), 0)])
 
 
-@_register_system("identical_coupled_qubits")
 def _sys_identical(params):
-    _check_keys(params, {"name", "omega", "coupling"}, "system")
-    omega = float(params.get("omega", 1.0))
-    g = float(params.get("coupling", 0.2))
+    omega, g = params["omega"], params["coupling"]
     sz, sx, eye = core.sigma_z(), core.sigma_x(), core.identity(2)
     drift = 0.5 * omega * (core.tensor_product(sz, eye)
                            + core.tensor_product(eye, sz)) \
@@ -550,41 +500,49 @@ def _sys_identical(params):
     return ControlledHamiltonian(drift, [(core.tensor_product(sx, eye), 0)])
 
 
-@_register_system("zz_coupled_qubits")
 def _sys_zz(params):
-    _check_keys(params, {"name", "omega1", "omega2", "coupling"}, "system")
     sz, sx, eye = core.sigma_z(), core.sigma_x(), core.identity(2)
-    drift = 0.5 * float(params.get("omega1", 1.0)) \
-        * core.tensor_product(sz, eye) \
-        + 0.5 * float(params.get("omega2", 1.7)) \
-        * core.tensor_product(eye, sz) \
-        + float(params.get("coupling", 0.2)) * core.tensor_product(sz, sz)
+    drift = 0.5 * params["omega1"] * core.tensor_product(sz, eye) \
+        + 0.5 * params["omega2"] * core.tensor_product(eye, sz) \
+        + params["coupling"] * core.tensor_product(sz, sz)
     return ControlledHamiltonian(drift, [(core.tensor_product(sx, eye), 0)])
 
 
-def _system_from_config(section: dict) -> ControlledHamiltonian:
-    if "name" in section:
-        name = section["name"]
-        if name not in _SYSTEM_BUILDERS:
-            raise ConfigError(f"unknown system builder {name!r}; known: "
-                              f"{sorted(_SYSTEM_BUILDERS)}")
-        return _SYSTEM_BUILDERS[name](section)
-    _check_keys(section, {"drift", "couplings"}, "system")
-    try:
-        drift = Operator.from_dict(_require(section, "drift", "system"))
-        couplings = [(Operator.from_dict(c["operator"]),
-                      int(c.get("control_index", i)))
-                     for i, c in enumerate(section.get("couplings", []))]
-        return ControlledHamiltonian(drift, couplings)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid inline system: {exc}") from exc
+def _sys_inline(params):
+    return ControlledHamiltonian(params["drift"], [
+        (c["operator"], i if c["control_index"] is None
+         else c["control_index"]) for i, c in enumerate(params["couplings"])])
+
+
+_OPERATOR = Key(REQUIRED, None, build=Operator.from_dict)
+# controllability systems: name (None: inline) -> (builder, section rows)
+_SYSTEMS = {
+    "tls": (_sys_tls, {"omega": Key(1.0, positive=True)}),
+    "ladder": (_sys_ladder, {"levels": Key(3, int, lo=2, hi=MAX_LEVELS),
+                             "anharmonicity": Key(0.11)}),
+    "identical_coupled_qubits": (_sys_identical, {
+        "omega": Key(1.0, positive=True), "coupling": Key(0.2)}),
+    "zz_coupled_qubits": (_sys_zz, {
+        "omega1": Key(1.0, positive=True), "omega2": Key(1.7, positive=True),
+        "coupling": Key(0.2)}),
+    None: (_sys_inline, {"drift": _OPERATOR, "couplings": Key([], [
+        Key(REQUIRED, {"operator": _OPERATOR,
+                       "control_index": Key(None, int, lo=0, nullable=True)})],
+        lo=0)}),
+}
+_SYSTEM_NAME = Key(None, tuple(_SYSTEMS))
+
+
+def _system(section) -> ControlledHamiltonian:
+    """A controllability system, named or given inline."""
+    name = section.get("name") if isinstance(section, dict) else None
+    builder, rows = _SYSTEMS[_check(name, _SYSTEM_NAME, "config.system.name")]
+    return builder(_check(section, Key(REQUIRED, {"name": _SYSTEM_NAME,
+                                                  **rows}), "config.system"))
 
 
 def _controllability(config, bundle, seed_field):
-    system = config.get("system")
-    if system is None:
-        raise ConfigError("controllability scenario needs a 'system'")
-    h = _system_from_config(system)
+    h = config["system"]
     graph = build_graph(h)
     result = graph_controllability(graph)
     lie = lie_rank(h)
@@ -616,24 +574,90 @@ _RUNNERS = {
     "controllability": _controllability,
 }
 
-_TOP_KEYS = {"schema_version", "scenario", "seed", "grid", "system",
-             "optimizer", "outputs"}
+# Schema table ---------------------------------------------------------------
+
+_GRID = Key(None, {"t0": Key(0.0), "tf": Key(REQUIRED),
+                   "nt": Key(REQUIRED, int, lo=2, hi=MAX_NT)},
+            nullable=True, build=lambda grid: TimeGrid(**grid))
+
+
+def _scenario(plots, system: dict, **sections) -> dict:
+    """Top-level rows of a scenario whose ``outputs`` may name ``plots``."""
+    return {"schema_version": Key(SCHEMA_VERSION, int, lo=SCHEMA_VERSION,
+                                  hi=SCHEMA_VERSION),
+            "scenario": Key(REQUIRED, None),  # checked by load_config
+            "seed": Key(0, int, lo=0),
+            "outputs": Key([], [Key(REQUIRED, plots)], lo=0),
+            "system": Key({}, system),
+            **sections}
+
+
+SCHEMA = {
+    "rabi": _scenario(("population_vs_time",), {
+        "rabi0": Key(2 * np.pi, positive=True),
+        "detuning": Key(0.0),
+        "periods": Key(10.0, positive=True),
+        "frame": Key("carrier", FRAME_CHOICES)}, grid=_GRID),
+    "landau_zener": _scenario(("probability_vs_sweep_rate",), {
+        "gap": Key(1.0, positive=True),
+        "rates": Key([1.0], [Key(REQUIRED, positive=True)], lo=1),
+        "adiabaticity": Key(None, positive=True, nullable=True),
+        "span": Key(60.0, positive=True),
+        "with_counterdiabatic": Key(False, (False, True))}, grid=_GRID),
+    "stirap": _scenario(("population_vs_time",), {
+        "rabi0": Key(12.0, positive=True),
+        "tau": Key(2.5, positive=True),
+        "delay": Key(3.0, lo=0.0),
+        "gamma": Key(1.0, lo=0.0),
+        "ordering": Key("counterintuitive",
+                        ("counterintuitive", "intuitive"))}, grid=_GRID),
+    "bichromatic": _scenario(("population_vs_phase",), {
+        "splitting": Key(1.0, positive=True),
+        "omega_f": Key(40.0, positive=True),
+        "rabi_peak": Key(0.01, positive=True),
+        "c1": Key(np.sqrt(0.7), positive=True),
+        "c2": Key(np.sqrt(0.3), positive=True),
+        "n_phases": Key(16, int, lo=3, hi=MAX_COUNT)}, grid=_GRID),
+    "qubit_reset": _scenario(("probability_vs_sweep_rate",), {
+        "coupling": Key(0.15, positive=True),
+        "omega_s": Key(10.0, positive=True),
+        "omega_b": Key(12.0, positive=True),
+        "kappa": Key(2e-4, lo=0.0),
+        "p_exc": Key(0.05, lo=0.0, hi=1.0),
+        "duration_fractions": Key(np.arange(0.5, 1.35, 0.1).tolist(),
+                                  [Key(REQUIRED, positive=True)], lo=1),
+        "nt": Key(301, int, lo=2, hi=MAX_NT)}, optimizer=Key({}, {
+        "lambda": Key(0.2, positive=True),
+        "max_iters": Key(200, int, lo=0, hi=MAX_COUNT),
+        "dj_threshold": Key(1e-9, lo=0.0),
+        "stall_shrink": Key(0.7, positive=True, hi=1.0, nullable=True),
+        "guess_amplitude": Key(None, nullable=True)})),  # None: 0.9 resonance
+    "gate_opt": _scenario(("j_vs_iteration",), {"coupling": Key(1.0)},
+                          grid=_GRID, optimizer=Key({}, {
+        "lambda": Key(2.0, positive=True),
+        "max_iters": Key(800, int, lo=0, hi=MAX_COUNT),
+        "j_threshold": Key(2e-7, lo=0.0),
+        "budget": Key(40, int, lo=0, hi=MAX_COUNT),
+        "n_fourier": Key(2, int, lo=0, hi=MAX_FOURIER)})),
+    "controllability": _scenario((), {}) | {
+        "system": Key(REQUIRED, None, build=_system)},
+}
+SCENARIOS = tuple(SCHEMA)
 
 
 def load_config(path) -> dict:
+    """Parse a config and check it against ``SCHEMA``; returns it with every
+    default filled in, ``grid`` as a :class:`TimeGrid` or ``None``."""
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also non-UTF-8 bytes
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(config, _TOP_KEYS, "config")
-    scenario = _require(config, "scenario", "config")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; "
-                          f"known: {list(SCENARIOS)}")
-    return config
+    scenario = _check(config.get("scenario"), Key(REQUIRED, SCENARIOS),
+                      "config.scenario")
+    return _check(config, Key(REQUIRED, SCHEMA[scenario]), "config")
 
 
 def qubit_reset_scenario(config_path, out_dir=None,
@@ -651,29 +675,25 @@ def run_scenario(config_path, out_dir=None,
                  seed_field_path=None) -> ResultBundle:
     """Execute a scenario config; write summary, CSVs and plot data."""
     config = load_config(config_path)
-    np.random.seed(int(config.get("seed", 0)))
+    if config["outputs"] and out_dir is None:
+        raise ConfigError("outputs need an output directory (--out)")
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     bundle = ResultBundle(summary={
         "schema_version": SCHEMA_VERSION,
         "scenario": config["scenario"],
-        "seed": int(config.get("seed", 0)),
+        "seed": config["seed"],
     }, out_dir=out)
     seed_field = None
     if seed_field_path is not None:
-        grid = _grid_from(config) if "grid" in config else None
-        seed_field = _load_seed_field(seed_field_path, grid)
+        seed_field = _load_seed_field(seed_field_path, config.get("grid"))
     runner = _RUNNERS[config["scenario"]]
     try:
         runner(config, bundle, seed_field)
-    except ConfigError:
-        raise
     except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         raise ScenarioError(f"numerics aborted: {exc}") from exc
-    for kind in config.get("outputs", []):
-        if kind in ("trajectory", "fields"):
-            continue  # written by the runner when applicable
+    for kind in config["outputs"]:
         emit_plot_data(bundle, kind)
     _write_summary(bundle)
     return bundle

@@ -1,8 +1,8 @@
 """Field envelopes for guesses and update shapes.
 
-Config files name these envelopes through ``scenarios.build_field``.  All
-builders return a :class:`~qoctl.dynamics.ControlField` sampled on the
-midpoint grid.
+Configs name no envelope: the ``rabi`` scenario drives with ``flat`` and
+the optimizers' default update shape is ``sin2_ramp``.  All builders return
+a :class:`~qoctl.dynamics.ControlField` sampled on the midpoint grid.
 """
 
 from __future__ import annotations

@@ -1,4 +1,12 @@
-import numpy as np
+import os
+
+# qoctl's matrices are 2x2 to 16x16, where extra BLAS threads only contend
+# for cores; set before numpy loads BLAS.  The CLI subprocess tests inherit
+# these values.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from qoctl import core

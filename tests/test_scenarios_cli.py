@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from qoctl.scenarios import (ConfigError, build_field, emit_plot_data,
-                             load_config, qubit_reset_purity, reset_model,
-                             run_scenario)
+from qoctl import shapes
+from qoctl.scenarios import (ConfigError, emit_plot_data, load_config,
+                             qubit_reset_purity, reset_model, run_scenario)
 from qoctl.dynamics import TimeGrid
 
 
@@ -15,6 +15,55 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+# Each case is merged over {"scenario": "rabi"}; a case that names its own
+# scenario is a whole config.  Every one must exit 2 before any numerics.
+CONFIG_ERRORS = [
+    {"cost": {}},
+    {"fields": []},
+    {"system": {"rabi0": "abc"}},
+    {"system": {"rabi0": 0}},
+    {"scenario": "stirap", "system": {"tau": "abc"}},
+    {"scenario": "landau_zener", "system": {"rates": 5}},
+    {"seed": "abc"},
+    {"system": 5},
+    {"scenario": "controllability",
+     "system": {"name": "ladder", "levels": 0}},
+    {"scenario": "stirap", "system": {"gamma": -1}},
+    {"scenario": "landau_zener", "system": {"rates": [0.0]}},
+    {"scenario": "qubit_reset", "system": {"duration_fractions": [-1.0]}},
+    {"outputs": ["bogus"]},
+    {"system": {"detuning": float("nan")}},
+    {"scenario": "bichromatic", "system": {"n_phases": 0}},
+    {"scenario": "landau_zener",
+     "system": {"with_counterdiabatic": "false"}},
+    {"scenario": "bichromatic", "system": {"n_phases": 2.7}},
+    {"scenario": "gate_opt", "optimizer": {"budget": -3}},
+    {"schema_version": 99},
+    {"scenario": "qubit_reset", "optimizer": {"stall_shrink": "abc"}},
+    {"optimizer": {"max_iters": 2}},
+    {"scenario": "controllability", "system": {"name": "tls"},
+     "grid": {"t0": 0.0, "tf": 1.0, "nt": 11}},
+    {"outputs": ["trajectory"]},
+    {"outputs": ["fields"]},
+    {"grid": {"t0": 0.0, "tf": 1.0, "nt": True}},
+    {"grid": {"t0": 0.0, "tf": 1.0, "nt": 10 ** 9}},
+]
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    """Make every kernel entry point raise, so a run that reaches the
+    numerics exits 3 instead of 2."""
+    from qoctl import _kernels
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for name in ("propagate_pwc_ket", "propagate_pwc_dm",
+                 "krotov_forward_ket", "krotov_forward_dm"):
+        monkeypatch.setattr(_kernels, name, kernel)
 
 
 class TestConfigValidation:
@@ -40,21 +89,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_field_builders(self):
-        grid = TimeGrid(0.0, 1.0, 101)
-        flat = build_field({"shape": "flat", "amplitude": 2.0}, grid)
-        assert np.all(flat.samples == 2.0)
-        gauss = build_field({"shape": "gaussian", "amplitude": 1.0,
-                             "center": 0.5, "width": 0.1}, grid)
-        assert gauss.samples.max() <= 1.0
-        ramp = build_field({"shape": "sin2_ramp", "amplitude": 1.0}, grid)
-        assert ramp.samples[0] == 0.0 and ramp.samples[-1] == 0.0
-        chirp = build_field({"shape": "chirped", "e0": 1.0,
-                             "omega_l": 30.0, "alpha": 0.5,
-                             "envelope": {"shape": "flat"}}, grid)
-        assert chirp.samples.shape == (100,)
-        with pytest.raises(ConfigError):
-            build_field({"shape": "sawtooth"}, grid)
+
+def test_gaussian_shape():
+    grid = TimeGrid(0.0, 1.0, 101)
+    gauss = shapes.gaussian(grid, 2.0, 0.5, 0.1)
+    t = grid.midpoints
+    np.testing.assert_allclose(
+        gauss.samples, 2.0 * np.exp(-0.5 * ((t - 0.5) / 0.1) ** 2),
+        rtol=1e-15)
+    assert gauss.samples.max() <= 2.0
+    assert gauss.samples[0] < 1e-4
 
 
 class TestRabiScenario:
@@ -239,14 +283,29 @@ class TestCliProcess:
         assert payload["error"]["type"] == "config"
         assert (out / "error.json").exists()
 
-    @pytest.mark.parametrize("extra", [
-        {"cost": {}}, {"fields": []},
-        {"system": {"rabi0": "abc"}}, {"system": {"rabi0": 0}}])
+    @pytest.mark.parametrize("extra", CONFIG_ERRORS)
     def test_config_error_exit_code(self, tmp_path, extra):
         cfg = write_config(tmp_path, {"scenario": "rabi", **extra})
-        result = self.run_cli("run", str(cfg))
+        result = self.run_cli("run", str(cfg), "--out", str(tmp_path / "o"))
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("extra", CONFIG_ERRORS)
+    def test_config_error_before_numerics(self, tmp_path, no_numerics,
+                                          capsys, extra):
+        from qoctl import cli
+        cfg = write_config(tmp_path, {"scenario": "rabi", **extra})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] \
+            == "config"
+
+    def test_outputs_need_out_dir(self, tmp_path, no_numerics, capsys):
+        from qoctl import cli
+        cfg = write_config(tmp_path, {"scenario": "rabi",
+                                      "outputs": ["population_vs_time"]})
+        assert cli.main(["run", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] \
+            == "config"
 
     def test_unexpected_failure_reported_as_json(self, tmp_path,
                                                  monkeypatch, capsys):
