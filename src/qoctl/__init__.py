@@ -14,14 +14,15 @@ Library layout:
 
 The hot propagation loops are one numpy implementation in
 ``qoctl._kernels``; ``qoctl.kernel_backend()`` names it (``"python"``) so
-that benchmark results can stamp the environment they ran in.
+that benchmark results can stamp the environment they ran in.  Importing
+the package itself loads no numpy, so :mod:`qoctl.cli` can set the BLAS
+thread count before numpy starts.
 """
-
-from ._kernels import BACKEND as _KERNEL_BACKEND
 
 __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
     """Name of the propagation kernel implementation (always ``"python"``)."""
-    return _KERNEL_BACKEND
+    from ._kernels import BACKEND
+    return BACKEND

@@ -1,6 +1,14 @@
 """Piecewise-constant propagation kernels in numpy.
 
-Conventions shared by the four entry points:
+Four entry points build their own step operators: ``propagate_pwc_ket`` and
+``propagate_pwc_dm`` step a boundary state through the field, and the
+sequential Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm``
+update the field while they step, then return the stack of step operators
+they built beside the states.  ``propagate_adjoint`` applies the adjoints
+of such a stack backward, so the co-state pass of the next Krotov
+iteration needs no exponential of its own.
+
+Conventions shared by the entry points:
 
 * ``amps`` has shape ``(nt - 1, n_controls)``: one sample per midpoint.
 * Step ``k`` applies the exponential of the generator built from
@@ -97,19 +105,23 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
 
     Returns
     -------
-    (nt, W, N) complex ndarray of forward-propagated states.
+    states : (nt, W, N) complex ndarray of forward-propagated states.
+    steps : (nt-1, N, N) complex ndarray
+        The step unitaries ``exp(-1j * H_k * dt)`` of the updated field.
     """
     n_mid = amps.shape[0]
     out = np.empty((n_mid + 1,) + psi0.shape, dtype=complex)
+    steps = np.empty((n_mid,) + drift.shape, dtype=complex)
     out[0] = psi0
     chi_conj = chi.conj()
     rate = gain / psi0.shape[0]  # the update is an ensemble mean
     for k in range(n_mid):
         amps[k] += rate[k] * np.einsum("wi,jik,wk->j", chi_conj[k], coups,
                                        out[k]).imag
-        step = expm_hermitian(_generator(drift, coups, amps[k]), -1j * dt)
-        out[k + 1] = out[k] @ step.T
-    return out
+        steps[k] = expm_hermitian(_generator(drift, coups, amps[k]),
+                                  -1j * dt)
+        np.matmul(out[k], steps[k].T, out=out[k + 1])
+    return out, steps
 
 
 def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
@@ -117,9 +129,12 @@ def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
 
     ``comms[j]`` is the vectorized commutator map ``[H_j, .]`` so that the
     update reads ``du_j = gain[k] * mean_w Im( chi[k,w]^dag comms[j] rho )``.
+    Returns the states and the step operators ``expm(G_k * dt)`` of the
+    updated field, shaped as for kets.
     """
     n_mid = amps.shape[0]
     out = np.empty((n_mid + 1,) + rho0_vec.shape, dtype=complex)
+    steps = np.empty((n_mid,) + gen0.shape, dtype=complex)
     out[0] = rho0_vec
     chi_conj = chi.conj()
     rate = gain / rho0_vec.shape[0]  # the update is an ensemble mean
@@ -127,14 +142,31 @@ def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
     for k in range(n_mid):
         amps[k] += rate[k] * np.einsum("wi,jik,wk->j", chi_conj[k], comms,
                                        out[k]).imag
-        step = expm(_generator(gen0, gens, amps[k]))
-        out[k + 1] = out[k] @ step.T
-    return out
+        steps[k] = expm(_generator(gen0, gens, amps[k]))
+        np.matmul(out[k], steps[k].T, out=out[k + 1])
+    return out, steps
+
+
+def propagate_adjoint(steps, chi_final):
+    """Backward propagation through the adjoints of a step stack.
+
+    ``chi[k] = steps[k]^dag chi[k+1]`` with ``chi[-1] = chi_final``, a
+    ``(N,)`` or ``(W, N)`` block; returns ``(nt, N)`` or ``(nt, W, N)`` for
+    ``nt - 1 = len(steps)``.  For a Krotov pass's stack this is exactly the
+    backward run of ``propagate_pwc_ket`` (``-dt``) or ``propagate_pwc_dm``
+    (adjoint generator parts) over the same field, without exponentials:
+    the conjugate co-states step as ``conj(chi[k]) = conj(chi[k+1]) @
+    steps[k]``, which is the shared apply loop with ``steps`` in the place
+    of its transposed step operators.
+    """
+    return _propagate(lambda block: block, steps, np.conj(chi_final),
+                      -1).conj()
 
 
 def _propagate(steps_t, amps, state0, direction):
     """Apply the transposed step operators ``steps_t(amps block)`` in
-    sequence, one block of steps at a time."""
+    sequence, one block of steps at a time.  ``amps`` is only sliced along
+    its first axis, one row per step."""
     n_mid = amps.shape[0]
     out = np.empty((n_mid + 1,) + np.shape(state0), dtype=complex)
     dim = out.shape[-1]

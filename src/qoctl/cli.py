@@ -11,10 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
-from .scenarios import ConfigError, ScenarioError, run_scenario
+# qoctl's matrices are 2x2 to 16x16, where extra BLAS threads only contend
+# for cores.  BLAS reads these when numpy loads, which the import below
+# does first; values already set are kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .scenarios import ConfigError, ScenarioError, run_scenario  # noqa: E402
 
 log = logging.getLogger("qoctl")
 

@@ -6,7 +6,9 @@ forward, updating each midpoint sample by
 ``du_j(t_k) = S(t_k)/lambda * mean_w Im <chi_w(t_k)|dH/du_j|psi_w(t_k)>``
 before stepping the states with the already-updated field.  The staggered
 state/control grids make this explicit, and for the shipped (convex)
-final-time costs the total cost decreases monotonically.
+final-time costs the total cost decreases monotonically.  The forward sweep
+returns the step operators it built, and the next backward pass applies
+their adjoints, so each accepted field is exponentiated once.
 
 The concurrent method (GRAPE) computes the exact discrete gradient -- the
 Frechet derivative of each step exponential, eigenbasis formula for the
@@ -372,14 +374,23 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     _log(log_stream, entries[0])
     reason = "max_iters"
     rejects = 0
+    # Co-states of the current field, and the step operators the last
+    # accepted pass built for it.  Only the guess field's co-states need
+    # exponentials of their own; a rejected trial leaves both the field and
+    # its co-states as they were.
+    chi, steps = None, None
     if j_tf <= settings.j_threshold:
         reason = "j_threshold"
     else:
         for it in range(1, settings.max_iters + 1):
             t_start = time.perf_counter()
-            chi = engine.backward_all(amps, engine.chi_boundary(fwd[-1]))
+            if chi is None:
+                boundary = engine.chi_boundary(fwd[-1])
+                chi = engine.backward_all(amps, boundary) if steps is None \
+                    else _kernels.propagate_adjoint(steps, boundary)
+                steps = None  # one step stack alive at a time
             old = amps.copy()
-            trial = engine.krotov_forward(amps, chi, gain)
+            trial, steps = engine.krotov_forward(amps, chi, gain)
             j_new = engine.cost_value(trial[-1])
             if not np.isfinite(j_new):
                 raise FloatingPointError(f"non-finite functional at "
@@ -389,6 +400,7 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
                 # halve the step (double lambda) and retry.  The record
                 # stays non-increasing because the field is unchanged.
                 amps[:] = old
+                steps = None
                 lam *= 2.0
                 gain = settings.shape_for(problem.grid) / lam
                 rejects += 1
@@ -400,7 +412,7 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
                     reason = "stalled"
                     break
                 continue
-            fwd = trial
+            fwd, chi = trial, None
             delta = amps - old
             shape = gain * lam
             with np.errstate(invalid="ignore", divide="ignore"):

@@ -130,15 +130,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_summary(bundle: ResultBundle):
-    if bundle.out_dir is None:
-        return
-    path = bundle.out_dir / "summary.json"
-    with open(path, "w") as fh:
-        json.dump(bundle.summary, fh, sort_keys=True, indent=2,
-                  default=_json_default)
-        fh.write("\n")
-    bundle.summary_path = path
+def _summary_text(summary: dict) -> str:
+    """The text of ``summary.json``.  JSON has no literal for an infinite or
+    NaN number, so one in the results is a numerics failure."""
+    try:
+        return json.dumps(summary, sort_keys=True, indent=2,
+                          default=_json_default, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ScenarioError(f"non-finite result: {exc}") from exc
 
 
 def _write_tidy_csv(path, header, rows):
@@ -693,9 +692,12 @@ def run_scenario(config_path, out_dir=None,
         runner(config, bundle, seed_field)
     except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         raise ScenarioError(f"numerics aborted: {exc}") from exc
+    text = _summary_text(bundle.summary)
     for kind in config["outputs"]:
         emit_plot_data(bundle, kind)
-    _write_summary(bundle)
+    if out is not None:
+        bundle.summary_path = out / "summary.json"
+        bundle.summary_path.write_text(text)
     return bundle
 
 

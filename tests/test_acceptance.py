@@ -313,7 +313,7 @@ def test_criterion_06_stirap_ordering():
 def _product_state(x):
     a = np.array([np.cos(x[0]), np.exp(1j * x[1]) * np.sin(x[0])])
     b = np.array([np.cos(x[2]), np.exp(1j * x[3]) * np.sin(x[2])])
-    return np.kron(a, b)
+    return np.outer(a, b).ravel()  # bit-identical to np.kron(a, b), cheaper
 
 
 def _max_output_concurrence(u, rng, n_starts=3, presample=300):

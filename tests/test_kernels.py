@@ -2,8 +2,9 @@
 
 The references below step one member at a time through the textbook
 exponential of every step generator, so they check the batched
-eigendecomposition, the block layout of ensembles and the in-place field
-update of the Krotov passes at once.
+eigendecomposition, the block layout of ensembles, the in-place field
+update of the Krotov passes and the step stacks those passes return at
+once.
 """
 
 import numpy as np
@@ -42,10 +43,12 @@ def reference_propagation(gen0, gens, amps, scale, state0, direction):
 
 
 def reference_krotov(gen0, gens, ops, amps, chi, state0, scale, gain):
-    """Per-control, per-member update loop, then the expm step."""
+    """Per-control, per-member update loop, then the expm step; returns the
+    states and the step operators."""
     n_mid, n_ctrl = amps.shape
     n_ens = state0.shape[0]
     out = np.empty((n_mid + 1,) + state0.shape, dtype=complex)
+    steps = np.empty((n_mid,) + gen0.shape, dtype=complex)
     out[0] = state0
     for k in range(n_mid):
         for j in range(n_ctrl):
@@ -55,10 +58,10 @@ def reference_krotov(gen0, gens, ops, amps, chi, state0, scale, gain):
         g = gen0.copy()
         for j in range(n_ctrl):
             g += amps[k, j] * gens[j]
-        step = expm(scale * g)
+        steps[k] = expm(scale * g)
         for w in range(n_ens):
-            out[k + 1, w] = step @ out[k, w]
-    return out
+            out[k + 1, w] = steps[k] @ out[k, w]
+    return out, steps
 
 
 @pytest.fixture
@@ -136,12 +139,14 @@ class TestKrotovForward:
         chi = random_block(rng, (n_mid + 1, n_ens, n))
         gain = rng.uniform(0, 0.5, size=n_mid)
         amps_ref = amps.copy()
-        got = _kernels.krotov_forward_ket(drift, coups, amps, chi, psi0,
-                                          0.05, gain)
-        ref = reference_krotov(drift, coups, coups, amps_ref, chi, psi0,
-                               -0.05j, gain)
+        got, steps = _kernels.krotov_forward_ket(drift, coups, amps, chi,
+                                                 psi0, 0.05, gain)
+        ref, ref_steps = reference_krotov(drift, coups, coups, amps_ref, chi,
+                                          psi0, -0.05j, gain)
         assert close(amps, amps_ref)
         assert close(got, ref)
+        assert steps.shape == (n_mid, n, n)
+        assert close(steps, ref_steps)
 
     def test_density(self, generator_data, rng):
         # scaled down so the random sequential feedback stays bounded
@@ -153,9 +158,53 @@ class TestKrotovForward:
         chi = random_block(rng, (n_mid + 1, n_ens, n))
         gain = rng.uniform(0, 0.1, size=n_mid)
         amps_ref = amps.copy()
-        got = _kernels.krotov_forward_dm(gen0, gens, comms, amps, chi, rho0,
-                                         0.05, gain)
-        ref = reference_krotov(gen0, gens, comms, amps_ref, chi, rho0, 0.05,
-                               gain)
+        got, steps = _kernels.krotov_forward_dm(gen0, gens, comms, amps, chi,
+                                                rho0, 0.05, gain)
+        ref, ref_steps = reference_krotov(gen0, gens, comms, amps_ref, chi,
+                                          rho0, 0.05, gain)
         assert close(amps, amps_ref)
+        assert close(got, ref)
+        assert steps.shape == (n_mid, n, n)
+        assert close(steps, ref_steps)
+
+
+class TestPropagateAdjoint:
+    """The adjoints of a Krotov pass's steps against a backward run that
+    exponentiates the same field afresh."""
+
+    @pytest.mark.parametrize("n_ens", [None, 3])
+    def test_ket(self, hamiltonian_data, rng, n_ens):
+        drift, coups = hamiltonian_data
+        n_mid, n, dt = 60, drift.shape[0], 0.05
+        amps = rng.normal(size=(n_mid, coups.shape[0]))
+        psi0 = random_block(rng, (3, n))
+        chi = random_block(rng, (n_mid + 1, 3, n))
+        gain = rng.uniform(0, 0.5, size=n_mid)
+        _, steps = _kernels.krotov_forward_ket(drift, coups, amps, chi, psi0,
+                                               dt, gain)
+        shape = (n,) if n_ens is None else (n_ens, n)
+        chi_final = random_block(rng, shape)
+        got = _kernels.propagate_adjoint(steps, chi_final)
+        ref = _kernels.propagate_pwc_ket(drift, coups, amps, -dt, chi_final,
+                                         -1)
+        assert got.shape == ref.shape == (n_mid + 1,) + shape
+        assert close(got, ref)
+
+    @pytest.mark.parametrize("n_ens", [None, 3])
+    def test_density(self, generator_data, rng, n_ens):
+        gen0, gens = (0.2 * g for g in generator_data)
+        n_mid, n, dt = 70, gen0.shape[0], 0.05
+        amps = rng.normal(size=(n_mid, gens.shape[0]))
+        rho0 = random_block(rng, (2, n))
+        chi = random_block(rng, (n_mid + 1, 2, n))
+        gain = rng.uniform(0, 0.1, size=n_mid)
+        _, steps = _kernels.krotov_forward_dm(gen0, gens, random_block(
+            rng, gens.shape), amps, chi, rho0, dt, gain)
+        shape = (n,) if n_ens is None else (n_ens, n)
+        chi_final = random_block(rng, shape)
+        got = _kernels.propagate_adjoint(steps, chi_final)
+        ref = _kernels.propagate_pwc_dm(
+            gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1))), amps, dt,
+            chi_final, -1)
+        assert got.shape == ref.shape == (n_mid + 1,) + shape
         assert close(got, ref)

@@ -18,6 +18,7 @@ from qoctl.optimize import (ControlProblem, KrotovSettings, Parametrization,
                             gradient_free_search, grape_concurrent,
                             grape_gradient, hybrid_optimize, krotov_ensemble,
                             krotov_state_to_state)
+from qoctl.scenarios import reset_model
 
 
 def tls_transfer_problem(nt=501, tf=3 * np.pi):
@@ -169,6 +170,84 @@ class TestKrotovEnsemble:
                                           gate, vset)
         assert rec.monotonic(1e-12)
         assert f_opt - f_guess >= 0.05
+
+
+def qubit_reset_problem(nt=41):
+    coupling = 0.15
+    h, jumps, rho0, target, resonance = reset_model(coupling)
+    grid = TimeGrid(0.0, np.pi / (2 * coupling), nt)
+    problem = ControlProblem(h, grid, [rho0],
+                             CostSpec("state_to_state", target=target),
+                             jump_operators=jumps)
+    return problem, [ControlField.constant(grid, 0.9 * resonance)]
+
+
+def recomputing_krotov(problem, guess, settings):
+    """Krotov without step reuse: every iteration's co-states come from a
+    fresh backward propagation of the current field."""
+    from qoctl.optimize import _engine
+    engine = _engine(problem)
+    amps = np.stack([f.samples for f in guess], axis=1)
+    shape = settings.shape_for(problem.grid)
+    lam = settings.lambda_
+    fwd = engine.forward_all(amps)
+    j_history = [engine.cost_value(fwd[-1])]
+    for _ in range(settings.max_iters):
+        chi = engine.backward_all(amps, engine.chi_boundary(fwd[-1]))
+        trial_amps = amps.copy()
+        trial, _ = engine.krotov_forward(trial_amps, chi, shape / lam)
+        j_new = engine.cost_value(trial[-1])
+        if j_new > j_history[-1]:
+            lam *= 2.0
+            j_history.append(j_history[-1])
+        else:
+            amps, fwd = trial_amps, trial
+            j_history.append(j_new)
+    return np.array(j_history), amps
+
+
+class TestKrotovStepReuse:
+    """The backward pass reuses the step operators of the last accepted
+    forward pass instead of exponentiating the same field again."""
+
+    SETTINGS = KrotovSettings(lambda_=0.05, max_iters=20)
+
+    @pytest.mark.parametrize("kind", ["reset", "gate"])
+    def test_matches_recomputed_costates(self, kind):
+        if kind == "reset":
+            problem, guess = qubit_reset_problem()
+        else:
+            problem = two_qubit_gate_problem(nt=41)
+            guess = [shapes.sin2_ramp(problem.grid, 0.5, 0.1),
+                     shapes.sin2_ramp(problem.grid, -0.3, 0.1)]
+        rec = krotov_ensemble(problem, guess, self.SETTINGS)
+        j_ref, amps_ref = recomputing_krotov(problem, guess, self.SETTINGS)
+        assert len(rec.iterations) == self.SETTINGS.max_iters + 1
+        if kind == "reset":
+            # a rejected trial must leave the reused co-states valid
+            assert np.any(np.diff(rec.j_history) == 0.0)
+        # the gate cost is 1 - mean Re<.|.>, so its round-off is absolute:
+        # compare on the scale of the guess's cost
+        assert np.max(np.abs(rec.j_history - j_ref)) <= 1e-12 * j_ref[0]
+        amps = np.stack([f.samples for f in rec.final_fields], axis=1)
+        assert np.max(np.abs(amps - amps_ref)) \
+            <= 1e-12 * np.max(np.abs(amps_ref))
+
+    def test_one_exponential_per_step_and_pass(self, monkeypatch):
+        from qoctl._kernels import _fallback
+        expm, calls = _fallback.expm, []
+
+        def counting_expm(a):
+            calls.append(1)
+            return expm(a)
+
+        monkeypatch.setattr(_fallback, "expm", counting_expm)
+        problem, guess = qubit_reset_problem()
+        rec = krotov_ensemble(problem, guess, self.SETTINGS)
+        n_iter = len(rec.iterations) - 1
+        assert n_iter == self.SETTINGS.max_iters
+        # first forward pass, first backward pass, one trial per iteration
+        assert len(calls) == (problem.grid.nt - 1) * (n_iter + 2)
 
 
 class TestGrape:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -320,6 +321,57 @@ class TestCliProcess:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == {"type": "numerics",
                                     "message": "unexpected"}
+
+    def test_non_finite_result_is_numerics_failure(self, tmp_path, capsys):
+        # c1 = 5e-324 makes the formula visibility underflow, so the
+        # relative error is infinite and has no JSON literal
+        cfg = write_config(tmp_path, {
+            "scenario": "bichromatic",
+            "grid": {"t0": 0, "tf": 60, "nt": 241},
+            "system": {"c1": 5e-324, "n_phases": 3}})
+        out = tmp_path / "out"
+        result = self.run_cli("run", str(cfg), "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        assert json.loads(result.stdout)["error"]["type"] == "numerics"
+        assert (out / "error.json").exists()
+        assert not (out / "summary.json").exists()
+        from qoctl import cli
+        assert cli.main(["run", str(cfg)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] \
+            == "numerics"
+
+    def test_cli_pins_blas_threads(self):
+        # records the environment at the moment numpy starts to import
+        probe = (
+            "import json, os, sys\n"
+            "names = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS',"
+            " 'MKL_NUM_THREADS')\n"
+            "seen = {}\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.update((v, os.environ.get(v)) for v in names)\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import qoctl\n"
+            "package_loads_numpy = 'numpy' in sys.modules\n"
+            "import qoctl.cli\n"
+            "print(json.dumps({'seen': seen, 'backend': "
+            "qoctl.kernel_backend(), 'package_loads_numpy': "
+            "package_loads_numpy}))\n")
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        for preset, expect in ((None, "1"), ("2", "2")):
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            got = json.loads(result.stdout)
+            assert got["backend"] == "python"
+            assert not got["package_loads_numpy"]
+            assert got["seen"] == {"OPENBLAS_NUM_THREADS": expect,
+                                   "OMP_NUM_THREADS": "1",
+                                   "MKL_NUM_THREADS": "1"}
 
     def test_missing_config_file_io_error(self, tmp_path):
         result = self.run_cli("run", str(tmp_path / "absent.json"))
