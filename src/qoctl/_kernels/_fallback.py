@@ -1,12 +1,13 @@
 """Piecewise-constant propagation kernels in numpy.
 
-Four entry points build their own step operators: ``propagate_pwc_ket`` and
-``propagate_pwc_dm`` step a boundary state through the field, and the
+A step stack holds the ``(nt-1, N, N)`` step operators of one field:
+``step_stack_ket`` builds the unitaries from one batched ``eigh`` and also
+returns the eigenpairs, ``step_stack_dm`` takes one ``expm`` per GKLS step.
+``propagate_steps`` steps states forward through a stack and co-states
+backward through its adjoints.  ``propagate_pwc_ket`` and
+``propagate_pwc_dm`` build and apply the steps a block at a time; the
 sequential Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm``
-update the field while they step, then return the stack of step operators
-they built beside the states.  ``propagate_adjoint`` applies the adjoints
-of such a stack backward, so the co-state pass of the next Krotov
-iteration needs no exponential of its own.
+update the field while they step and return the updated field's stack.
 
 Conventions shared by the entry points:
 
@@ -30,19 +31,46 @@ from scipy.linalg import expm
 
 BACKEND = "python"
 
-# Step operators are built a block at a time: one batched eigh (kets) or
-# one generator assembly (GKLS) per block amortizes the Python overhead per
-# step.  A block holds at most BLOCK steps, and at most as many elements as
-# BLOCK 4x4 matrices, so its memory grows with neither the grid nor the
-# dimension.
+# propagate_pwc_* build step operators a block at a time: one batched eigh
+# (kets) or one generator assembly (GKLS) per block amortizes the Python
+# overhead per step.  A block holds at most BLOCK steps, and at most as many
+# elements as BLOCK 4x4 matrices, so its memory grows with neither the grid
+# nor the dimension.
 BLOCK = 1024
 
 
-def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    """``expm(scale * h)`` for Hermitian ``h`` (or a stack of them)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)[..., None, :]) @ np.conj(
+def step_stack_ket(drift, coups, amps, dt):
+    """Step unitaries ``exp(-1j * H_k * dt)`` and the eigenpairs ``w``
+    ``(nt-1, N)``, ``v`` ``(nt-1, N, N)`` of the ``H_k`` they came from.
+    One row ``amps`` of shape ``(M,)`` gives one step, without that axis."""
+    w, v = np.linalg.eigh(_generator(drift, coups, amps))
+    steps = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.conj(
         np.swapaxes(v, -1, -2))
+    return steps, w, v
+
+
+def step_stack_dm(gen0, gens, amps, dt):
+    """Step operators ``expm(G_k * dt)``, one Pade exponential per step
+    (the generator is not normal), written over the generators in place."""
+    steps = _generator(gen0 * dt, gens * dt, amps)
+    for k, gen in enumerate(steps):
+        steps[k] = expm(gen)
+    return steps
+
+
+def propagate_steps(steps, state, direction):
+    """Step a block through a step stack, or back through its adjoints.
+
+    ``+1``: ``out[k+1] = steps[k] out[k]`` from ``out[0] = state``.  ``-1``:
+    ``out[k] = steps[k]^dag out[k+1]`` from ``out[-1] = state``, which is the
+    backward run of ``propagate_pwc_ket`` (``-dt``) or ``propagate_pwc_dm``
+    (adjoint generator parts) without exponentials.  ``state`` is ``(N,)``
+    or ``(W, N)``, as for the other entry points.
+    """
+    if direction > 0:
+        return _propagate(lambda block: block, steps, state, 1)
+    return _propagate(lambda block: np.swapaxes(block, -1, -2).conj(), steps,
+                      state, -1)
 
 
 def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
@@ -65,7 +93,7 @@ def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
     -------
     (nt, N) or (nt, W, N) complex ndarray, indexed by state-grid point.
     """
-    return _propagate(lambda block: _unitaries_t(drift, coups, block, dt),
+    return _propagate(lambda block: step_stack_ket(drift, coups, block, dt)[0],
                       amps, psi0, direction)
 
 
@@ -79,9 +107,8 @@ def propagate_pwc_dm(gen0, gens, amps, dt, rho0_vec, direction):
     conjugate-transposed generator parts.  ``rho0_vec`` is ``(N,)`` or a
     ``(W, N)`` block, as for kets.
     """
-    def steps_t(block):
-        return [expm(g).T for g in _generator(gen0 * dt, gens * dt, block)]
-    return _propagate(steps_t, amps, rho0_vec, direction)
+    return _propagate(lambda block: step_stack_dm(gen0, gens, block, dt),
+                      amps, rho0_vec, direction)
 
 
 def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
@@ -118,8 +145,7 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     for k in range(n_mid):
         amps[k] += rate[k] * np.einsum("wi,jik,wk->j", chi_conj[k], coups,
                                        out[k]).imag
-        steps[k] = expm_hermitian(_generator(drift, coups, amps[k]),
-                                  -1j * dt)
+        steps[k] = step_stack_ket(drift, coups, amps[k], dt)[0]
         np.matmul(out[k], steps[k].T, out=out[k + 1])
     return out, steps
 
@@ -147,26 +173,10 @@ def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
     return out, steps
 
 
-def propagate_adjoint(steps, chi_final):
-    """Backward propagation through the adjoints of a step stack.
-
-    ``chi[k] = steps[k]^dag chi[k+1]`` with ``chi[-1] = chi_final``, a
-    ``(N,)`` or ``(W, N)`` block; returns ``(nt, N)`` or ``(nt, W, N)`` for
-    ``nt - 1 = len(steps)``.  For a Krotov pass's stack this is exactly the
-    backward run of ``propagate_pwc_ket`` (``-dt``) or ``propagate_pwc_dm``
-    (adjoint generator parts) over the same field, without exponentials:
-    the conjugate co-states step as ``conj(chi[k]) = conj(chi[k+1]) @
-    steps[k]``, which is the shared apply loop with ``steps`` in the place
-    of its transposed step operators.
-    """
-    return _propagate(lambda block: block, steps, np.conj(chi_final),
-                      -1).conj()
-
-
-def _propagate(steps_t, amps, state0, direction):
-    """Apply the transposed step operators ``steps_t(amps block)`` in
-    sequence, one block of steps at a time.  ``amps`` is only sliced along
-    its first axis, one row per step."""
+def _propagate(steps_of, amps, state0, direction):
+    """Apply the step operators ``steps_of(amps block)`` in sequence, one
+    block of steps at a time.  ``amps`` is only sliced along its first axis,
+    one row per step."""
     n_mid = amps.shape[0]
     out = np.empty((n_mid + 1,) + np.shape(state0), dtype=complex)
     dim = out.shape[-1]
@@ -175,27 +185,22 @@ def _propagate(steps_t, amps, state0, direction):
     if direction > 0:
         out[0] = state0
         for k0 in starts:
-            block = steps_t(amps[k0:k0 + rows])
+            block = steps_of(amps[k0:k0 + rows])
             for i in range(k0, k0 + len(block)):
-                np.matmul(out[i], block[i - k0], out=out[i + 1])
+                np.matmul(out[i], block[i - k0].T, out=out[i + 1])
     else:
         out[n_mid] = state0
         for k0 in reversed(starts):
-            block = steps_t(amps[k0:k0 + rows])
+            block = steps_of(amps[k0:k0 + rows])
             for i in range(k0 + len(block) - 1, k0 - 1, -1):
-                np.matmul(out[i + 1], block[i - k0], out=out[i])
+                np.matmul(out[i + 1], block[i - k0].T, out=out[i])
     return out
-
-
-def _unitaries_t(drift, coups, amps, dt):
-    """Transposed step unitaries ``exp(-1j * H_k * dt).T``, one per row of
-    ``amps``, from one batched eigendecomposition."""
-    return np.swapaxes(expm_hermitian(_generator(drift, coups, amps),
-                                      -1j * dt), -1, -2)
 
 
 def _generator(base, parts, amps):
     """``base + sum_j amps[..., j] * parts[j]`` for one row of ``amps`` or a
     block of rows (one matrix product instead of a loop over controls)."""
-    flat = np.dot(amps, parts.reshape(parts.shape[0], base.size))
-    return flat.reshape(amps.shape[:-1] + base.shape) + base
+    gen = np.dot(amps, parts.reshape(parts.shape[0], base.size)).reshape(
+        amps.shape[:-1] + base.shape)
+    gen += base  # in place: a step stack is not allocated twice
+    return gen

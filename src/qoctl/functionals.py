@@ -171,8 +171,8 @@ def weyl_coordinates(u: Operator, ndigits: int = 10) -> WeylCoordinates:
     Spectral algorithm: the eigenphases of ``U (SySy U^T SySy) / sqrt(det)``
     determine the class; the representative is folded into the canonical
     chamber, so locally equivalent gates map to identical coordinates.
-    Rounded to ``ndigits`` so that boundary gates land exactly on the
-    boundary.
+    Rounded to ``ndigits`` before the fold, so that boundary gates land
+    exactly on the boundary and fold by their rounded ``c3``.
     """
     if u.dim != 4:
         raise DimensionMismatchError("Weyl coordinates need a 4x4 unitary")
@@ -187,10 +187,11 @@ def weyl_coordinates(u: Operator, ndigits: int = 10) -> WeylCoordinates:
     s -= np.concatenate([np.ones(n), np.zeros(4 - n)])
     s = np.roll(s, -n)
     mat = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    c1, c2, c3 = mat @ s[:3]
-    if c3 < 0:
+    c1, c2, c3 = np.round(mat @ s[:3], ndigits)
+    if c3 < 0 or (c3 == 0 and c1 > 0.5):
         c1, c3 = 1.0 - c1, -c3
-    coords = np.round([c1, c2, c3], ndigits) * np.pi
+    # rounded again so both sides of a fold agree; + 0.0 turns -0.0 into 0.0
+    coords = (np.round([c1, c2, c3], ndigits) + 0.0) * np.pi
     return WeylCoordinates(*map(float, coords))
 
 

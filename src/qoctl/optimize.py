@@ -6,15 +6,17 @@ forward, updating each midpoint sample by
 ``du_j(t_k) = S(t_k)/lambda * mean_w Im <chi_w(t_k)|dH/du_j|psi_w(t_k)>``
 before stepping the states with the already-updated field.  The staggered
 state/control grids make this explicit, and for the shipped (convex)
-final-time costs the total cost decreases monotonically.  The forward sweep
-returns the step operators it built, and the next backward pass applies
-their adjoints, so each accepted field is exponentiated once.
+final-time costs the total cost decreases monotonically.
 
 The concurrent method (GRAPE) computes the exact discrete gradient -- the
 Frechet derivative of each step exponential, eigenbasis formula for the
 Hermitian case, `scipy.linalg.expm_frechet` for the GKLS generator -- and
 applies one shaped update per iteration with a backtracking line search.
 No monotonicity guarantee is asserted for it.
+
+Each field is exponentiated once: a forward pass returns its step stack
+(for kets with the step eigenpairs the gradient needs), and every co-state
+comes from the adjoints of the stack of the field's own forward pass.
 
 Co-state boundary conditions per cost kind (ensemble of W members):
 
@@ -115,8 +117,7 @@ class KrotovSettings:
     switch-on/off) and defaults to a flat-top with 5% sine-squared ramps.
     ``stall_shrink``, if set, multiplies ``lambda_`` by that factor
     whenever an iteration improves by less than ``dj_threshold`` without
-    having converged.  ``grape_step``/``line_search`` only affect the
-    concurrent method.
+    having converged.  ``grape_step`` only affects the concurrent method.
     """
 
     lambda_: float = 1.0
@@ -126,7 +127,6 @@ class KrotovSettings:
     dj_threshold: float = 0.0
     stall_shrink: Optional[float] = None
     grape_step: float = 1.0
-    line_search: bool = True
 
     def shape_for(self, grid: TimeGrid) -> np.ndarray:
         if self.update_shape is None:
@@ -202,27 +202,22 @@ class _KetEngine:
         self.psi0 = np.stack([s.ket for s in problem.initial_states])
         self.grid = problem.grid
         kind = problem.cost.kind
-        if kind == "state_to_state":
-            self.tgt = np.stack([t.ket for t in problem.targets()])
-        elif kind == "gate":
-            self.tgt = np.stack([t.ket for t in problem.targets()])
-        else:
+        if kind not in ("state_to_state", "gate"):
             raise ValueError(f"gradient methods do not support cost kind "
                              f"{kind!r}")
+        self.tgt = np.stack([t.ket for t in problem.targets()])
 
-    def forward_all(self, amps):
-        return _kernels.propagate_pwc_ket(self.drift, self.coups, amps,
-                                          self.grid.dt, self.psi0, 1)
-
-    def backward_all(self, amps, chi_final):
-        return _kernels.propagate_pwc_ket(self.drift, self.coups, amps,
-                                          -self.grid.dt, chi_final, -1)
+    def forward(self, amps):
+        """States of the field ``amps``, its step unitaries and the
+        eigenpairs ``(w, v)`` of its step Hamiltonians."""
+        steps, w, v = _kernels.step_stack_ket(self.drift, self.coups, amps,
+                                              self.grid.dt)
+        return _kernels.propagate_steps(steps, self.psi0, 1), steps, (w, v)
 
     def cost_value(self, finals) -> float:
-        if self.problem.cost.kind == "state_to_state":
-            overlaps = np.einsum("wi,wi->w", self.tgt.conj(), finals)
-            return float(1.0 - np.mean(np.abs(overlaps) ** 2))
         overlaps = np.einsum("wi,wi->w", self.tgt.conj(), finals)
+        if self.problem.cost.kind == "state_to_state":
+            return float(1.0 - np.mean(np.abs(overlaps) ** 2))
         return float(1.0 - np.mean(overlaps.real))
 
     def chi_boundary(self, finals):
@@ -236,14 +231,13 @@ class _KetEngine:
                                            chi, self.psi0, self.grid.dt,
                                            gain)
 
-    def gradient(self, amps):
-        """Exact discrete gradient of the cost w.r.t. every sample."""
-        fwd = self.forward_all(amps)
-        chi = self.backward_all(amps, self.chi_boundary(fwd[-1]))
-        # Every step Hamiltonian diagonalized at once; in its eigenbasis the
-        # Frechet derivative of exp(-i H dt) along C_j is ratio * C_j.
-        w, v = np.linalg.eigh(self.drift
-                              + np.tensordot(amps, self.coups, axes=1))
+    def gradient(self, amps, fwd, steps, eig):
+        """Exact discrete gradient of the cost w.r.t. every sample, from
+        what ``forward(amps)`` returned."""
+        chi = _kernels.propagate_steps(steps, self.chi_boundary(fwd[-1]), -1)
+        # In the eigenbasis of a step Hamiltonian the Frechet derivative of
+        # exp(-i H dt) along C_j is ratio * C_j.
+        w, v = eig
         phases = np.exp(-1j * self.grid.dt * w)
         denom = w[:, :, None] - w[:, None, :]
         close = np.abs(denom) <= 1e-14
@@ -276,16 +270,11 @@ class _DensityEngine:
         tgt = problem.targets()
         self.tgt = np.stack([vectorize_density(t.rho) for t in tgt])
 
-    def forward_all(self, amps):
-        return _kernels.propagate_pwc_dm(self.gen0, self.gens, amps,
-                                         self.grid.dt, self.rho0, 1)
-
-    def backward_all(self, amps, chi_final):
-        gen0_adj = np.ascontiguousarray(self.gen0.conj().T)
-        gens_adj = np.ascontiguousarray(
-            np.conj(np.transpose(self.gens, (0, 2, 1))))
-        return _kernels.propagate_pwc_dm(gen0_adj, gens_adj, amps,
-                                         self.grid.dt, chi_final, -1)
+    def forward(self, amps):
+        """States and step operators of the field ``amps``; no eigenpairs."""
+        steps = _kernels.step_stack_dm(self.gen0, self.gens, amps,
+                                       self.grid.dt)
+        return _kernels.propagate_steps(steps, self.rho0, 1), steps, None
 
     def cost_value(self, finals) -> float:
         diff = finals - self.tgt
@@ -300,9 +289,8 @@ class _DensityEngine:
                                           amps, chi, self.rho0,
                                           self.grid.dt, gain)
 
-    def gradient(self, amps):
-        fwd = self.forward_all(amps)
-        chi = self.backward_all(amps, self.chi_boundary(fwd[-1]))
+    def gradient(self, amps, fwd, steps, eig):
+        chi = _kernels.propagate_steps(steps, self.chi_boundary(fwd[-1]), -1)
         dt = self.grid.dt
         n_steps, n_ctrl = amps.shape
         grad = np.zeros_like(amps)
@@ -311,10 +299,8 @@ class _DensityEngine:
             for j in range(n_ctrl):
                 _, dstep = expm_frechet(gen * dt, self.gens[j] * dt,
                                         compute_expm=True)
-                acc = 0.0
-                for wi in range(fwd.shape[1]):
-                    acc += np.vdot(chi[k + 1, wi],
-                                   dstep @ fwd[k, wi]).real
+                # vdot sums over the ensemble: sum_w <chi_w|dstep|rho_w>
+                acc = np.vdot(chi[k + 1], fwd[k] @ dstep.T).real
                 grad[k, j] = -2.0 * acc / fwd.shape[1]
         return grad
 
@@ -366,7 +352,7 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     tf_span = problem.grid.tf - problem.grid.t0
     lam = settings.lambda_
 
-    fwd = engine.forward_all(amps)
+    fwd, steps = engine.forward(amps)[:2]
     j_tf = engine.cost_value(fwd[-1])
     if not np.isfinite(j_tf):
         raise FloatingPointError("non-finite functional for the guess field")
@@ -374,20 +360,18 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     _log(log_stream, entries[0])
     reason = "max_iters"
     rejects = 0
-    # Co-states of the current field, and the step operators the last
-    # accepted pass built for it.  Only the guess field's co-states need
-    # exponentials of their own; a rejected trial leaves both the field and
-    # its co-states as they were.
-    chi, steps = None, None
+    # Co-states of the current field, from the adjoints of the steps its
+    # forward pass built (the guess's pass, then each accepted sweep); a
+    # rejected trial leaves both the field and its co-states as they were.
+    chi = None
     if j_tf <= settings.j_threshold:
         reason = "j_threshold"
     else:
         for it in range(1, settings.max_iters + 1):
             t_start = time.perf_counter()
             if chi is None:
-                boundary = engine.chi_boundary(fwd[-1])
-                chi = engine.backward_all(amps, boundary) if steps is None \
-                    else _kernels.propagate_adjoint(steps, boundary)
+                chi = _kernels.propagate_steps(
+                    steps, engine.chi_boundary(fwd[-1]), -1)
                 steps = None  # one step stack alive at a time
             old = amps.copy()
             trial, steps = engine.krotov_forward(amps, chi, gain)
@@ -445,35 +429,43 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
 def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
                      settings: KrotovSettings,
                      log_stream=None) -> OptimizationRecord:
-    """Concurrent gradient update with optional backtracking line search.
+    """Concurrent gradient update with a backtracking line search.
 
     The whole gradient is computed with frozen fields, then applied at
-    once through the update shape.  Fast near an optimum; no monotonicity
-    guarantee.
+    once through the update shape; the step is halved until the cost
+    decreases, at most 25 times.  The accepted trial's states and step
+    stack feed the next gradient.  A guess that already meets
+    ``j_threshold`` is returned unchanged.  Fast near an optimum; no
+    monotonicity guarantee.
     """
     engine = _engine(problem)
     amps = _amps_matrix(problem, guess)
     shape = settings.shape_for(problem.grid)
-    j_tf = engine.cost_value(engine.forward_all(amps)[-1])
+    fwd, steps, eig = engine.forward(amps)
+    j_tf = engine.cost_value(fwd[-1])
     entries = [IterationEntry(0, j_tf, 0.0, 0.0, phase="grape")]
     _log(log_stream, entries[0])
+    if j_tf <= settings.j_threshold:
+        return OptimizationRecord(entries, _fields(problem, amps),
+                                  "j_threshold", method="grape")
     reason = "max_iters"
     for it in range(1, settings.max_iters + 1):
         t_start = time.perf_counter()
-        grad = engine.gradient(amps)
+        grad = engine.gradient(amps, fwd, steps, eig)
+        fwd = steps = eig = None  # one step stack alive at a time
         if np.max(np.abs(grad)) == 0.0:
             reason = "dj_threshold"
             break
         step = settings.grape_step
-        accepted = False
-        for _ in range(25 if settings.line_search else 1):
+        for _ in range(25):
             trial = amps - step * shape[:, None] * grad
-            j_trial = engine.cost_value(engine.forward_all(trial)[-1])
-            if (j_trial < j_tf) or not settings.line_search:
-                accepted = True
+            fwd, steps, eig = engine.forward(trial)
+            j_trial = engine.cost_value(fwd[-1])
+            if j_trial < j_tf:
                 break
+            fwd = steps = eig = None
             step *= 0.5
-        if not accepted:
+        if fwd is None:
             reason = "dj_threshold"
             break
         improvement = j_tf - j_trial
@@ -499,15 +491,17 @@ def grape_gradient(problem: ControlProblem,
     Exposed for the finite-difference cross-check; the concurrent
     optimizer consumes it internally.
     """
-    return _engine(problem).gradient(_amps_matrix(problem, fields))
+    engine = _engine(problem)
+    amps = _amps_matrix(problem, fields)
+    return engine.gradient(amps, *engine.forward(amps))
 
 
 def evaluate_cost(problem: ControlProblem,
                   fields: Sequence[ControlField]) -> float:
     """Final-time cost of the given fields (no optimization)."""
     engine = _engine(problem)
-    return engine.cost_value(engine.forward_all(
-        _amps_matrix(problem, fields))[-1])
+    return engine.cost_value(
+        engine.forward(_amps_matrix(problem, fields))[0][-1])
 
 
 @dataclass

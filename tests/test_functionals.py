@@ -147,6 +147,18 @@ class TestWeylCoordinates:
         got = weyl_coordinates(Operator(dressed)).as_array()
         assert np.max(np.abs(got - base)) <= 1e-8
 
+    @pytest.mark.parametrize("c3", [1e-13, -1e-13, 0.0])
+    @pytest.mark.parametrize("c1_over_pi", [0.3, 0.7])
+    def test_c3_face_fold_ignores_roundoff(self, c1_over_pi, c3):
+        # (c1, c2, 0) and (pi - c1, c2, 0) are one class on the c3 = 0 face;
+        # a round-off-size c3 of either sign must not pick the side
+        w = weyl_coordinates(canonical_gate(c1_over_pi * np.pi, 0.2 * np.pi,
+                                            c3))
+        assert w == weyl_coordinates(canonical_gate(0.3 * np.pi, 0.2 * np.pi,
+                                                    0.0))
+        assert abs(w.c1 / np.pi - 0.3) <= 1e-10
+        assert w.c3 == 0.0 and np.copysign(1.0, w.c3) == 1.0
+
 
 class TestPerfectEntangler:
     def test_cnot_is_perfect_entangler(self, rng):

@@ -7,6 +7,8 @@ update of the Krotov passes and the step stacks those passes return at
 once.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -168,12 +170,39 @@ class TestKrotovForward:
         assert close(steps, ref_steps)
 
 
-class TestPropagateAdjoint:
-    """The adjoints of a Krotov pass's steps against a backward run that
-    exponentiates the same field afresh."""
+class TestStepStack:
+    """The stacks the optimizers build once per field, step by step against
+    ``expm`` of the step generator."""
 
-    @pytest.mark.parametrize("n_ens", [None, 3])
-    def test_ket(self, hamiltonian_data, rng, n_ens):
+    def test_ket(self, hamiltonian_data, rng):
+        drift, coups = hamiltonian_data
+        n_mid, dt = 30, 0.05
+        amps = rng.normal(size=(n_mid, coups.shape[0]))
+        steps, w, v = _kernels.step_stack_ket(drift, coups, amps, dt)
+        assert steps.shape == v.shape == (n_mid,) + drift.shape
+        for k in range(n_mid):
+            h = drift + np.tensordot(amps[k], coups, 1)
+            assert close(steps[k], expm(-1j * dt * h))
+            assert close((v[k] * w[k]) @ v[k].conj().T, h)
+
+    def test_density(self, generator_data, rng):
+        gen0, gens = generator_data
+        n_mid, dt = 20, 0.08
+        amps = rng.normal(size=(n_mid, gens.shape[0]))
+        steps = _kernels.step_stack_dm(gen0, gens, amps, dt)
+        assert steps.shape == (n_mid,) + gen0.shape
+        for k in range(n_mid):
+            gen = gen0 + np.tensordot(amps[k], gens, 1)
+            assert close(steps[k], expm(dt * gen))
+
+
+class TestPropagateAdjoint:
+    """A Krotov pass's step stack through ``propagate_steps``, adjointed
+    backward and applied forward, against runs that exponentiate the same
+    field afresh."""
+
+    @staticmethod
+    def check_ket(hamiltonian_data, rng, direction, n_ens):
         drift, coups = hamiltonian_data
         n_mid, n, dt = 60, drift.shape[0], 0.05
         amps = rng.normal(size=(n_mid, coups.shape[0]))
@@ -183,15 +212,15 @@ class TestPropagateAdjoint:
         _, steps = _kernels.krotov_forward_ket(drift, coups, amps, chi, psi0,
                                                dt, gain)
         shape = (n,) if n_ens is None else (n_ens, n)
-        chi_final = random_block(rng, shape)
-        got = _kernels.propagate_adjoint(steps, chi_final)
-        ref = _kernels.propagate_pwc_ket(drift, coups, amps, -dt, chi_final,
-                                         -1)
+        state = random_block(rng, shape)
+        got = _kernels.propagate_steps(steps, state, direction)
+        ref = _kernels.propagate_pwc_ket(drift, coups, amps, direction * dt,
+                                         state, direction)
         assert got.shape == ref.shape == (n_mid + 1,) + shape
         assert close(got, ref)
 
-    @pytest.mark.parametrize("n_ens", [None, 3])
-    def test_density(self, generator_data, rng, n_ens):
+    @staticmethod
+    def check_density(generator_data, rng, direction, n_ens):
         gen0, gens = (0.2 * g for g in generator_data)
         n_mid, n, dt = 70, gen0.shape[0], 0.05
         amps = rng.normal(size=(n_mid, gens.shape[0]))
@@ -201,10 +230,41 @@ class TestPropagateAdjoint:
         _, steps = _kernels.krotov_forward_dm(gen0, gens, random_block(
             rng, gens.shape), amps, chi, rho0, dt, gain)
         shape = (n,) if n_ens is None else (n_ens, n)
-        chi_final = random_block(rng, shape)
-        got = _kernels.propagate_adjoint(steps, chi_final)
-        ref = _kernels.propagate_pwc_dm(
-            gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1))), amps, dt,
-            chi_final, -1)
+        state = random_block(rng, shape)
+        got = _kernels.propagate_steps(steps, state, direction)
+        if direction < 0:
+            gen0, gens = gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1)))
+        ref = _kernels.propagate_pwc_dm(gen0, gens, amps, dt, state,
+                                        direction)
         assert got.shape == ref.shape == (n_mid + 1,) + shape
         assert close(got, ref)
+
+    @pytest.mark.parametrize("n_ens", [None, 3])
+    def test_ket(self, hamiltonian_data, rng, n_ens):
+        self.check_ket(hamiltonian_data, rng, -1, n_ens)
+
+    @pytest.mark.parametrize("n_ens", [None, 3])
+    def test_ket_forward(self, hamiltonian_data, rng, n_ens):
+        self.check_ket(hamiltonian_data, rng, 1, n_ens)
+
+    @pytest.mark.parametrize("n_ens", [None, 3])
+    def test_density(self, generator_data, rng, n_ens):
+        self.check_density(generator_data, rng, -1, n_ens)
+
+    @pytest.mark.parametrize("n_ens", [None, 3])
+    def test_density_forward(self, generator_data, rng, n_ens):
+        self.check_density(generator_data, rng, 1, n_ens)
+
+
+@pytest.mark.parametrize("name, state", [
+    ("propagate_pwc_ket", "psi0"), ("propagate_pwc_dm", "rho0_vec"),
+    ("krotov_forward_ket", "psi0"), ("krotov_forward_dm", "rho0_vec")])
+def test_traced_kernel_parameters(name, state):
+    # perfbench/tracer.py wraps these four kernels and reads their arguments
+    # by name: amps and dt to count steps, the boundary state to count
+    # members, direction to split forward from backward ket passes
+    params = inspect.signature(getattr(_kernels, name)).parameters
+    expected = {"amps", "dt", state}
+    if name.startswith("propagate_pwc"):
+        expected.add("direction")
+    assert expected <= set(params)

@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import expm as dense_expm
+from scipy.linalg import expm_frechet
 
-from qoctl import core, shapes
+from qoctl import _kernels, core, shapes
 from qoctl.core import ControlledHamiltonian, Operator, tensor_product
 from qoctl.dynamics import (ControlField, TimeGrid, propagate_density,
                             propagate_ket)
@@ -18,6 +19,7 @@ from qoctl.optimize import (ControlProblem, KrotovSettings, Parametrization,
                             gradient_free_search, grape_concurrent,
                             grape_gradient, hybrid_optimize, krotov_ensemble,
                             krotov_state_to_state)
+from qoctl.optimize import _engine
 from qoctl.scenarios import reset_model
 
 
@@ -182,18 +184,68 @@ def qubit_reset_problem(nt=41):
     return problem, [ControlField.constant(grid, 0.9 * resonance)]
 
 
+def fresh_passes(engine, amps):
+    """Forward states and co-states of ``amps`` from two kernel passes that
+    exponentiate every step afresh: forward with the field's generator,
+    backward with ``-dt`` (kets) or the adjoint generator parts (GKLS)."""
+    dt = engine.grid.dt
+    if engine.problem.is_open:
+        gen0, gens = engine.gen0, engine.gens
+        fwd = _kernels.propagate_pwc_dm(gen0, gens, amps, dt, engine.rho0, 1)
+        chi = _kernels.propagate_pwc_dm(
+            gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1))), amps, dt,
+            engine.chi_boundary(fwd[-1]), -1)
+    else:
+        drift, coups = engine.drift, engine.coups
+        fwd = _kernels.propagate_pwc_ket(drift, coups, amps, dt, engine.psi0,
+                                         1)
+        chi = _kernels.propagate_pwc_ket(drift, coups, amps, -dt,
+                                         engine.chi_boundary(fwd[-1]), -1)
+    return fwd, chi
+
+
+def step_loop_gradient(problem, amps):
+    """The exact discrete gradient one step, control and member at a time,
+    from fresh passes: the eigenbasis Frechet formula of a fresh ``eigh``
+    per step (kets), or ``expm_frechet`` per step and control (GKLS)."""
+    engine = _engine(problem)
+    fwd, chi = fresh_passes(engine, amps)
+    dt = problem.grid.dt
+    grad = np.zeros_like(amps)
+    for k in range(amps.shape[0]):
+        for j in range(amps.shape[1]):
+            if problem.is_open:
+                gen = engine.gen0 + np.tensordot(amps[k], engine.gens, 1)
+                dstep = expm_frechet(gen * dt, engine.gens[j] * dt,
+                                     compute_expm=False)
+            else:
+                w, v = np.linalg.eigh(
+                    engine.drift + np.tensordot(amps[k], engine.coups, 1))
+                phases = np.exp(-1j * dt * w)
+                denom = w[:, None] - w[None, :]
+                safe = np.where(np.abs(denom) > 1e-14, denom, 1.0)
+                ratio = np.where(np.abs(denom) > 1e-14,
+                                 (phases[:, None] - phases[None, :]) / safe,
+                                 -1j * dt * phases[:, None])
+                inner = v.conj().T @ engine.coups[j] @ v
+                dstep = v @ (ratio * inner) @ v.conj().T
+            acc = sum(np.vdot(chi[k + 1, m], dstep @ fwd[k, m]).real
+                      for m in range(fwd.shape[1]))
+            grad[k, j] = -2.0 * acc / fwd.shape[1]
+    return grad
+
+
 def recomputing_krotov(problem, guess, settings):
     """Krotov without step reuse: every iteration's co-states come from a
     fresh backward propagation of the current field."""
-    from qoctl.optimize import _engine
     engine = _engine(problem)
     amps = np.stack([f.samples for f in guess], axis=1)
     shape = settings.shape_for(problem.grid)
     lam = settings.lambda_
-    fwd = engine.forward_all(amps)
+    fwd = fresh_passes(engine, amps)[0]
     j_history = [engine.cost_value(fwd[-1])]
     for _ in range(settings.max_iters):
-        chi = engine.backward_all(amps, engine.chi_boundary(fwd[-1]))
+        chi = fresh_passes(engine, amps)[1]
         trial_amps = amps.copy()
         trial, _ = engine.krotov_forward(trial_amps, chi, shape / lam)
         j_new = engine.cost_value(trial[-1])
@@ -246,8 +298,36 @@ class TestKrotovStepReuse:
         rec = krotov_ensemble(problem, guess, self.SETTINGS)
         n_iter = len(rec.iterations) - 1
         assert n_iter == self.SETTINGS.max_iters
-        # first forward pass, first backward pass, one trial per iteration
-        assert len(calls) == (problem.grid.nt - 1) * (n_iter + 2)
+        # the guess's forward pass, then one trial per iteration: every
+        # backward pass reuses the steps of the field's forward pass
+        assert len(calls) == (problem.grid.nt - 1) * (n_iter + 1)
+
+
+def recomputing_grape(problem, guess, settings):
+    """GRAPE without reuse: every gradient re-propagates its field forward
+    and backward and re-diagonalizes (or re-exponentiates) every step.
+    Returns the cost history, the final amplitudes and the number of
+    line-search trials."""
+    engine = _engine(problem)
+    amps = np.stack([f.samples for f in guess], axis=1)
+    shape = settings.shape_for(problem.grid)
+    j_history = [engine.cost_value(fresh_passes(engine, amps)[0][-1])]
+    trials = 0
+    for _ in range(settings.max_iters):
+        grad = step_loop_gradient(problem, amps)
+        step = settings.grape_step
+        for _ in range(25):
+            trials += 1
+            trial = amps - step * shape[:, None] * grad
+            j_trial = engine.cost_value(fresh_passes(engine, trial)[0][-1])
+            if j_trial < j_history[-1]:
+                break
+            step *= 0.5
+        else:
+            break
+        amps = trial
+        j_history.append(j_trial)
+    return np.array(j_history), amps, trials
 
 
 class TestGrape:
@@ -304,30 +384,10 @@ class TestGrape:
         # per-step, per-control, per-member eigenbasis Frechet formula; the
         # zeroed samples leave the drift's degenerate spectrum, so the
         # equal-eigenvalue limit of the divided difference is covered too
-        from qoctl.optimize import _engine
         problem = two_qubit_gate_problem(nt=41)
         amps = rng.normal(size=(40, 2))
         amps[::7] = 0.0
-        engine = _engine(problem)
-        fwd = engine.forward_all(amps)
-        chi = engine.backward_all(amps, engine.chi_boundary(fwd[-1]))
-        dt = problem.grid.dt
-        ref = np.zeros_like(amps)
-        for k in range(amps.shape[0]):
-            w, v = np.linalg.eigh(engine.drift
-                                  + np.tensordot(amps[k], engine.coups, 1))
-            phases = np.exp(-1j * dt * w)
-            denom = w[:, None] - w[None, :]
-            safe = np.where(np.abs(denom) > 1e-14, denom, 1.0)
-            ratio = np.where(np.abs(denom) > 1e-14,
-                             (phases[:, None] - phases[None, :]) / safe,
-                             -1j * dt * phases[:, None])
-            for j in range(amps.shape[1]):
-                inner = v.conj().T @ engine.coups[j] @ v
-                dstep = v @ (ratio * inner) @ v.conj().T
-                acc = sum(np.vdot(chi[k + 1, m], dstep @ fwd[k, m]).real
-                          for m in range(fwd.shape[1]))
-                ref[k, j] = -2.0 * acc / fwd.shape[1]
+        ref = step_loop_gradient(problem, amps)
         grad = grape_gradient(problem, [ControlField(problem.grid, amps[:, j])
                                         for j in range(2)])
         assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -358,6 +418,48 @@ class TestGrape:
         u_g = gr.final_fields[0].samples
         norm = np.linalg.norm(u_k - u_g) * np.sqrt(problem.grid.dt)
         assert norm <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["closed", "open"])
+    def test_reuses_line_search_trial(self, kind, monkeypatch):
+        # each field is propagated and diagonalized (or exponentiated) once:
+        # the accepted trial's states and steps feed the next gradient
+        problem, fields = getattr(self, f"{kind}_problem")()
+        settings = KrotovSettings(max_iters=6, grape_step=30.0)
+        j_ref, amps_ref, trials = recomputing_grape(problem, fields, settings)
+        assert trials > settings.max_iters  # some trials were rejected
+        from qoctl._kernels import _fallback
+        eigh, expm, counts = np.linalg.eigh, _fallback.expm, {}
+
+        def counting(name, func):
+            def wrapper(a):
+                shape = np.shape(a)
+                counts[name] = counts.get(name, 0) + int(np.prod(shape[:-2]))
+                return func(a)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        monkeypatch.setattr(_fallback, "expm", counting("expm", expm))
+        rec = grape_concurrent(problem, fields, settings)
+        assert len(rec.iterations) == len(j_ref)
+        assert np.max(np.abs(rec.j_history - j_ref)) <= 1e-12 * j_ref[0]
+        amps = np.stack([f.samples for f in rec.final_fields], axis=1)
+        assert np.max(np.abs(amps - amps_ref)) \
+            <= 1e-12 * np.max(np.abs(amps_ref))
+        # the guess, then one pass per line-search trial
+        exps = "expm" if kind == "open" else "eigh"
+        assert counts == {exps: (problem.grid.nt - 1) * (1 + trials)}
+
+    def test_guess_meeting_threshold_is_returned(self):
+        problem = tls_transfer_problem(nt=201)
+        guess = [ControlField.constant(problem.grid, 0.1)]
+        settings = KrotovSettings(max_iters=5, j_threshold=0.99)
+        assert evaluate_cost(problem, guess) <= settings.j_threshold
+        for optimizer in (krotov_ensemble, grape_concurrent):
+            rec = optimizer(problem, guess, settings)
+            assert len(rec.iterations) == 1
+            assert rec.converged_reason == "j_threshold"
+            assert np.array_equal(rec.final_fields[0].samples,
+                                  guess[0].samples)
 
     def test_grape_reduces_cost(self):
         problem = tls_transfer_problem(nt=201)
