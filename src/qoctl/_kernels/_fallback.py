@@ -2,12 +2,14 @@
 
 A step stack holds the ``(nt-1, N, N)`` step operators of one field:
 ``step_stack_ket`` builds the unitaries from one batched ``eigh`` and also
-returns the eigenpairs, ``step_stack_dm`` takes one ``expm`` per GKLS step.
-``propagate_steps`` steps states forward through a stack and co-states
-backward through its adjoints.  ``propagate_pwc_ket`` and
-``propagate_pwc_dm`` build and apply the steps a block at a time; the
-sequential Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm``
-update the field while they step and return the updated field's stack.
+returns the eigenpairs, ``step_stack_dm`` exponentiates the GKLS
+generators in one stacked ``expm`` call.  ``propagate_steps`` steps states
+forward through a stack and co-states backward through its adjoints.
+``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
+block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
+``krotov_forward_dm`` differ only in how they make a step; both run one
+loop, ``krotov_forward``, which updates the field while it steps and
+returns the updated field's stack.
 
 Conventions shared by the entry points:
 
@@ -18,8 +20,12 @@ Conventions shared by the entry points:
   to the boundary value (same midpoint grid in both directions).
 * For kets the step operator is ``exp(-1j * H * dt)``; a backward
   (adjoint) run is requested by passing ``-dt``.  For density matrices the
-  step operator is ``expm(G * dt)``; adjointing the generator for backward
-  runs is the caller's job.
+  step operator is ``expm(G * dt)`` of a GKLS generator given in any basis.
+  qoctl passes it as real ``d x d`` parts in the reduced Hermitian basis of
+  ``dynamics.reduced_gkls_parts``, where states are real coordinate
+  vectors and a step's adjoint is its transpose: a backward run of
+  ``propagate_pwc_dm`` takes the transposed generator parts, and
+  ``propagate_steps(..., -1)`` applies the transposed steps.
 * A boundary state of shape ``(N,)`` is one state; ``(W, N)`` is a block of
   W states (an ensemble, or the columns of a propagator) stepped together
   through the same step operators.  States are rows, so a step is applied
@@ -50,12 +56,9 @@ def step_stack_ket(drift, coups, amps, dt):
 
 
 def step_stack_dm(gen0, gens, amps, dt):
-    """Step operators ``expm(G_k * dt)``, one Pade exponential per step
-    (the generator is not normal), written over the generators in place."""
-    steps = _generator(gen0 * dt, gens * dt, amps)
-    for k, gen in enumerate(steps):
-        steps[k] = expm(gen)
-    return steps
+    """Step operators ``expm(G_k * dt)``: one Pade exponential call over the
+    whole stack of generators (the generator is not normal)."""
+    return expm(_generator(gen0 * dt, gens * dt, amps))
 
 
 def propagate_steps(steps, state, direction):
@@ -67,10 +70,11 @@ def propagate_steps(steps, state, direction):
     (adjoint generator parts) without exponentials.  ``state`` is ``(N,)``
     or ``(W, N)``, as for the other entry points.
     """
+    dtype = np.result_type(steps, state)
     if direction > 0:
-        return _propagate(lambda block: block, steps, state, 1)
+        return _propagate(lambda block: block, steps, state, 1, dtype)
     return _propagate(lambda block: np.swapaxes(block, -1, -2).conj(), steps,
-                      state, -1)
+                      state, -1, dtype)
 
 
 def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
@@ -94,21 +98,23 @@ def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
     (nt, N) or (nt, W, N) complex ndarray, indexed by state-grid point.
     """
     return _propagate(lambda block: step_stack_ket(drift, coups, block, dt)[0],
-                      amps, psi0, direction)
+                      amps, psi0, direction, complex)
 
 
 def propagate_pwc_dm(gen0, gens, amps, dt, rho0_vec, direction):
-    """Same stepping for vectorized density matrices under a GKLS generator.
+    """Same stepping for density matrices under a GKLS generator.
 
     The generator per step is ``gen0 + sum_j amps[k, j] * gens[j]`` and the
     step operator is its matrix exponential times ``dt`` (Pade scaling and
-    squaring, one step at a time; the generator is not normal).  For
-    backward (adjoint) propagation the caller passes the
-    conjugate-transposed generator parts.  ``rho0_vec`` is ``(N,)`` or a
-    ``(W, N)`` block, as for kets.
+    squaring, one stacked call per block; the generator is not normal).
+    For backward (adjoint) propagation the caller passes the adjoint
+    generator parts: the transposes, for the real parts qoctl uses.
+    ``rho0_vec`` is one ``(d,)`` coordinate vector or a ``(W, d)`` block,
+    as for kets.
     """
     return _propagate(lambda block: step_stack_dm(gen0, gens, block, dt),
-                      amps, rho0_vec, direction)
+                      amps, rho0_vec, direction,
+                      np.result_type(gen0, gens, rho0_vec))
 
 
 def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
@@ -136,49 +142,63 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     steps : (nt-1, N, N) complex ndarray
         The step unitaries ``exp(-1j * H_k * dt)`` of the updated field.
     """
-    n_mid = amps.shape[0]
-    out = np.empty((n_mid + 1,) + psi0.shape, dtype=complex)
-    steps = np.empty((n_mid,) + drift.shape, dtype=complex)
-    out[0] = psi0
-    chi_conj = chi.conj()
-    rate = gain / psi0.shape[0]  # the update is an ensemble mean
-    for k in range(n_mid):
-        amps[k] += rate[k] * np.einsum("wi,jik,wk->j", chi_conj[k], coups,
-                                       out[k]).imag
-        steps[k] = step_stack_ket(drift, coups, amps[k], dt)[0]
-        np.matmul(out[k], steps[k].T, out=out[k + 1])
-    return out, steps
+    flat = coups.reshape(coups.shape[0], drift.size)
+
+    def step_of(row):
+        w, v = np.linalg.eigh(drift + np.dot(row, flat).reshape(drift.shape))
+        return (v * np.exp(-1j * dt * w)) @ v.conj().T
+
+    # Im <chi|C_j|psi> = Re <chi|-1j C_j|psi>
+    return krotov_forward(step_of, -1j * coups, amps, chi, psi0, gain)
 
 
 def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
-    """Sequential-update forward pass, vectorized-density variant.
+    """Sequential-update forward pass, GKLS variant.
 
-    ``comms[j]`` is the vectorized commutator map ``[H_j, .]`` so that the
-    update reads ``du_j = gain[k] * mean_w Im( chi[k,w]^dag comms[j] rho )``.
-    Returns the states and the step operators ``expm(G_k * dt)`` of the
-    updated field, shaped as for kets.
+    ``comms[j]`` is the update operator ``R_j`` of control ``j``: the update
+    reads ``du_j = gain[k] * mean_w Re(chi[k, w]^dag R_j rho[k, w])``.  For
+    a control Hamiltonian ``H_j``, ``R_j`` is its generator part
+    ``-i[H_j, .]``; in the real basis of ``dynamics.reduced_gkls_parts``
+    the update is the real product ``chi^T R_j rho``.  Returns the states
+    and the step operators ``expm(G_k * dt)`` of the updated field, shaped
+    as for kets.
     """
-    n_mid = amps.shape[0]
-    out = np.empty((n_mid + 1,) + rho0_vec.shape, dtype=complex)
-    steps = np.empty((n_mid,) + gen0.shape, dtype=complex)
-    out[0] = rho0_vec
-    chi_conj = chi.conj()
-    rate = gain / rho0_vec.shape[0]  # the update is an ensemble mean
     gen0, gens = gen0 * dt, gens * dt
+    return krotov_forward(lambda row: expm(_generator(gen0, gens, row)),
+                          comms, amps, chi, rho0_vec, gain)
+
+
+def krotov_forward(step_of, ops, amps, chi, state0, gain):
+    """The sequential pass both Krotov variants run.
+
+    For each midpoint ``k`` the update
+    ``du_j = gain[k] * mean_w Re(chi[k, w]^dag ops[j] state[k, w])`` is
+    added to ``amps[k]`` in place, then the ``(W, N)`` block is stepped
+    through ``step_of(amps[k])``, the step operator of the updated row.
+    Returns the ``(nt, W, N)`` states and the ``(nt-1, N, N)`` steps.
+    """
+    n_mid, n_ctrl = amps.shape
+    # chi is fixed for the pass: contract it with ops for every step at
+    # once, so that the update at step k is one product with the block
+    proj = (chi[:-1, None].conj() @ ops).reshape(n_mid, n_ctrl, -1)
+    rate = gain / state0.shape[0]  # the update is an ensemble mean
+    dtype = np.result_type(state0, proj)
+    out = np.empty((n_mid + 1,) + state0.shape, dtype=dtype)
+    steps = np.empty((n_mid,) + ops.shape[1:], dtype=dtype)
+    out[0] = state0
     for k in range(n_mid):
-        amps[k] += rate[k] * np.einsum("wi,jik,wk->j", chi_conj[k], comms,
-                                       out[k]).imag
-        steps[k] = expm(_generator(gen0, gens, amps[k]))
+        amps[k] += rate[k] * (proj[k] @ out[k].ravel()).real
+        steps[k] = step_of(amps[k])
         np.matmul(out[k], steps[k].T, out=out[k + 1])
     return out, steps
 
 
-def _propagate(steps_of, amps, state0, direction):
+def _propagate(steps_of, amps, state0, direction, dtype):
     """Apply the step operators ``steps_of(amps block)`` in sequence, one
     block of steps at a time.  ``amps`` is only sliced along its first axis,
-    one row per step."""
+    one row per step; ``dtype`` is that of the states."""
     n_mid = amps.shape[0]
-    out = np.empty((n_mid + 1,) + np.shape(state0), dtype=complex)
+    out = np.empty((n_mid + 1,) + np.shape(state0), dtype=dtype)
     dim = out.shape[-1]
     rows = max(1, min(BLOCK, BLOCK * 4 ** 2 // dim ** 2))
     starts = range(0, n_mid, rows)

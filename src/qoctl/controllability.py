@@ -93,11 +93,15 @@ class GraphControllabilityResult:
 
 
 def _hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.tensordot(a.conj(), b, axes=2).real)
+    """Real part of the Hilbert-Schmidt (or, for vectors, Euclidean)
+    inner product."""
+    return float(np.vdot(a, b).real)
 
 
 class _RealSpan:
-    """Orthonormal accumulator for anti-Hermitian matrices (real span)."""
+    """Orthonormal accumulator for the real span of arrays of one shape:
+    anti-Hermitian matrices here, coherence vectors in
+    ``dynamics.reduced_gkls_parts``."""
 
     def __init__(self):
         self.basis = []

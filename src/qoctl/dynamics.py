@@ -6,8 +6,10 @@ sequential optimizer update explicit, and midpoint sampling gives
 second-order accuracy for time-dependent generators.
 
 Forward propagation applies ``exp(-i H dt)`` (Schroedinger) or the
-exponential of the full GKLS generator.  Backward propagation applies the
-adjoint step operator while visiting the same midpoint samples, which is the
+exponential of the full GKLS generator, stepped as a real matrix on the
+smallest invariant subspace of its coherence vector
+(:func:`reduced_gkls_parts`).  Backward propagation applies the adjoint
+step operator while visiting the same midpoint samples, which is the
 co-state contract the gradient-based optimizers rely on.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (ControlledHamiltonian, DimensionMismatchError, Liouvillian,
-                   Operator, QuantumState)
+                   Operator, QuantumState, gellmann_basis)
 
 
 @dataclass(frozen=True)
@@ -226,13 +228,6 @@ def hamiltonian_generator(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
-def commutator_map(h: np.ndarray) -> np.ndarray:
-    """Vectorized ``[H, .]``."""
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    return np.kron(h, eye) - np.kron(eye, h.T)
-
-
 def dissipator_generator(jump_matrices: Iterable[np.ndarray],
                          dim: int) -> np.ndarray:
     """Vectorized GKLS dissipator for the given jump operators."""
@@ -258,17 +253,65 @@ def gkls_generator_parts(liouvillian: Liouvillian):
     return gen0, gens
 
 
+def reduced_gkls_parts(liouvillian: Liouvillian, seeds: Sequence):
+    """GKLS generator parts as real ``d x d`` matrices on the smallest
+    subspace that holds the ``seeds`` (density matrices) and is invariant
+    under the drift part, every control part and their transposes.
+
+    The parts of :func:`gkls_generator_parts` are rotated into the
+    orthonormal Hermitian basis ``{I/sqrt(N)} + core.gellmann_basis(N)``,
+    where a GKLS generator is real (Alicki & Lendi's coherence vector), and
+    a Krylov closure from the seeds finds the subspace.  ``d`` is ``N^2``
+    when nothing reduces; a symmetry of the model, such as a weak parity,
+    cuts it further.
+
+    Returns ``gen0`` ``(d, d)``, ``gens`` ``(M, d, d)`` and ``basis``
+    ``(N^2, d)``, whose orthonormal columns are vectorized (row-major)
+    Hermitian matrices: a density matrix has the real coordinates
+    ``(vectorize_density(rho) @ basis.conj()).real`` and is rebuilt as
+    ``coords @ basis.T``.  Because the subspace is invariant and the basis
+    orthonormal, the adjoint of a step is its transpose, and
+    Hilbert-Schmidt pairings are dot products of coordinates.
+    """
+    # imported here so that importing qoctl.optimize does not load it
+    from .controllability import _RealSpan
+
+    gen0, gens = gkls_generator_parts(liouvillian)
+    dim = liouvillian.hamiltonian.dim
+    # row m is vec(B_m); <B_m, G(B_n)> is real since G keeps Hermiticity
+    herm = np.stack((np.eye(dim, dtype=complex) / np.sqrt(dim),)
+                    + gellmann_basis(dim)).reshape(dim ** 2, dim ** 2)
+    parts = (herm.conj() @ np.concatenate((gen0[None], gens))
+             @ herm.T).real
+    maps = list(parts) + [part.T for part in parts]
+    span = _RealSpan()
+    candidates = [(herm.conj() @ vectorize_density(rho)).real
+                  for rho in seeds]
+    while candidates and len(span) < dim ** 2:
+        start = len(span)
+        for cand in candidates:
+            span.add(cand)
+        candidates = [op @ vec for vec in span.basis[start:] for op in maps]
+    q = np.array(span.basis).T
+    parts = q.T @ parts @ q
+    return parts[0], parts[1:], herm.T @ q
+
+
 def propagate_density(liouvillian: Liouvillian,
                       controls: Sequence[ControlField], grid: TimeGrid,
                       rho0: QuantumState,
                       direction: str = "forward") -> Trajectory:
     """Propagate a density matrix under the full GKLS generator.
 
-    The generator is exponentiated per step in its ``N^2``-dimensional
-    vectorized form (Pade scaling and squaring; it is not a normal matrix).
-    Forward propagation preserves trace and positivity to round-off; the
-    backward direction propagates co-states with the adjoint
-    (Heisenberg-picture) generator.
+    The generator is exponentiated per step as a real ``d x d`` matrix on
+    the smallest subspace of the coherence vector that holds ``rho0`` and
+    is invariant under the generator parts and their transposes
+    (:func:`reduced_gkls_parts`; ``d <= N^2``, Pade scaling and squaring,
+    since the generator is not a normal matrix).  States become matrices
+    again only for the returned trajectory.  Forward propagation preserves
+    trace and positivity to round-off; the backward direction propagates
+    co-states with the adjoint (Heisenberg-picture) generator, whose
+    steps are the transposes of the forward steps.
     """
     if not rho0.is_density:
         raise ValueError("propagate_density needs a density initial state")
@@ -277,14 +320,13 @@ def propagate_density(liouvillian: Liouvillian,
         raise DimensionMismatchError(f"state dim {rho0.dim} != {h.dim}")
     amps = _sample_matrix(controls, grid, h.n_controls)
     sign = _direction_sign(direction)
-    gen0, gens = gkls_generator_parts(liouvillian)
+    gen0, gens, basis = reduced_gkls_parts(liouvillian, [rho0.rho])
     if sign < 0:
-        gen0 = np.ascontiguousarray(gen0.conj().T)
-        gens = np.ascontiguousarray(np.conj(np.transpose(gens, (0, 2, 1))))
-    out = _kernels.propagate_pwc_dm(gen0, gens, amps, grid.dt,
-                                    vectorize_density(rho0.rho), sign)
+        gen0, gens = gen0.T, np.swapaxes(gens, 1, 2)
+    coords = (vectorize_density(rho0.rho) @ basis.conj()).real
+    out = _kernels.propagate_pwc_dm(gen0, gens, amps, grid.dt, coords, sign)
     dim = h.dim
-    return Trajectory(grid, "density", out.reshape(-1, dim, dim))
+    return Trajectory(grid, "density", (out @ basis.T).reshape(-1, dim, dim))
 
 
 def propagate_operator_sequence(mats, grid: TimeGrid, psi0: QuantumState,
@@ -296,8 +338,6 @@ def propagate_operator_sequence(mats, grid: TimeGrid, psi0: QuantumState,
     orthonormal Hermitian basis so it runs through the same kernels as
     :func:`propagate_ket`.
     """
-    from .core import gellmann_basis  # local import avoids cycle at init
-
     if not psi0.is_ket:
         raise ValueError("propagate_operator_sequence needs a ket")
     stack = np.stack([m.matrix if isinstance(m, Operator) else

@@ -25,6 +25,13 @@ Co-state boundary conditions per cost kind (ensemble of W members):
 * density targets, cost ``tr[(rho - rho_tgt)^2] / 2`` (the
   Hilbert-Schmidt distance, a true distance even for mixed targets):
   ``chi(T) = (rho_tgt - rho(T)) / 2``
+
+Density states and co-states are real coordinate vectors in the reduced
+Hermitian basis of :func:`qoctl.dynamics.reduced_gkls_parts`: the cost is
+half the squared Euclidean distance of coordinates, a co-state steps back
+through the transposed steps, and the sequential update is the real
+product ``chi^T R_j rho``, where ``R_j`` is the control's generator part
+``-i[H_j, .]``.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ from scipy.optimize import minimize
 
 from . import _kernels, shapes
 from .core import ControlledHamiltonian, Liouvillian, QuantumState
-from .dynamics import (ControlField, TimeGrid, commutator_map,
-                       gkls_generator_parts, vectorize_density)
+from .dynamics import (ControlField, TimeGrid, reduced_gkls_parts,
+                       vectorize_density)
 from .functionals import CostSpec
 
 
@@ -255,20 +262,20 @@ class _KetEngine:
 
 
 class _DensityEngine:
-    """Open-system (vectorized GKLS) counterpart of the ket engine."""
+    """Open-system (GKLS) counterpart of the ket engine, on the real
+    coordinates of the smallest subspace that holds the initial states and
+    the targets (:func:`qoctl.dynamics.reduced_gkls_parts`)."""
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
         self.grid = problem.grid
-        gen0, gens = gkls_generator_parts(problem.liouvillian())
-        self.gen0 = gen0
-        self.gens = gens
-        ops = problem.hamiltonian.control_operators()
-        self.comms = np.stack([commutator_map(op.matrix) for op in ops])
-        self.rho0 = np.stack([vectorize_density(s.rho)
-                              for s in problem.initial_states])
-        tgt = problem.targets()
-        self.tgt = np.stack([vectorize_density(t.rho) for t in tgt])
+        seeds = [s.rho for s in problem.initial_states] \
+            + [t.rho for t in problem.targets()]
+        self.gen0, self.gens, basis = reduced_gkls_parts(
+            problem.liouvillian(), seeds)
+        coords = (np.stack([vectorize_density(rho) for rho in seeds])
+                  @ basis.conj()).real
+        self.rho0, self.tgt = np.split(coords, 2)
 
     def forward(self, amps):
         """States and step operators of the field ``amps``; no eigenpairs."""
@@ -285,7 +292,8 @@ class _DensityEngine:
         return 0.5 * (self.tgt - finals)
 
     def krotov_forward(self, amps, chi, gain):
-        return _kernels.krotov_forward_dm(self.gen0, self.gens, self.comms,
+        # a control's update operator is its generator part -i[H_j, .]
+        return _kernels.krotov_forward_dm(self.gen0, self.gens, self.gens,
                                           amps, chi, self.rho0,
                                           self.grid.dt, gain)
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qoctl import core
 from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
-from qoctl.dynamics import (ControlField, TimeGrid, bloch_precession,
-                            expectation, propagate_density, propagate_ket)
+from qoctl.dynamics import (ControlField, TimeGrid, Trajectory,
+                            bloch_precession, expectation,
+                            gkls_generator_parts, propagate_density,
+                            propagate_ket, reduced_gkls_parts)
+from qoctl.scenarios import reset_model
 
-from conftest import random_hermitian, random_ket
+from conftest import random_density, random_hermitian, random_ket
 
 
 def tls_rabi(grid, rabi0, detuning=0.0):
@@ -173,6 +177,95 @@ class TestDensityPropagation:
         bwd = propagate_density(liou, [field], grid, target_state, "backward")
         pairings = np.einsum("kij,kij->k", bwd.array.conj(), fwd.array)
         assert np.max(np.abs(pairings - pairings[0])) <= 1e-10
+
+
+def dense_density_loop(liou, fields, grid, rho0, direction):
+    """The dense complex path: ``expm`` of the vectorized ``N^2 x N^2``
+    generator per step, or of its conjugate transpose backward."""
+    gen0, gens = gkls_generator_parts(liou)
+    if direction == "backward":
+        gen0, gens = gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1)))
+    n_mid, dim = grid.nt - 1, rho0.dim
+    out = np.empty((n_mid + 1, dim * dim), dtype=complex)
+    order = range(n_mid) if direction == "forward" \
+        else range(n_mid - 1, -1, -1)
+    out[0 if direction == "forward" else n_mid] = rho0.rho.reshape(-1)
+    for k in order:
+        gen = gen0 + sum(f.samples[k] * g for f, g in zip(fields, gens))
+        step = expm(grid.dt * gen)
+        src, dst = (k, k + 1) if direction == "forward" else (k + 1, k)
+        out[dst] = step @ out[src]
+    return Trajectory(grid, "density", out.reshape(-1, dim, dim))
+
+
+def reset_case(rng):
+    """The qubit-reset model (weak sigma_z x sigma_z parity symmetry)."""
+    h, jumps, rho0, target, _ = reset_model(0.15)
+    grid = TimeGrid(0.0, np.pi / 0.3, 61)
+    field = ControlField(grid, 0.9 + 0.3 * np.sin(grid.midpoints))
+    return Liouvillian(h, jumps), [field], grid, rho0, target
+
+
+def random_case(rng):
+    """A qutrit with random drift, control and jumps: no symmetry."""
+    h = ControlledHamiltonian(random_hermitian(rng, 3),
+                              [(random_hermitian(rng, 3), 0)])
+    jumps = [Operator(0.3 * (rng.normal(size=(3, 3))
+                             + 1j * rng.normal(size=(3, 3))))
+             for _ in range(2)]
+    grid = TimeGrid(0.0, 2.0, 81)
+    field = ControlField(grid, np.cos(3.0 * grid.midpoints))
+    return (Liouvillian(h, jumps), [field], grid, random_density(rng, 3),
+            random_density(rng, 3))
+
+
+def steady_case(rng):
+    """A decaying qubit from its ground state: the state's orbit under the
+    generator is one-dimensional, the co-state's under its adjoint is not."""
+    h = ControlledHamiltonian(core.sigma_z(), [(core.sigma_z(), 0)])
+    grid = TimeGrid(0.0, 2.0, 41)
+    field = ControlField(grid, np.sin(grid.midpoints))
+    rho0 = core.basis_ket(2, 0).to_density()
+    return (Liouvillian(h, [np.sqrt(0.3) * core.sigma_minus()]), [field],
+            grid, rho0, rho0)
+
+
+class TestReducedGKLS:
+    """The real reduced-basis stepping against the dense complex path."""
+
+    @pytest.mark.parametrize("case, dim", [(reset_case, 8),
+                                           (random_case, 9),
+                                           (steady_case, 2)])
+    def test_dimension(self, rng, case, dim):
+        liou, _, _, rho0, target = case(rng)
+        gen0, gens, basis = reduced_gkls_parts(liou, [rho0.rho, target.rho])
+        assert gen0.shape == (dim, dim) and gens.shape == (1, dim, dim)
+        assert gen0.dtype == gens.dtype == np.float64
+        assert np.allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-14)
+        # the subspace is invariant: the dense parts and their adjoints map
+        # it into itself
+        full0, fulls = gkls_generator_parts(liou)
+        for full, part in zip((full0,) + tuple(fulls), (gen0,) + tuple(gens)):
+            assert np.max(np.abs(full @ basis - basis @ part)) <= 1e-12
+            assert np.max(np.abs(full.conj().T @ basis
+                                 - basis @ part.T)) <= 1e-12
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("case", [reset_case, random_case, steady_case])
+    def test_matches_dense_path(self, rng, case, direction):
+        liou, fields, grid, rho0, _ = case(rng)
+        got = propagate_density(liou, fields, grid, rho0, direction)
+        ref = dense_density_loop(liou, fields, grid, rho0, direction)
+        assert np.max(np.abs(got.array - ref.array)) <= 1e-10
+
+    @pytest.mark.parametrize("case", [reset_case, random_case])
+    def test_invariants_unchanged(self, rng, case):
+        liou, fields, grid, rho0, _ = case(rng)
+        got = propagate_density(liou, fields, grid, rho0)
+        ref = dense_density_loop(liou, fields, grid, rho0, "forward")
+        assert got.max_norm_drift() <= 1e-12
+        assert abs(got.max_norm_drift() - ref.max_norm_drift()) <= 1e-12
+        assert abs(got.min_eigenvalue() - ref.min_eigenvalue()) <= 1e-10
 
 
 class TestExpectation:

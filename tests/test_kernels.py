@@ -15,6 +15,9 @@ from scipy.linalg import expm
 
 from qoctl import _kernels
 from qoctl._kernels import _fallback
+from qoctl.core import Liouvillian
+from qoctl.dynamics import gkls_generator_parts, reduced_gkls_parts
+from qoctl.scenarios import reset_model
 
 RTOL = 1e-12
 
@@ -162,12 +165,41 @@ class TestKrotovForward:
         amps_ref = amps.copy()
         got, steps = _kernels.krotov_forward_dm(gen0, gens, comms, amps, chi,
                                                 rho0, 0.05, gain)
-        ref, ref_steps = reference_krotov(gen0, gens, comms, amps_ref, chi,
-                                          rho0, 0.05, gain)
+        # the GKLS update is Re(chi^dag R_j rho) = Im(chi^dag (1j R_j) rho)
+        ref, ref_steps = reference_krotov(gen0, gens, 1j * comms, amps_ref,
+                                          chi, rho0, 0.05, gain)
         assert close(amps, amps_ref)
         assert close(got, ref)
         assert steps.shape == (n_mid, n, n)
         assert close(steps, ref_steps)
+
+    def test_density_real_basis(self, rng):
+        # The reset model's real 8x8 parts, with the control part as update
+        # operator, against the dense complex 16x16 pass with the update
+        # Im(chi^dag [H_j, .] rho); co-states and states lie in the subspace.
+        h, jumps, rho0, target, _ = reset_model(0.15)
+        liou = Liouvillian(h, jumps)
+        gen0, gens, basis = reduced_gkls_parts(liou, [rho0.rho, target.rho])
+        full0, fulls = gkls_generator_parts(liou)
+        eye = np.eye(h.dim)
+        comms = np.stack([np.kron(op.matrix, eye) - np.kron(eye, op.matrix.T)
+                          for op in h.control_operators()])
+        n_mid, n_ens, d = 40, 2, gen0.shape[0]
+        amps = rng.normal(size=(n_mid, 1))
+        rho = rng.normal(size=(n_ens, d))
+        chi = rng.normal(size=(n_mid + 1, n_ens, d))
+        gain = rng.uniform(0, 0.1, size=n_mid)
+        amps_ref = amps.copy()
+        got, steps = _kernels.krotov_forward_dm(gen0, gens, gens, amps, chi,
+                                                rho, 0.05, gain)
+        ref, ref_steps = reference_krotov(full0, fulls, comms, amps_ref,
+                                          chi @ basis.T, rho @ basis.T, 0.05,
+                                          gain)
+        assert got.dtype == steps.dtype == np.float64
+        assert close(amps, amps_ref, 1e-10)
+        assert close(got @ basis.T, ref, 1e-10)
+        assert close(basis @ steps @ basis.conj().T,
+                     ref_steps @ basis @ basis.conj().T, 1e-10)
 
 
 class TestStepStack:
