@@ -11,8 +11,8 @@ block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
 ``krotov_forward_dm`` differ only in how they make a step, run one loop
 and return the stack of the field they updated.  GKLS generators arrive as
 real matrices in the reduced Hermitian basis of
-``qoctl.dynamics.reduced_gkls_parts``, where the adjoint of a step is its
-transpose.
+``qoctl.dynamics.reduced_gkls_parts``.  ``direction=-1`` runs the adjoints
+of the forward steps, built from the same generator and ``dt``.
 """
 
 from ._fallback import (BACKEND, krotov_forward_dm, krotov_forward_ket,

@@ -18,14 +18,11 @@ Conventions shared by the entry points:
   ``amps[k]``.  ``direction=+1`` fills ``out[k+1]`` from ``out[k]``;
   ``direction=-1`` fills ``out[k]`` from ``out[k+1]`` with ``out[-1]`` set
   to the boundary value (same midpoint grid in both directions).
-* For kets the step operator is ``exp(-1j * H * dt)``; a backward
-  (adjoint) run is requested by passing ``-dt``.  For density matrices the
-  step operator is ``expm(G * dt)`` of a GKLS generator given in any basis.
-  qoctl passes it as real ``d x d`` parts in the reduced Hermitian basis of
-  ``dynamics.reduced_gkls_parts``, where states are real coordinate
-  vectors and a step's adjoint is its transpose: a backward run of
-  ``propagate_pwc_dm`` takes the transposed generator parts, and
-  ``propagate_steps(..., -1)`` applies the transposed steps.
+* For kets the step operator is ``exp(-1j * H * dt)``; for density
+  matrices it is ``expm(G * dt)`` of a GKLS generator in any basis (qoctl
+  passes real parts in the basis of ``dynamics.reduced_gkls_parts``).
+  Every entry point takes the forward generator and ``dt > 0``;
+  ``direction=-1`` applies the adjoints of the forward steps.
 * A boundary state of shape ``(N,)`` is one state; ``(W, N)`` is a block of
   W states (an ensemble, or the columns of a propagator) stepped together
   through the same step operators.  States are rows, so a step is applied
@@ -66,15 +63,12 @@ def propagate_steps(steps, state, direction):
 
     ``+1``: ``out[k+1] = steps[k] out[k]`` from ``out[0] = state``.  ``-1``:
     ``out[k] = steps[k]^dag out[k+1]`` from ``out[-1] = state``, which is the
-    backward run of ``propagate_pwc_ket`` (``-dt``) or ``propagate_pwc_dm``
-    (adjoint generator parts) without exponentials.  ``state`` is ``(N,)``
-    or ``(W, N)``, as for the other entry points.
+    backward run of ``propagate_pwc_ket`` or ``propagate_pwc_dm`` without
+    exponentials.  ``state`` is ``(N,)`` or ``(W, N)``, as for the other
+    entry points.
     """
-    dtype = np.result_type(steps, state)
-    if direction > 0:
-        return _propagate(lambda block: block, steps, state, 1, dtype)
-    return _propagate(lambda block: np.swapaxes(block, -1, -2).conj(), steps,
-                      state, -1, dtype)
+    return _propagate(lambda block: block, steps, state, direction,
+                      np.result_type(steps, state))
 
 
 def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
@@ -86,8 +80,7 @@ def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
     coups : (M, N, N) complex ndarray
         One summed coupling matrix per control channel.
     amps : (nt-1, M) float ndarray
-    dt : float
-        Signed: negative ``dt`` realizes the adjoint (backward) step.
+    dt : positive float
     psi0 : (N,) or (W, N) complex ndarray
         Boundary state(s): at ``t0`` for ``direction=+1``, at ``tf`` for
         ``-1``.
@@ -107,10 +100,8 @@ def propagate_pwc_dm(gen0, gens, amps, dt, rho0_vec, direction):
     The generator per step is ``gen0 + sum_j amps[k, j] * gens[j]`` and the
     step operator is its matrix exponential times ``dt`` (Pade scaling and
     squaring, one stacked call per block; the generator is not normal).
-    For backward (adjoint) propagation the caller passes the adjoint
-    generator parts: the transposes, for the real parts qoctl uses.
     ``rho0_vec`` is one ``(d,)`` coordinate vector or a ``(W, d)`` block,
-    as for kets.
+    as for kets; ``direction=-1`` applies the adjoint steps.
     """
     return _propagate(lambda block: step_stack_dm(gen0, gens, block, dt),
                       amps, rho0_vec, direction,
@@ -194,9 +185,9 @@ def krotov_forward(step_of, ops, amps, chi, state0, gain):
 
 
 def _propagate(steps_of, amps, state0, direction, dtype):
-    """Apply the step operators ``steps_of(amps block)`` in sequence, one
-    block of steps at a time.  ``amps`` is only sliced along its first axis,
-    one row per step; ``dtype`` is that of the states."""
+    """Apply the step operators ``steps_of(amps block)``, or backward their
+    adjoints, one block of steps at a time.  ``amps`` is only sliced along
+    its first axis, one row per step; ``dtype`` is that of the states."""
     n_mid = amps.shape[0]
     out = np.empty((n_mid + 1,) + np.shape(state0), dtype=dtype)
     dim = out.shape[-1]
@@ -211,9 +202,10 @@ def _propagate(steps_of, amps, state0, direction, dtype):
     else:
         out[n_mid] = state0
         for k0 in reversed(starts):
-            block = steps_of(amps[k0:k0 + rows])
+            # the adjoint, as states are rows: state @ conj(S) = S^dag state
+            block = np.conj(steps_of(amps[k0:k0 + rows]))
             for i in range(k0 + len(block) - 1, k0 - 1, -1):
-                np.matmul(out[i + 1], block[i - k0].T, out=out[i])
+                np.matmul(out[i + 1], block[i - k0], out=out[i])
     return out
 
 

@@ -204,10 +204,9 @@ def propagate_ket(h: ControlledHamiltonian, controls: Sequence[ControlField],
     if psi0.dim != h.dim:
         raise DimensionMismatchError(f"state dim {psi0.dim} != {h.dim}")
     amps = _sample_matrix(controls, grid, h.n_controls)
-    sign = _direction_sign(direction)
     out = _kernels.propagate_pwc_ket(h.drift.matrix, _coupling_stack(h),
-                                     amps, sign * grid.dt, psi0.ket,
-                                     sign)
+                                     amps, grid.dt, psi0.ket,
+                                     _direction_sign(direction))
     return Trajectory(grid, "ket", out)
 
 
@@ -310,8 +309,8 @@ def propagate_density(liouvillian: Liouvillian,
     since the generator is not a normal matrix).  States become matrices
     again only for the returned trajectory.  Forward propagation preserves
     trace and positivity to round-off; the backward direction propagates
-    co-states with the adjoint (Heisenberg-picture) generator, whose
-    steps are the transposes of the forward steps.
+    co-states with the adjoints of the forward steps (Heisenberg picture),
+    which in the real basis are their transposes.
     """
     if not rho0.is_density:
         raise ValueError("propagate_density needs a density initial state")
@@ -319,12 +318,10 @@ def propagate_density(liouvillian: Liouvillian,
     if rho0.dim != h.dim:
         raise DimensionMismatchError(f"state dim {rho0.dim} != {h.dim}")
     amps = _sample_matrix(controls, grid, h.n_controls)
-    sign = _direction_sign(direction)
     gen0, gens, basis = reduced_gkls_parts(liouvillian, [rho0.rho])
-    if sign < 0:
-        gen0, gens = gen0.T, np.swapaxes(gens, 1, 2)
     coords = (vectorize_density(rho0.rho) @ basis.conj()).real
-    out = _kernels.propagate_pwc_dm(gen0, gens, amps, grid.dt, coords, sign)
+    out = _kernels.propagate_pwc_dm(gen0, gens, amps, grid.dt, coords,
+                                    _direction_sign(direction))
     dim = h.dim
     return Trajectory(grid, "density", (out @ basis.T).reshape(-1, dim, dim))
 
@@ -350,10 +347,9 @@ def propagate_operator_sequence(mats, grid: TimeGrid, psi0: QuantumState,
     coups = np.stack(basis)
     # tr(H B) is real for Hermitian H and basis elements
     amps = np.ascontiguousarray(np.einsum("kij,mji->km", stack, coups).real)
-    sign = _direction_sign(direction)
     out = _kernels.propagate_pwc_ket(np.zeros((dim, dim), dtype=complex),
-                                     coups, amps, sign * grid.dt,
-                                     psi0.ket, sign)
+                                     coups, amps, grid.dt, psi0.ket,
+                                     _direction_sign(direction))
     return Trajectory(grid, "ket", out)
 
 

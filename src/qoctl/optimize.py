@@ -303,10 +303,10 @@ class _DensityEngine:
         n_steps, n_ctrl = amps.shape
         grad = np.zeros_like(amps)
         for k in range(n_steps):
-            gen = self.gen0 + np.tensordot(amps[k], self.gens, axes=1)
+            gen = (self.gen0 + np.tensordot(amps[k], self.gens, axes=1)) * dt
             for j in range(n_ctrl):
-                _, dstep = expm_frechet(gen * dt, self.gens[j] * dt,
-                                        compute_expm=True)
+                dstep = expm_frechet(gen, self.gens[j] * dt,
+                                     compute_expm=False)
                 # vdot sums over the ensemble: sum_w <chi_w|dstep|rho_w>
                 acc = np.vdot(chi[k + 1], fwd[k] @ dstep.T).real
                 grad[k, j] = -2.0 * acc / fwd.shape[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -702,13 +703,23 @@ def run_scenario(config_path, out_dir=None,
 
 
 def _load_seed_field(path, grid: Optional[TimeGrid]) -> ControlField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    times = data[:, 0]
-    samples = data[:, 1]
-    if grid is None:
-        dt = times[1] - times[0]
-        grid = TimeGrid(times[0] - dt / 2, times[-1] + dt / 2,
-                        len(times) + 1)
+    """A CSV as ``fields_to_csv`` writes it; without ``grid`` its midpoint
+    times define the grid.  A malformed file is a config error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file fails below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] < 2 or not np.isfinite(data).all() \
+                or (grid is None and len(data) < 2):
+            raise ValueError("need finite time,u rows, two without a "
+                             "config grid")
+        times, samples = data[:, 0], data[:, 1]
+        if grid is None:
+            dt = times[1] - times[0]
+            grid = TimeGrid(times[0] - dt / 2, times[-1] + dt / 2,
+                            len(times) + 1)
+    except ValueError as exc:
+        raise ConfigError(f"seed field {path}: {exc}") from exc
     if len(samples) != grid.nt - 1:
         raise ConfigError(f"seed field has {len(samples)} samples, "
                           f"grid needs {grid.nt - 1}")

@@ -7,7 +7,8 @@ from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
 from qoctl.dynamics import (ControlField, TimeGrid, Trajectory,
                             bloch_precession, expectation,
                             gkls_generator_parts, propagate_density,
-                            propagate_ket, reduced_gkls_parts)
+                            propagate_ket, propagate_operator_sequence,
+                            reduced_gkls_parts)
 from qoctl.scenarios import reset_model
 
 from conftest import random_density, random_hermitian, random_ket
@@ -85,6 +86,13 @@ class TestKetPropagation:
         fwd = propagate_ket(h, [field], grid, psi0)
         back = propagate_ket(h, [field], grid, fwd.final, "backward")
         assert np.max(np.abs(back.array[0] - psi0.ket)) <= 1e-9
+        # the same Hamiltonian as an explicit midpoint sequence
+        mats = [h.drift.matrix + u * h.control_operators()[0].matrix
+                for u in field.samples]
+        seq = propagate_operator_sequence(mats, grid, psi0)
+        assert np.max(np.abs(seq.array - fwd.array)) <= 1e-9
+        back = propagate_operator_sequence(mats, grid, seq.final, "backward")
+        assert np.max(np.abs(back.array - seq.array)) <= 1e-9
 
     def test_control_count_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 11)

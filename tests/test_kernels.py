@@ -94,14 +94,15 @@ class TestKetPropagation:
                                n_ens):
         drift, coups = hamiltonian_data
         amps = rng.normal(size=(self.N_STEPS, coups.shape[0]))
-        dt = 0.05 * direction
+        dt = 0.05
         shape = (drift.shape[0],) if n_ens is None \
             else (n_ens, drift.shape[0])
         psi0 = random_block(rng, shape)
         got = _kernels.propagate_pwc_ket(drift, coups, amps, dt, psi0,
                                          direction)
-        ref = reference_propagation(drift, coups, amps, -1j * dt, psi0,
-                                    direction)
+        # backward steps are exp(-1j H dt)^dag = exp(+1j H dt)
+        ref = reference_propagation(drift, coups, amps,
+                                    -1j * dt * direction, psi0, direction)
         assert got.shape == ref.shape == (self.N_STEPS + 1,) + shape
         assert close(got, ref)
 
@@ -129,6 +130,8 @@ class TestDensityPropagation:
         rho0 = random_block(rng, shape)
         got = _kernels.propagate_pwc_dm(gen0, gens, amps, 0.08, rho0,
                                         direction)
+        if direction < 0:  # expm(G dt)^dag = expm(G^dag dt)
+            gen0, gens = gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1)))
         ref = reference_propagation(gen0, gens, amps, 0.08, rho0, direction)
         assert got.shape == ref.shape == (self.N_STEPS + 1,) + shape
         assert close(got, ref)
@@ -230,8 +233,9 @@ class TestStepStack:
 
 class TestPropagateAdjoint:
     """A Krotov pass's step stack through ``propagate_steps``, adjointed
-    backward and applied forward, against runs that exponentiate the same
-    field afresh."""
+    backward and applied forward, against ``propagate_pwc_*`` runs of the
+    same field, generator and ``dt`` in the same direction, which
+    exponentiate every step afresh."""
 
     @staticmethod
     def check_ket(hamiltonian_data, rng, direction, n_ens):
@@ -246,8 +250,8 @@ class TestPropagateAdjoint:
         shape = (n,) if n_ens is None else (n_ens, n)
         state = random_block(rng, shape)
         got = _kernels.propagate_steps(steps, state, direction)
-        ref = _kernels.propagate_pwc_ket(drift, coups, amps, direction * dt,
-                                         state, direction)
+        ref = _kernels.propagate_pwc_ket(drift, coups, amps, dt, state,
+                                         direction)
         assert got.shape == ref.shape == (n_mid + 1,) + shape
         assert close(got, ref)
 
@@ -264,8 +268,6 @@ class TestPropagateAdjoint:
         shape = (n,) if n_ens is None else (n_ens, n)
         state = random_block(rng, shape)
         got = _kernels.propagate_steps(steps, state, direction)
-        if direction < 0:
-            gen0, gens = gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1)))
         ref = _kernels.propagate_pwc_dm(gen0, gens, amps, dt, state,
                                         direction)
         assert got.shape == ref.shape == (n_mid + 1,) + shape

@@ -186,20 +186,19 @@ def qubit_reset_problem(nt=41):
 
 def fresh_passes(engine, amps):
     """Forward states and co-states of ``amps`` from two kernel passes that
-    exponentiate every step afresh: forward with the field's generator,
-    backward with ``-dt`` (kets) or the adjoint generator parts (GKLS)."""
+    exponentiate every step afresh, both with the field's generator: the
+    backward pass applies the adjoints of its steps."""
     dt = engine.grid.dt
     if engine.problem.is_open:
         gen0, gens = engine.gen0, engine.gens
         fwd = _kernels.propagate_pwc_dm(gen0, gens, amps, dt, engine.rho0, 1)
-        chi = _kernels.propagate_pwc_dm(
-            gen0.conj().T, np.conj(np.transpose(gens, (0, 2, 1))), amps, dt,
-            engine.chi_boundary(fwd[-1]), -1)
+        chi = _kernels.propagate_pwc_dm(gen0, gens, amps, dt,
+                                        engine.chi_boundary(fwd[-1]), -1)
     else:
         drift, coups = engine.drift, engine.coups
         fwd = _kernels.propagate_pwc_ket(drift, coups, amps, dt, engine.psi0,
                                          1)
-        chi = _kernels.propagate_pwc_ket(drift, coups, amps, -dt,
+        chi = _kernels.propagate_pwc_ket(drift, coups, amps, dt,
                                          engine.chi_boundary(fwd[-1]), -1)
     return fwd, chi
 

@@ -52,6 +52,18 @@ CONFIG_ERRORS = [
     {"grid": {"t0": 0.0, "tf": 1.0, "nt": 10 ** 9}},
 ]
 
+# --seed-field files that a {"scenario": "rabi"} run (no config grid) must
+# reject with exit 2: bad value, one row, empty, one column, non-finite
+# value, decreasing times.
+SEED_FIELD_ERRORS = {
+    "bad_value": "time,u\n0.5,abc\n",
+    "one_row": "time,u\n0.5,0.1\n",
+    "empty": "",
+    "one_column": "time\n0.5\n1.5\n",
+    "non_finite": "time,u\n0.5,nan\n1.5,0.1\n",
+    "decreasing": "time,u\n1.5,0.1\n0.5,0.2\n",
+}
+
 
 @pytest.fixture
 def no_numerics(monkeypatch):
@@ -396,6 +408,26 @@ class TestCliProcess:
                               str(tmp_path / "out"),
                               "--seed-field", str(seed_path))
         assert result.returncode == 0
+
+    @pytest.mark.parametrize("text", SEED_FIELD_ERRORS.values(),
+                             ids=SEED_FIELD_ERRORS.keys())
+    def test_seed_field_config_error(self, tmp_path, text):
+        seed_path = tmp_path / "seed.csv"
+        seed_path.write_text(text)
+        cfg = write_config(tmp_path, {"scenario": "rabi"})
+        result = self.run_cli("run", str(cfg), "--seed-field",
+                              str(seed_path))
+        assert result.returncode == 2, result.stderr
+        assert json.loads(result.stdout)["error"]["type"] == "config"
+        assert result.stderr == ""
+
+    def test_one_row_seed_field_on_config_grid(self, tmp_path):
+        seed_path = tmp_path / "seed.csv"
+        seed_path.write_text(SEED_FIELD_ERRORS["one_row"])
+        cfg = write_config(tmp_path, {
+            "scenario": "rabi", "grid": {"t0": 0.0, "tf": 1.0, "nt": 2}})
+        bundle = run_scenario(cfg, seed_field_path=seed_path)
+        assert bundle.summary["results"]["final_populations"]
 
 
 def test_emit_plot_data_missing_series(tmp_path):
