@@ -12,9 +12,14 @@ block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
 and return the stack of the field they updated.  GKLS generators arrive as
 real matrices in the reduced Hermitian basis of
 ``qoctl.dynamics.reduced_gkls_parts``.  ``direction=-1`` runs the adjoints
-of the forward steps, built from the same generator and ``dt``.
+of the forward steps, built from the same generator and ``dt``.  A stack
+may carry a member axis, ``(nt-1, P, N, N)``, so that P independent
+trajectories (the phases of ``bichromatic``) share each step as one
+``(P, 1, N)`` block; ``block_rows(N, P)`` is the number of steps that
+make one block, the size of the segments a caller builds such stacks in.
 """
 
-from ._fallback import (BACKEND, krotov_forward_dm, krotov_forward_ket,
-                        propagate_pwc_dm, propagate_pwc_ket, propagate_steps,
-                        step_stack_dm, step_stack_ket)
+from ._fallback import (BACKEND, block_rows, krotov_forward_dm,
+                        krotov_forward_ket, propagate_pwc_dm,
+                        propagate_pwc_ket, propagate_steps, step_stack_dm,
+                        step_stack_ket)

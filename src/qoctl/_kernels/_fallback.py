@@ -27,6 +27,11 @@ Conventions shared by the entry points:
   W states (an ensemble, or the columns of a propagator) stepped together
   through the same step operators.  States are rows, so a step is applied
   as ``state @ step.T``.
+* A step stack may carry a member axis, ``(nt-1, P, N, N)``: P independent
+  trajectories, each with its own steps, stepped as one ``(P, W, N)``
+  block by ``propagate_steps``.  ``step_stack_ket`` builds such a stack
+  from ``(nt-1, P, M)`` amps; ``block_rows`` says how many steps of it
+  make one block.
 """
 
 import numpy as np
@@ -42,10 +47,18 @@ BACKEND = "python"
 BLOCK = 1024
 
 
+def block_rows(dim, n_members=1):
+    """Steps per block of ``(dim, dim)`` step operators for ``n_members``
+    trajectories: at most ``BLOCK``, and at most as many elements as
+    ``BLOCK`` 4x4 matrices over all members."""
+    return max(1, min(BLOCK, BLOCK * 4 ** 2 // (dim ** 2 * n_members)))
+
+
 def step_stack_ket(drift, coups, amps, dt):
     """Step unitaries ``exp(-1j * H_k * dt)`` and the eigenpairs ``w``
     ``(nt-1, N)``, ``v`` ``(nt-1, N, N)`` of the ``H_k`` they came from.
-    One row ``amps`` of shape ``(M,)`` gives one step, without that axis."""
+    One row ``amps`` of shape ``(M,)`` gives one step, without that axis;
+    ``(nt-1, P, M)`` amps give a stack with a member axis."""
     w, v = np.linalg.eigh(_generator(drift, coups, amps))
     steps = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.conj(
         np.swapaxes(v, -1, -2))
@@ -65,7 +78,8 @@ def propagate_steps(steps, state, direction):
     ``out[k] = steps[k]^dag out[k+1]`` from ``out[-1] = state``, which is the
     backward run of ``propagate_pwc_ket`` or ``propagate_pwc_dm`` without
     exponentials.  ``state`` is ``(N,)`` or ``(W, N)``, as for the other
-    entry points.
+    entry points; with a member axis on the stack, ``(n, P, N, N)``, it is
+    a ``(P, W, N)`` block and member ``p`` steps through ``steps[:, p]``.
     """
     return _propagate(lambda block: block, steps, state, direction,
                       np.result_type(steps, state))
@@ -190,15 +204,16 @@ def _propagate(steps_of, amps, state0, direction, dtype):
     its first axis, one row per step; ``dtype`` is that of the states."""
     n_mid = amps.shape[0]
     out = np.empty((n_mid + 1,) + np.shape(state0), dtype=dtype)
-    dim = out.shape[-1]
-    rows = max(1, min(BLOCK, BLOCK * 4 ** 2 // dim ** 2))
+    # a member axis sits between the step axis and the (W, N) states
+    rows = block_rows(out.shape[-1], int(np.prod(out.shape[1:-2])))
     starts = range(0, n_mid, rows)
     if direction > 0:
         out[0] = state0
         for k0 in starts:
-            block = steps_of(amps[k0:k0 + rows])
+            # as states are rows: state @ S^T = S state
+            block = np.swapaxes(steps_of(amps[k0:k0 + rows]), -1, -2)
             for i in range(k0, k0 + len(block)):
-                np.matmul(out[i], block[i - k0].T, out=out[i + 1])
+                np.matmul(out[i], block[i - k0], out=out[i + 1])
     else:
         out[n_mid] = state0
         for k0 in reversed(starts):

@@ -40,6 +40,9 @@ MAX_COUNT = 10_000      # iterations, Nelder-Mead evaluations, phases
 MAX_FOURIER = 64        # Fourier terms per control
 MAX_LEVELS = 16         # ladder levels; the Lie closure grows as levels**6
 
+# a --seed-field time may be this many steps off its grid midpoint
+SEED_TIME_TOL = 1e-6
+
 REQUIRED = object()     # default of a key that must be given
 _HUGE = np.finfo(float).max
 
@@ -324,23 +327,30 @@ def _bichromatic(config, bundle, seed_field):
     drift = Operator(np.diag([0.0, splitting, omega_f]).astype(complex))
     c1f = Operator([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
     c2f = Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-    h = ControlledHamiltonian(drift, [(c1f, 0), (c2f, 1)])
-    envelope = np.sin(np.pi * (grid.midpoints - grid.t0)
-                      / (grid.tf - grid.t0)) ** 2
+    coups = np.stack([c1f.matrix, c2f.matrix])
+    mid = grid.midpoints[:, None]
+    envelope = np.sin(np.pi * (mid - grid.t0) / (grid.tf - grid.t0)) ** 2
     omega1, omega2 = omega_f, omega_f - splitting
     phases = np.linspace(0.0, 2 * np.pi, system["n_phases"],
                          endpoint=False)
-    pf = []
-    worst_drift = 0.0
-    for phi in phases:
-        drive = rabi_peak * envelope * (np.cos(omega1 * grid.midpoints)
-                                        + np.cos(omega2 * grid.midpoints
-                                                 + phi))
-        fields = [ControlField(grid, drive), ControlField(grid, drive)]
-        traj = propagate_ket(h, fields, grid, psi0)
-        pf.append(float(traj.populations()[-1, 2]))
-        worst_drift = max(worst_drift, traj.max_norm_drift())
-    pf = np.array(pf)
+    # The phases are independent trajectories: step them as one (P, 1, 3)
+    # block through (rows, P, 3, 3) stacks built a segment at a time, so
+    # that memory grows with neither the grid nor the number of phases.
+    rows = _kernels.block_rows(3, len(phases))
+    state = np.repeat(psi0.ket[None, None], len(phases), axis=0)
+    worst_drift = np.abs(np.linalg.norm(state, axis=-1) - 1.0).max()
+    for k0 in range(0, grid.nt - 1, rows):
+        t = mid[k0:k0 + rows]
+        drive = rabi_peak * envelope[k0:k0 + rows] * (
+            np.cos(omega1 * t) + np.cos(omega2 * t + phases))
+        # both controls carry the drive
+        steps = _kernels.step_stack_ket(drift.matrix, coups, np.stack(
+            [drive, drive], axis=-1), grid.dt)[0]
+        block = _kernels.propagate_steps(steps, state, 1)
+        worst_drift = max(worst_drift, np.abs(
+            np.linalg.norm(block[1:], axis=-1) - 1.0).max())
+        state = block[-1]
+    pf = np.abs(state[:, 0, 2]) ** 2
     design = np.stack([np.ones_like(phases), np.cos(phases),
                        np.sin(phases)], axis=1)
     a0, ac, a_s = np.linalg.lstsq(design, pf, rcond=None)[0]
@@ -353,7 +363,7 @@ def _bichromatic(config, bundle, seed_field):
         "populations_vs_phase": [[float(p), float(v)]
                                  for p, v in zip(phases, pf)],
     }
-    bundle.summary["invariants"] = {"max_norm_drift": worst_drift}
+    bundle.summary["invariants"] = {"max_norm_drift": float(worst_drift)}
     bundle.series["population_vs_phase"] = list(zip(phases, pf))
 
 
@@ -703,16 +713,19 @@ def run_scenario(config_path, out_dir=None,
 
 
 def _load_seed_field(path, grid: Optional[TimeGrid]) -> ControlField:
-    """A CSV as ``fields_to_csv`` writes it; without ``grid`` its midpoint
-    times define the grid.  A malformed file is a config error."""
+    """A one-control CSV as ``fields_to_csv`` writes it: midpoint time, then
+    the sample.  Without ``grid`` the times define the grid.  The times must
+    lie on the grid's midpoints to within ``SEED_TIME_TOL`` of a step, so
+    that unevenly spaced times are rejected too.  A malformed file is a
+    config error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file fails below
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] < 2 or not np.isfinite(data).all() \
+        if data.shape[1] != 2 or not np.isfinite(data).all() \
                 or (grid is None and len(data) < 2):
-            raise ValueError("need finite time,u rows, two without a "
-                             "config grid")
+            raise ValueError("need finite time,u rows with one control "
+                             "column, two rows without a config grid")
         times, samples = data[:, 0], data[:, 1]
         if grid is None:
             dt = times[1] - times[0]
@@ -723,4 +736,9 @@ def _load_seed_field(path, grid: Optional[TimeGrid]) -> ControlField:
     if len(samples) != grid.nt - 1:
         raise ConfigError(f"seed field has {len(samples)} samples, "
                           f"grid needs {grid.nt - 1}")
+    offset = float(np.max(np.abs(times - grid.midpoints)))
+    if not offset <= SEED_TIME_TOL * grid.dt:
+        raise ConfigError(f"seed field times are up to {offset:.3g} off the "
+                          f"grid midpoints (step {grid.dt:.6g}); they must "
+                          f"be evenly spaced midpoints")
     return ControlField(grid, samples)

@@ -290,6 +290,41 @@ class TestPropagateAdjoint:
         self.check_density(generator_data, rng, 1, n_ens)
 
 
+class TestMemberAxis:
+    """Stacks with a member axis: P independent trajectories, each with its
+    own steps, stepped as one ``(P, 1, N)`` block, bitwise equal to P
+    separate runs."""
+
+    @pytest.mark.parametrize("n_members", [1, 5])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_propagate_steps(self, hamiltonian_data, rng, direction,
+                             n_members):
+        drift, coups = hamiltonian_data
+        n_mid, n = 2 * _fallback.BLOCK + 5, drift.shape[0]
+        stacks = [_kernels.step_stack_ket(
+            drift, coups, rng.normal(size=(n_mid, coups.shape[0])), 0.05)[0]
+            for _ in range(n_members)]
+        state = random_block(rng, (n_members, 1, n))
+        got = _kernels.propagate_steps(np.stack(stacks, axis=1), state,
+                                       direction)
+        assert got.shape == (n_mid + 1, n_members, 1, n)
+        for p, steps in enumerate(stacks):
+            ref = _kernels.propagate_steps(steps, state[p], direction)
+            assert np.array_equal(got[:, p], ref)
+
+    def test_step_stack_ket(self, hamiltonian_data, rng):
+        drift, coups = hamiltonian_data
+        rows, n_members, n = 40, 4, drift.shape[0]
+        amps = rng.normal(size=(rows, n_members, coups.shape[0]))
+        got = _kernels.step_stack_ket(drift, coups, amps, 0.05)
+        assert got[0].shape == (rows, n_members, n, n)
+        for p in range(n_members):
+            ref = _kernels.step_stack_ket(drift, coups, amps[:, p].copy(),
+                                          0.05)
+            for got_part, ref_part in zip(got, ref):
+                assert np.array_equal(got_part[:, p], ref_part)
+
+
 @pytest.mark.parametrize("name, state", [
     ("propagate_pwc_ket", "psi0"), ("propagate_pwc_dm", "rho0_vec"),
     ("krotov_forward_ket", "psi0"), ("krotov_forward_dm", "rho0_vec")])

@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qoctl import shapes
+from qoctl import _kernels, shapes
+from qoctl.core import ControlledHamiltonian, Operator, QuantumState
 from qoctl.scenarios import (ConfigError, emit_plot_data, load_config,
                              qubit_reset_purity, reset_model, run_scenario)
-from qoctl.dynamics import TimeGrid
+from qoctl.dynamics import ControlField, TimeGrid, propagate_ket
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -54,7 +56,7 @@ CONFIG_ERRORS = [
 
 # --seed-field files that a {"scenario": "rabi"} run (no config grid) must
 # reject with exit 2: bad value, one row, empty, one column, non-finite
-# value, decreasing times.
+# value, decreasing times, unevenly spaced times, two control columns.
 SEED_FIELD_ERRORS = {
     "bad_value": "time,u\n0.5,abc\n",
     "one_row": "time,u\n0.5,0.1\n",
@@ -62,6 +64,8 @@ SEED_FIELD_ERRORS = {
     "one_column": "time\n0.5\n1.5\n",
     "non_finite": "time,u\n0.5,nan\n1.5,0.1\n",
     "decreasing": "time,u\n1.5,0.1\n0.5,0.2\n",
+    "uneven": "time,u\n0.5,0.1\n1.5,0.2\n3.5,0.1\n",
+    "two_controls": "time,u_0,u_1\n0.5,0.1,0.2\n1.5,0.1,0.2\n",
 }
 
 
@@ -181,6 +185,48 @@ class TestBichromaticScenario:
             .read_text().splitlines()
         assert rows[0] == "phase,population"
         assert len(rows) == 13
+
+    def test_equals_per_phase_propagation(self, tmp_path):
+        # the phases are stepped as one block, in segments of 113 steps for
+        # 16 phases; 1000 steps end in a partial segment
+        grid = TimeGrid(0.0, 60.0, 1001)
+        assert (grid.nt - 1) % _kernels.block_rows(3, 16) != 0
+        path = write_config(tmp_path, {
+            "scenario": "bichromatic", "system": {"rabi_peak": 0.05},
+            "grid": {"t0": grid.t0, "tf": grid.tf, "nt": grid.nt}})
+        summary = run_scenario(path).summary
+        psi0 = QuantumState.from_ket(
+            np.array([np.sqrt(0.7), np.sqrt(0.3), 0.0], dtype=complex)
+            / np.hypot(np.sqrt(0.7), np.sqrt(0.3)))
+        h = ControlledHamiltonian(
+            Operator(np.diag([0.0, 1.0, 40.0]).astype(complex)),
+            [(Operator([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), 0),
+             (Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]]), 1)])
+        t = grid.midpoints
+        envelope = np.sin(np.pi * t / 60.0) ** 2
+        pops, drift = [], 0.0
+        for phi in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
+            drive = 0.05 * envelope * (np.cos(40.0 * t)
+                                       + np.cos(39.0 * t + phi))
+            traj = propagate_ket(h, [ControlField(grid, drive)] * 2, grid,
+                                 psi0)
+            pops.append([float(phi), float(traj.populations()[-1, 2])])
+            drift = max(drift, traj.max_norm_drift())
+        assert summary["results"]["populations_vs_phase"] == pops
+        assert summary["invariants"]["max_norm_drift"] == drift
+
+    def test_memory_grows_with_neither_grid_nor_phases(self, tmp_path):
+        # a (nt, P, 3) trajectory of 400 phases on 2001 points is 38 MB
+        path = write_config(tmp_path, {
+            "scenario": "bichromatic", "system": {"n_phases": 400},
+            "grid": {"t0": 0.0, "tf": 60.0, "nt": 2001}})
+        tracemalloc.start()
+        try:
+            run_scenario(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestQubitResetScenario:
@@ -420,6 +466,21 @@ class TestCliProcess:
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"]["type"] == "config"
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("offset, code", [(1e-9, 0), (1e-3, 2)])
+    def test_seed_field_times_on_config_grid(self, tmp_path, offset, code):
+        # the grid's midpoints are 0.25 and 0.75 (step 0.5); times more
+        # than 1e-6 of a step off them are rejected
+        seed_path = tmp_path / "seed.csv"
+        seed_path.write_text(f"time,u\n{0.25 + offset},0.1\n"
+                             f"{0.75 - offset},0.2\n")
+        cfg = write_config(tmp_path, {
+            "scenario": "rabi", "grid": {"t0": 0.0, "tf": 1.0, "nt": 3}})
+        result = self.run_cli("run", str(cfg), "--seed-field",
+                              str(seed_path))
+        assert result.returncode == code, result.stderr
+        if code:
+            assert json.loads(result.stdout)["error"]["type"] == "config"
 
     def test_one_row_seed_field_on_config_grid(self, tmp_path):
         seed_path = tmp_path / "seed.csv"
