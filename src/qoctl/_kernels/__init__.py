@@ -17,9 +17,12 @@ may carry a member axis, ``(nt-1, P, N, N)``, so that P independent
 trajectories (the phases of ``bichromatic``) share each step as one
 ``(P, 1, N)`` block; ``block_rows(N, P)`` is the number of steps that
 make one block, the size of the segments a caller builds such stacks in.
+``generator`` is the only place that sums ``base + sum_j u_j parts[j]``:
+every step Hamiltonian and GKLS step generator of a field comes from it
+(above the kernels, through ``qoctl.dynamics.step_hamiltonians``).
 """
 
-from ._fallback import (BACKEND, block_rows, krotov_forward_dm,
+from ._fallback import (BACKEND, block_rows, generator, krotov_forward_dm,
                         krotov_forward_ket, propagate_pwc_dm,
                         propagate_pwc_ket, propagate_steps, step_stack_dm,
                         step_stack_ket)

@@ -9,7 +9,8 @@ forward through a stack and co-states backward through its adjoints.
 block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
 ``krotov_forward_dm`` differ only in how they make a step; both run one
 loop, ``krotov_forward``, which updates the field while it steps and
-returns the updated field's stack.
+returns the updated field's stack.  Every generator they step, a
+Hamiltonian ``H0 + sum_j u_j H_j`` or a GKLS one, comes from ``generator``.
 
 Conventions shared by the entry points:
 
@@ -59,7 +60,7 @@ def step_stack_ket(drift, coups, amps, dt):
     ``(nt-1, N)``, ``v`` ``(nt-1, N, N)`` of the ``H_k`` they came from.
     One row ``amps`` of shape ``(M,)`` gives one step, without that axis;
     ``(nt-1, P, M)`` amps give a stack with a member axis."""
-    w, v = np.linalg.eigh(_generator(drift, coups, amps))
+    w, v = np.linalg.eigh(generator(drift, coups, amps))
     steps = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.conj(
         np.swapaxes(v, -1, -2))
     return steps, w, v
@@ -68,7 +69,7 @@ def step_stack_ket(drift, coups, amps, dt):
 def step_stack_dm(gen0, gens, amps, dt):
     """Step operators ``expm(G_k * dt)``: one Pade exponential call over the
     whole stack of generators (the generator is not normal)."""
-    return expm(_generator(gen0 * dt, gens * dt, amps))
+    return expm(generator(gen0 * dt, gens * dt, amps))
 
 
 def propagate_steps(steps, state, direction):
@@ -147,10 +148,8 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     steps : (nt-1, N, N) complex ndarray
         The step unitaries ``exp(-1j * H_k * dt)`` of the updated field.
     """
-    flat = coups.reshape(coups.shape[0], drift.size)
-
     def step_of(row):
-        w, v = np.linalg.eigh(drift + np.dot(row, flat).reshape(drift.shape))
+        w, v = np.linalg.eigh(generator(drift, coups, row))
         return (v * np.exp(-1j * dt * w)) @ v.conj().T
 
     # Im <chi|C_j|psi> = Re <chi|-1j C_j|psi>
@@ -169,7 +168,7 @@ def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
     as for kets.
     """
     gen0, gens = gen0 * dt, gens * dt
-    return krotov_forward(lambda row: expm(_generator(gen0, gens, row)),
+    return krotov_forward(lambda row: expm(generator(gen0, gens, row)),
                           comms, amps, chi, rho0_vec, gain)
 
 
@@ -224,9 +223,11 @@ def _propagate(steps_of, amps, state0, direction, dtype):
     return out
 
 
-def _generator(base, parts, amps):
+def generator(base, parts, amps):
     """``base + sum_j amps[..., j] * parts[j]`` for one row of ``amps`` or a
-    block of rows (one matrix product instead of a loop over controls)."""
+    block of rows (one matrix product instead of a loop over controls):
+    the step Hamiltonians of a drift and its couplings, or the GKLS step
+    generators of the drift part and the control parts."""
     gen = np.dot(amps, parts.reshape(parts.shape[0], base.size)).reshape(
         amps.shape[:-1] + base.shape)
     gen += base  # in place: a step stack is not allocated twice

@@ -12,6 +12,10 @@ Angle convention: ``tan(theta) = Omega0 / Delta_L`` with
 The counterdiabatic term is invariant under an overall sign flip of the
 Hamiltonian, so the same formulas serve both ``+-(Delta sz + Omega sx)/2``
 sign conventions.
+
+Eigensystems come from one batched ``eigh`` of
+:func:`qoctl.dynamics.step_hamiltonians`, which rejects a field on another
+grid, and time derivatives from :func:`qoctl.dynamics.midpoint_derivative`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import ControlledHamiltonian, Operator
-from .dynamics import ControlField, TimeGrid, Trajectory
+from .dynamics import (ControlField, TimeGrid, Trajectory,
+                       midpoint_derivative, step_hamiltonians)
 from .frames import ThreeLevelDriveSpec, rwa_three_level
 
 CONTINUITY_MIN_OVERLAP = 0.9
@@ -72,31 +77,17 @@ def dressed_frame(h: ControlledHamiltonian,
     Steps where the assignment is ambiguous (tiny gap or overlap below 0.9)
     are flagged, not silently accepted.
     """
-    if len(controls) != h.n_controls:
-        raise ValueError(f"expected {h.n_controls} control fields")
-    amps = np.stack([f.samples for f in controls], axis=1) if controls \
-        else np.zeros((grid.nt - 1, 0))
-    n_steps = grid.nt - 1
-    dim = h.dim
-    energies = np.empty((n_steps, dim))
-    vectors = np.empty((n_steps, dim, dim), dtype=complex)
+    energies, vectors = np.linalg.eigh(step_hamiltonians(h, controls, grid))
+    n_steps, dim = energies.shape
+    # deterministic gauge at the first step: largest component real positive
+    lead = vectors[0][np.argmax(np.abs(vectors[0]), axis=0), np.arange(dim)]
+    vectors[0] /= lead / np.abs(lead)
     flagged = []
-    for k in range(n_steps):
-        ham = h.at(amps[k]).matrix
-        w, v = np.linalg.eigh(ham)
-        if k == 0:
-            # deterministic gauge: largest component real positive
-            for n in range(dim):
-                lead = np.argmax(np.abs(v[:, n]))
-                phase = v[lead, n] / abs(v[lead, n])
-                v[:, n] = v[:, n] / phase
-            energies[0], vectors[0] = w, v
-            continue
-        overlap = np.abs(vectors[k - 1].conj().T @ v)
-        rows, cols = linear_sum_assignment(-overlap)
-        perm = np.empty(dim, dtype=int)
-        perm[rows] = cols
-        w, v = w[perm], v[:, perm]
+    for k in range(1, n_steps):
+        overlap = np.abs(vectors[k - 1].conj().T @ vectors[k])
+        # a square assignment matches every row, in order
+        perm = linear_sum_assignment(-overlap)[1]
+        w, v = energies[k, perm], vectors[k][:, perm]
         matched = overlap[np.arange(dim), perm]
         scale = max(1.0, float(np.max(np.abs(w))))
         if np.min(matched) < CONTINUITY_MIN_OVERLAP or \
@@ -138,9 +129,9 @@ def mixing_angles(rabi: ControlField, detuning: ControlField,
     delta = detuning.samples
     dt = rabi.grid.dt
     if rabi_dot is None:
-        rabi_dot = _central_diff(omega, dt)
+        rabi_dot = midpoint_derivative(omega, dt)
     if detuning_dot is None:
-        detuning_dot = _central_diff(delta, dt)
+        detuning_dot = midpoint_derivative(delta, dt)
     omega_sq = omega ** 2 + delta ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         theta_dot = np.where(omega_sq > 0,
@@ -191,21 +182,12 @@ def counterdiabatic_generic(frame: DressedFrame) -> list:
     if frame.flagged_steps:
         raise DegenerateCrossingError(frame.flagged_steps)
     v = frame.vectors
-    n_steps = v.shape[0]
-    if n_steps < 2:
+    if v.shape[0] < 2:
         raise ValueError("need at least two midpoint frames")
-    dt = frame.grid.dt
-    out = []
-    for k in range(n_steps):
-        if k == 0:
-            dv = (v[1] - v[0]) / dt
-        elif k == n_steps - 1:
-            dv = (v[-1] - v[-2]) / dt
-        else:
-            dv = (v[k + 1] - v[k - 1]) / (2 * dt)
-        hcd = 1j * dv @ v[k].conj().T
-        out.append(Operator(0.5 * (hcd + hcd.conj().T)))
-    return out
+    hcd = 1j * midpoint_derivative(v, frame.grid.dt) @ np.conj(
+        np.swapaxes(v, 1, 2))
+    return [Operator(m)
+            for m in 0.5 * (hcd + np.conj(np.swapaxes(hcd, 1, 2)))]
 
 
 def stirap_dark_state(spec: ThreeLevelDriveSpec) -> Trajectory:
@@ -223,15 +205,14 @@ def stirap_dark_state(spec: ThreeLevelDriveSpec) -> Trajectory:
             f"{spec.detuning_1}, Delta_2P={spec.detuning_2p}")
     h, fields = rwa_three_level(spec)
     grid = spec.grid
-    amps = np.stack([f.samples for f in fields], axis=1)
+    hams = step_hamiltonians(h, fields, grid)
+    all_w, all_v = np.linalg.eigh(hams)
+    scales = np.maximum(1.0, np.abs(hams).max(axis=(1, 2)))
     darks = np.empty((grid.nt - 1, 3), dtype=complex)
     prev = None
-    for k in range(grid.nt - 1):
-        ham = h.at(amps[k]).matrix
-        w, v = np.linalg.eigh(ham)
+    for k, (w, v) in enumerate(zip(all_w, all_v)):
         idx = int(np.argmin(np.abs(w)))
-        scale = max(1.0, float(np.max(np.abs(ham))))
-        if abs(w[idx]) > 1e-10 * scale:
+        if abs(w[idx]) > 1e-10 * scales[k]:
             raise DetuningConditionError(
                 f"no zero eigenvalue at step {k}: closest is {w[idx]}")
         dark = v[:, idx]
@@ -289,14 +270,3 @@ def landau_zener(grid: TimeGrid, gap: float, rate: float):
     fields = [ControlField(grid, 0.5 * rate * grid.midpoints),
               ControlField.constant(grid, 0.5 * gap)]
     return h, fields
-
-
-def _central_diff(samples: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(samples)
-    if len(samples) == 1:
-        out[:] = 0.0
-        return out
-    out[1:-1] = (samples[2:] - samples[:-2]) / (2 * dt)
-    out[0] = (samples[1] - samples[0]) / dt
-    out[-1] = (samples[-1] - samples[-2]) / dt
-    return out

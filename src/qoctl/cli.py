@@ -36,8 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=None,
                      help="output directory for summary and CSV artifacts")
     run.add_argument("--seed-field", type=Path, default=None,
-                     help="CSV guess field (midpoint time, value) "
-                          "overriding the config guess")
+                     help="CSV field (midpoint time, value): the rabi "
+                          "pulse shape, the gate_opt baseline or a "
+                          "qubit_reset guess; its times set the grid when "
+                          "the config has none")
     run.add_argument("--log-level", default="warning",
                      choices=["debug", "info", "warning", "error"])
     return parser

@@ -5,6 +5,11 @@ the midpoints ``t_k + dt/2``.  The two staggered grids are what makes the
 sequential optimizer update explicit, and midpoint sampling gives
 second-order accuracy for time-dependent generators.
 
+This module is the one place that samples controls: the ``(nt-1, M)``
+sample matrix, the ``(M, N, N)`` coupling stack, the step Hamiltonians
+(:func:`step_hamiltonians`) and the midpoint derivative
+(:func:`midpoint_derivative`) that the other modules use.
+
 Forward propagation applies ``exp(-i H dt)`` (Schroedinger) or the
 exponential of the full GKLS generator, stepped as a real matrix on the
 smallest invariant subspace of its coherence vector
@@ -173,20 +178,37 @@ def _sample_matrix(controls: Sequence[ControlField], grid: TimeGrid,
     if len(controls) != n_controls:
         raise ValueError(f"expected {n_controls} control fields, "
                          f"got {len(controls)}")
-    for field in controls:
+    amps = np.empty((grid.nt - 1, n_controls))
+    for j, field in enumerate(controls):
         if field.grid != grid:
             raise ValueError("control field grid differs from the "
                              "propagation grid")
-    if n_controls == 0:
-        return np.zeros((grid.nt - 1, 0))
-    return np.stack([f.samples for f in controls], axis=1)
+        amps[:, j] = field.samples
+    return amps
 
 
 def _coupling_stack(h: ControlledHamiltonian) -> np.ndarray:
-    ops = h.control_operators()
-    if not ops:
-        return np.zeros((0, h.dim, h.dim), dtype=complex)
-    return np.stack([op.matrix for op in ops])
+    return np.array([op.matrix for op in h.control_operators()],
+                    dtype=complex).reshape(-1, h.dim, h.dim)
+
+
+def step_hamiltonians(h: ControlledHamiltonian,
+                      controls: Sequence[ControlField],
+                      grid: TimeGrid) -> np.ndarray:
+    """The ``(nt-1, N, N)`` Hamiltonians ``H0 + sum_j u_j(t) H_j`` at the
+    midpoints of ``grid``, in one product.  The fields are checked as for
+    propagation: one per control, each on ``grid``."""
+    return _kernels.generator(h.drift.matrix, _coupling_stack(h),
+                              _sample_matrix(controls, grid, h.n_controls))
+
+
+def midpoint_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
+    """Time derivative of midpoint samples along their first axis: central
+    differences, one-sided at the ends, zero for a single sample (where
+    ``np.gradient`` alone raises)."""
+    if len(samples) == 1:
+        return np.zeros_like(samples)
+    return np.gradient(samples, dt, axis=0)
 
 
 def propagate_ket(h: ControlledHamiltonian, controls: Sequence[ControlField],
@@ -221,10 +243,9 @@ def unvectorize_density(vec: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_generator(h: np.ndarray) -> np.ndarray:
-    """Vectorized ``-i[H, .]``."""
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    """Vectorized ``-i[H, .]``, of one matrix or of each in a stack."""
+    eye = np.eye(h.shape[-1])
+    return -1j * (np.kron(h, eye) - np.kron(eye, np.swapaxes(h, -1, -2)))
 
 
 def dissipator_generator(jump_matrices: Iterable[np.ndarray],
@@ -245,11 +266,7 @@ def gkls_generator_parts(liouvillian: Liouvillian):
     h = liouvillian.hamiltonian
     gen0 = hamiltonian_generator(h.drift.matrix) + dissipator_generator(
         (op.matrix for op in liouvillian.jump_operators), h.dim)
-    gens = np.stack([hamiltonian_generator(op.matrix)
-                     for op in h.control_operators()]) \
-        if h.n_controls else np.zeros((0, h.dim ** 2, h.dim ** 2),
-                                      dtype=complex)
-    return gen0, gens
+    return gen0, hamiltonian_generator(_coupling_stack(h))
 
 
 def reduced_gkls_parts(liouvillian: Liouvillian, seeds: Sequence):

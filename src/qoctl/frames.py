@@ -10,6 +10,10 @@ frame rotating at the carrier yields the static-detuning form
 The RWA is never enforced: every constructor reports the validity ratio
 ``omega0 / Omega0`` and leaves deliberate RWA-breakdown studies to the
 caller.
+
+:func:`rotating_frame` rotates :func:`qoctl.dynamics.step_hamiltonians`,
+which rejects a field on another grid; the instantaneous frame's phase
+derivative is :func:`qoctl.dynamics.midpoint_derivative`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 
 from . import core
 from .core import ControlledHamiltonian, Operator
-from .dynamics import ControlField, TimeGrid
+from .dynamics import (ControlField, TimeGrid, midpoint_derivative,
+                       step_hamiltonians)
 
 FRAME_CHOICES = ("lab", "drift", "carrier", "instantaneous")
 
@@ -186,7 +191,7 @@ def rwa_two_level(spec: TwoLevelDriveSpec,
         return RWAResult(h, fields, frame, ratio)
     # Instantaneous frame: rotate at omega_L t + phi(t); the phase
     # derivative (central differences, one-sided ends) shifts the detuning.
-    phi_dot = _midpoint_derivative(phi, grid.dt)
+    phi_dot = midpoint_derivative(phi, grid.dt)
     h = ControlledHamiltonian(
         Operator(np.zeros((2, 2))),
         [(core.sigma_z(), 0), (core.sigma_x(), 1)])
@@ -225,21 +230,15 @@ def rotating_frame(h: ControlledHamiltonian,
     if theta_dot is None:
         raise ValueError("rotating_frame needs the analytic derivative "
                          "theta_dot of the frame phases")
-    amps = np.stack([f.samples for f in controls], axis=1) if controls \
-        else np.zeros((grid.nt - 1, 0))
-    if len(controls) != h.n_controls:
-        raise ValueError(f"expected {h.n_controls} control fields")
-    out = []
-    for k, t in enumerate(grid.midpoints):
-        ham = h.at(amps[k]).matrix
-        th = np.asarray(theta(t), dtype=float)
-        td = np.asarray(theta_dot(t), dtype=float)
-        if th.shape != (h.dim,) or td.shape != (h.dim,):
-            raise ValueError("theta must return one phase per level")
-        u = np.exp(-1j * th)
-        rotated = (u.conj()[:, None] * ham * u[None, :]) - np.diag(td)
-        out.append(Operator(rotated))
-    return out
+    hams = step_hamiltonians(h, controls, grid)
+    th = np.array([theta(t) for t in grid.midpoints], dtype=float)
+    td = np.array([theta_dot(t) for t in grid.midpoints], dtype=float)
+    if th.shape != hams.shape[:2] or td.shape != hams.shape[:2]:
+        raise ValueError("theta must return one phase per level")
+    u = np.exp(-1j * th)
+    rotated = u.conj()[:, :, None] * hams * u[:, None, :]
+    rotated[:, np.arange(h.dim), np.arange(h.dim)] -= td
+    return [Operator(m) for m in rotated]
 
 
 def chirped_field(e0: float, shape: ControlField, omegaL: float,
@@ -263,15 +262,3 @@ def chirped_field(e0: float, shape: ControlField, omegaL: float,
                 required_nt=required)
     return ControlField(grid, e0 * shape.samples
                         * np.cos(omegaL * t + alpha * t * t))
-
-
-def _midpoint_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences with one-sided ends on the midpoint grid."""
-    out = np.empty_like(samples)
-    if len(samples) == 1:
-        out[:] = 0.0
-        return out
-    out[1:-1] = (samples[2:] - samples[:-2]) / (2 * dt)
-    out[0] = (samples[1] - samples[0]) / dt
-    out[-1] = (samples[-1] - samples[-2]) / dt
-    return out

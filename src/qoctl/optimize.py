@@ -39,7 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,8 +48,8 @@ from scipy.optimize import minimize
 
 from . import _kernels, shapes
 from .core import ControlledHamiltonian, Liouvillian, QuantumState
-from .dynamics import (ControlField, TimeGrid, reduced_gkls_parts,
-                       vectorize_density)
+from .dynamics import (ControlField, TimeGrid, _coupling_stack,
+                       _sample_matrix, reduced_gkls_parts, vectorize_density)
 from .functionals import CostSpec
 
 
@@ -205,7 +205,7 @@ class _KetEngine:
         self.problem = problem
         h = problem.hamiltonian
         self.drift = h.drift.matrix
-        self.coups = np.stack([op.matrix for op in h.control_operators()])
+        self.coups = _coupling_stack(h)
         self.psi0 = np.stack([s.ket for s in problem.initial_states])
         self.grid = problem.grid
         kind = problem.cost.kind
@@ -303,7 +303,7 @@ class _DensityEngine:
         n_steps, n_ctrl = amps.shape
         grad = np.zeros_like(amps)
         for k in range(n_steps):
-            gen = (self.gen0 + np.tensordot(amps[k], self.gens, axes=1)) * dt
+            gen = _kernels.generator(self.gen0, self.gens, amps[k]) * dt
             for j in range(n_ctrl):
                 dstep = expm_frechet(gen, self.gens[j] * dt,
                                      compute_expm=False)
@@ -316,17 +316,6 @@ class _DensityEngine:
 def _engine(problem: ControlProblem):
     return _DensityEngine(problem) if problem.is_open \
         else _KetEngine(problem)
-
-
-def _amps_matrix(problem: ControlProblem,
-                 guess: Sequence[ControlField]) -> np.ndarray:
-    n = problem.hamiltonian.n_controls
-    if len(guess) != n:
-        raise ValueError(f"expected {n} guess fields, got {len(guess)}")
-    for f in guess:
-        if f.grid != problem.grid:
-            raise ValueError("guess field grid mismatch")
-    return np.stack([f.samples for f in guess], axis=1).copy()
 
 
 def _fields(problem: ControlProblem, amps: np.ndarray) -> list:
@@ -354,7 +343,8 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     propagations per iteration), open-system costs the density matrices.
     """
     engine = _engine(problem)
-    amps = _amps_matrix(problem, guess)
+    amps = _sample_matrix(guess, problem.grid,
+                          problem.hamiltonian.n_controls)
     gain = settings.shape_for(problem.grid) / settings.lambda_
     dt = problem.grid.dt
     tf_span = problem.grid.tf - problem.grid.t0
@@ -447,7 +437,8 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
     monotonicity guarantee.
     """
     engine = _engine(problem)
-    amps = _amps_matrix(problem, guess)
+    amps = _sample_matrix(guess, problem.grid,
+                          problem.hamiltonian.n_controls)
     shape = settings.shape_for(problem.grid)
     fwd, steps, eig = engine.forward(amps)
     j_tf = engine.cost_value(fwd[-1])
@@ -500,7 +491,8 @@ def grape_gradient(problem: ControlProblem,
     optimizer consumes it internally.
     """
     engine = _engine(problem)
-    amps = _amps_matrix(problem, fields)
+    amps = _sample_matrix(fields, problem.grid,
+                          problem.hamiltonian.n_controls)
     return engine.gradient(amps, *engine.forward(amps))
 
 
@@ -508,8 +500,9 @@ def evaluate_cost(problem: ControlProblem,
                   fields: Sequence[ControlField]) -> float:
     """Final-time cost of the given fields (no optimization)."""
     engine = _engine(problem)
-    return engine.cost_value(
-        engine.forward(_amps_matrix(problem, fields))[0][-1])
+    amps = _sample_matrix(fields, problem.grid,
+                          problem.hamiltonian.n_controls)
+    return engine.cost_value(engine.forward(amps)[0][-1])
 
 
 @dataclass

@@ -22,8 +22,8 @@ from . import _kernels, core, shapes
 from .adiabatic import counterdiabatic_tls, landau_zener
 from .controllability import build_graph, graph_controllability, lie_rank
 from .core import ControlledHamiltonian, Liouvillian, Operator, QuantumState
-from .dynamics import (ControlField, TimeGrid, propagate_density,
-                       propagate_ket)
+from .dynamics import (ControlField, TimeGrid, _coupling_stack,
+                       _sample_matrix, propagate_density, propagate_ket)
 from .frames import (FRAME_CHOICES, ThreeLevelDriveSpec, TwoLevelDriveSpec,
                      rwa_three_level, rwa_two_level)
 from .functionals import (CostSpec, bichromatic_visibility, pe_distance,
@@ -180,7 +180,7 @@ def emit_plot_data(bundle: ResultBundle, kind: str) -> Path:
 
 # Scenario implementations ---------------------------------------------------
 
-def _rabi(config, bundle, seed_field):
+def _rabi(config, bundle, seed_field=None):
     system = config["system"]
     rabi0, detuning = system["rabi0"], system["detuning"]
     frame = system["frame"]
@@ -216,7 +216,7 @@ def _rabi(config, bundle, seed_field):
         bundle.trajectories.append(path)
 
 
-def _landau_zener(config, bundle, seed_field):
+def _landau_zener(config, bundle):
     system = config["system"]
     span, adiab = system["span"], system["adiabaticity"]
     results = []
@@ -279,7 +279,7 @@ def _stirap_pulses(grid, rabi0, tau, delay, ordering):
     return ControlField(grid, pump), ControlField(grid, stokes)
 
 
-def _stirap(config, bundle, seed_field):
+def _stirap(config, bundle):
     system = config["system"]
     ordering = system["ordering"]
     grid = config["grid"] or TimeGrid(0.0, 20.0, 2001)
@@ -316,7 +316,7 @@ def _stirap(config, bundle, seed_field):
         bundle.fields.append(fpath)
 
 
-def _bichromatic(config, bundle, seed_field):
+def _bichromatic(config, bundle):
     system = config["system"]
     splitting, omega_f = system["splitting"], system["omega_f"]
     rabi_peak, c1, c2 = system["rabi_peak"], system["c1"], system["c2"]
@@ -390,17 +390,23 @@ def qubit_reset_purity(rho_joint: np.ndarray) -> float:
     return float(np.trace(rho_s @ rho_s).real)
 
 
-def _qubit_reset(config, bundle, seed_field):
+def _reset_grids(config) -> list:
+    """The grid of each duration a ``qubit_reset`` run optimizes."""
+    system = config["system"]
+    t_min = np.pi / (2 * system["coupling"])
+    return [TimeGrid(0.0, frac * t_min, system["nt"])
+            for frac in system["duration_fractions"]]
+
+
+def _qubit_reset(config, bundle, seed_field=None):
     system, opt = config["system"], config["optimizer"]
     coupling = system["coupling"]
     t_min = np.pi / (2 * coupling)
     durations, purities, monotone = [], [], True
-    for frac in system["duration_fractions"]:
-        duration = frac * t_min
+    for grid in _reset_grids(config):
         h, jumps, rho0, target, resonance = reset_model(
             coupling, omega_s=system["omega_s"], omega_b=system["omega_b"],
             kappa=system["kappa"], p_exc=system["p_exc"])
-        grid = TimeGrid(0.0, duration, system["nt"])
         problem = ControlProblem(h, grid, [rho0],
                                  CostSpec("state_to_state", target=target),
                                  jump_operators=jumps)
@@ -416,7 +422,7 @@ def _qubit_reset(config, bundle, seed_field):
         monotone = monotone and record.monotonic(1e-12)
         traj = propagate_density(problem.liouvillian(), record.final_fields,
                                  grid, rho0)
-        durations.append(duration)
+        durations.append(grid.tf)
         purities.append(qubit_reset_purity(traj.array[-1]))
     purities_arr = np.array(purities)
     plateau = float(purities_arr[-1])
@@ -435,7 +441,7 @@ def _qubit_reset(config, bundle, seed_field):
                                                           purities))
 
 
-def _gate_opt(config, bundle, seed_field):
+def _gate_opt(config, bundle, seed_field=None):
     from qoctl.functionals import canonical_gate
     opt = config["optimizer"]
     grid = config["grid"] or TimeGrid(0.0, 2.0, 401)
@@ -477,12 +483,11 @@ def _gate_opt(config, bundle, seed_field):
 
 def _realized_gate(problem: ControlProblem, fields) -> Operator:
     """Final-time propagator: the basis columns stepped as one block."""
-    h = problem.hamiltonian
-    coups = np.stack([op.matrix for op in h.control_operators()])
-    amps = np.stack([f.samples for f in fields], axis=1)
-    finals = _kernels.propagate_pwc_ket(h.drift.matrix, coups, amps,
-                                        problem.grid.dt,
-                                        np.eye(h.dim, dtype=complex), 1)[-1]
+    h, grid = problem.hamiltonian, problem.grid
+    finals = _kernels.propagate_pwc_ket(
+        h.drift.matrix, _coupling_stack(h),
+        _sample_matrix(fields, grid, h.n_controls), grid.dt,
+        np.eye(h.dim, dtype=complex), 1)[-1]
     return Operator(finals.T)
 
 
@@ -551,7 +556,7 @@ def _system(section) -> ControlledHamiltonian:
                                                   **rows}), "config.system"))
 
 
-def _controllability(config, bundle, seed_field):
+def _controllability(config, bundle):
     h = config["system"]
     graph = build_graph(h)
     result = graph_controllability(graph)
@@ -573,6 +578,20 @@ def _controllability(config, bundle, seed_field):
         path.write_text(graph.to_text() + "\n")
         bundle.trajectories.append(path)
 
+
+def _config_grid(config) -> list:
+    return [] if config["grid"] is None else [config["grid"]]
+
+
+# Scenarios that take a --seed-field, with the grids it may lie on (none:
+# its times set the grid) and the range of its samples.  rabi reads it as
+# the pulse shape, gate_opt as the baseline of both controls, qubit_reset
+# as the guess of the duration whose grid it lies on.
+SEED_FIELDS = {
+    "rabi": (_config_grid, Key(REQUIRED, lo=0.0, hi=1.0)),
+    "gate_opt": (_config_grid, Key(REQUIRED)),
+    "qubit_reset": (_reset_grids, Key(REQUIRED)),
+}
 
 _RUNNERS = {
     "rabi": _rabi,
@@ -695,12 +714,19 @@ def run_scenario(config_path, out_dir=None,
         "scenario": config["scenario"],
         "seed": config["seed"],
     }, out_dir=out)
-    seed_field = None
+    scenario = config["scenario"]
+    seed = {}
     if seed_field_path is not None:
-        seed_field = _load_seed_field(seed_field_path, config.get("grid"))
-    runner = _RUNNERS[config["scenario"]]
+        if scenario not in SEED_FIELDS:
+            raise ConfigError(f"scenario {scenario!r} takes no seed field; "
+                              f"{', '.join(SEED_FIELDS)} do")
+        grids, row = SEED_FIELDS[scenario]
+        seed["seed_field"] = _load_seed_field(seed_field_path,
+                                              grids(config), row)
+        if "grid" in config:  # the config's grid, or the one the times set
+            config["grid"] = seed["seed_field"].grid
     try:
-        runner(config, bundle, seed_field)
+        _RUNNERS[scenario](config, bundle, **seed)
     except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         raise ScenarioError(f"numerics aborted: {exc}") from exc
     text = _summary_text(bundle.summary)
@@ -712,33 +738,31 @@ def run_scenario(config_path, out_dir=None,
     return bundle
 
 
-def _load_seed_field(path, grid: Optional[TimeGrid]) -> ControlField:
-    """A one-control CSV as ``fields_to_csv`` writes it: midpoint time, then
-    the sample.  Without ``grid`` the times define the grid.  The times must
-    lie on the grid's midpoints to within ``SEED_TIME_TOL`` of a step, so
-    that unevenly spaced times are rejected too.  A malformed file is a
-    config error."""
+def _load_seed_field(path, grids, row: Key) -> ControlField:
+    """A one-control CSV as ``fields_to_csv`` writes it, each sample checked
+    against ``row``.  The field lies on the first of ``grids`` whose
+    midpoints are its times to within ``SEED_TIME_TOL`` of a step; without
+    ``grids`` the times set the grid.  Anything else is a config error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file fails below
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 2 or not np.isfinite(data).all() \
-                or (grid is None and len(data) < 2):
+                or (not grids and len(data) < 2):
             raise ValueError("need finite time,u rows with one control "
                              "column, two rows without a config grid")
         times, samples = data[:, 0], data[:, 1]
-        if grid is None:
+        if not grids:
             dt = times[1] - times[0]
-            grid = TimeGrid(times[0] - dt / 2, times[-1] + dt / 2,
-                            len(times) + 1)
+            grids = [TimeGrid(times[0] - dt / 2, times[-1] + dt / 2,
+                              len(times) + 1)]
     except ValueError as exc:
         raise ConfigError(f"seed field {path}: {exc}") from exc
-    if len(samples) != grid.nt - 1:
-        raise ConfigError(f"seed field has {len(samples)} samples, "
-                          f"grid needs {grid.nt - 1}")
-    offset = float(np.max(np.abs(times - grid.midpoints)))
-    if not offset <= SEED_TIME_TOL * grid.dt:
-        raise ConfigError(f"seed field times are up to {offset:.3g} off the "
-                          f"grid midpoints (step {grid.dt:.6g}); they must "
-                          f"be evenly spaced midpoints")
-    return ControlField(grid, samples)
+    for k, value in enumerate(samples):
+        _check(float(value), row, f"seed field sample {k}")
+    for grid in grids:
+        if len(samples) == grid.nt - 1 and np.max(np.abs(
+                times - grid.midpoints)) <= SEED_TIME_TOL * grid.dt:
+            return ControlField(grid, samples)
+    raise ConfigError(f"seed field {path}: its times are not the evenly "
+                      f"spaced midpoints of {' or '.join(map(str, grids))}")

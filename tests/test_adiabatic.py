@@ -71,6 +71,14 @@ class TestDressedFrame:
             assert np.max(np.abs(np.sort(frame.energies[k]) - direct)) \
                 <= 1e-12
 
+    @pytest.mark.parametrize("other", [TimeGrid(0.0, 1.0, 6),
+                                       TimeGrid(0.0, 2.0, 11)],
+                             ids=["shorter", "same_nt"])
+    def test_field_on_another_grid_rejected(self, other):
+        h, fields = landau_zener(other, 0.5, 1.0)
+        with pytest.raises(ValueError, match="grid"):
+            dressed_frame(h, fields, TimeGrid(0.0, 1.0, 11))
+
     def test_exact_crossing_is_flagged(self):
         # no coupling: the two levels cross for real at t = 0
         grid = TimeGrid(-1.0, 1.0, 12)
@@ -105,6 +113,12 @@ class TestAdiabaticityMargin:
                      + om * core.sigma_x().matrix)
         expected = 2 * abs(ham[0, 1]) / (ham[0, 0] - ham[1, 1])
         assert np.tan(angles.theta.samples[0]) == pytest.approx(expected)
+
+    def test_one_sample_zero_derivative(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        angles = mixing_angles(ControlField.constant(grid, 1.3),
+                               ControlField.constant(grid, 0.9))
+        assert angles.theta_dot.tolist() == [0.0]
 
     def test_slow_gaussian_pulse_adiabatic_return(self):
         # Propagation oracle: small margin and the state returns to the

@@ -6,9 +6,10 @@ from qoctl import core
 from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
 from qoctl.dynamics import (ControlField, TimeGrid, Trajectory,
                             bloch_precession, expectation,
-                            gkls_generator_parts, propagate_density,
-                            propagate_ket, propagate_operator_sequence,
-                            reduced_gkls_parts)
+                            gkls_generator_parts, midpoint_derivative,
+                            propagate_density, propagate_ket,
+                            propagate_operator_sequence, reduced_gkls_parts,
+                            step_hamiltonians)
 from qoctl.scenarios import reset_model
 
 from conftest import random_density, random_hermitian, random_ket
@@ -127,6 +128,30 @@ class TestKetPropagation:
         err_fine = np.linalg.norm(run(1281) - ref)
         ratio = err_coarse / err_fine
         assert 3.5 <= ratio <= 4.5
+
+
+class TestSampling:
+    def test_step_hamiltonians_match_single_samples(self, rng):
+        # two couplings share control 1
+        grid = TimeGrid(0.0, 1.0, 8)
+        h = ControlledHamiltonian(
+            random_hermitian(rng, 3),
+            [(random_hermitian(rng, 3), 0),
+             (random_hermitian(rng, 3), 1),
+             (random_hermitian(rng, 3), 1)])
+        fields = [ControlField(grid, rng.normal(size=7)) for _ in range(2)]
+        hams = step_hamiltonians(h, fields, grid)
+        for k in range(grid.nt - 1):
+            assert np.allclose(hams[k], h.at(
+                [f.samples[k] for f in fields]).matrix, rtol=0, atol=1e-12)
+
+    def test_midpoint_derivative(self):
+        t = TimeGrid(0.0, 1.0, 11).midpoints
+        d = midpoint_derivative(np.stack([t ** 2, -t], axis=1), 0.1)
+        # central differences are exact for a quadratic inside
+        assert np.allclose(d[1:-1, 0], 2 * t[1:-1], rtol=0, atol=1e-12)
+        assert np.allclose(d[:, 1], -1.0, rtol=0, atol=1e-12)
+        assert midpoint_derivative(np.array([3.0]), 0.1).tolist() == [0.0]
 
 
 class TestDensityPropagation:

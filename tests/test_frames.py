@@ -27,6 +27,17 @@ class TestRotatingFrame:
         for k, t in enumerate(grid.midpoints):
             assert seq[k].isclose(h.at([np.sin(t)]), atol=1e-14)
 
+    @pytest.mark.parametrize("other", [TimeGrid(0.0, 1.0, 6),
+                                       TimeGrid(0.0, 2.0, 11)],
+                             ids=["shorter", "same_nt"])
+    def test_field_on_another_grid_rejected(self, other):
+        h = ControlledHamiltonian(core.sigma_z(), [(core.sigma_x(), 0)])
+        field = ControlField(other, np.sin(other.midpoints))
+        with pytest.raises(ValueError, match="grid"):
+            rotating_frame(h, [field], TimeGrid(0.0, 1.0, 11),
+                           theta=lambda t: (0.0, 0.0),
+                           theta_dot=lambda t: (0.0, 0.0))
+
     def test_missing_derivative(self):
         grid = TimeGrid(0.0, 1.0, 11)
         h = ControlledHamiltonian(core.sigma_z(), [])
@@ -93,6 +104,16 @@ class TestRwaTwoLevel:
         expected = -0.5 * (delta * core.sigma_z().matrix
                            + 2.0 * core.sigma_x().matrix)
         assert np.max(np.abs(h.matrix - expected)) <= 1e-12
+
+    def test_instantaneous_frame_one_sample(self):
+        # one midpoint: the phase derivative is zero, so the detuning is
+        # not shifted
+        grid = TimeGrid(0.0, 1.0, 2)
+        spec = TwoLevelDriveSpec(omega0=10.0, omegaL=9.0, rabi0=2.0,
+                                 shape=ControlField.constant(grid, 1.0),
+                                 phase=ControlField.constant(grid, 0.7))
+        res = rwa_two_level(spec, frame="instantaneous")
+        assert res.fields[0].samples.tolist() == [-0.5 * spec.detuning]
 
     def test_zero_shape_free_evolution(self):
         grid = TimeGrid(0.0, 5.0, 101)

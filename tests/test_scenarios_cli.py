@@ -9,8 +9,9 @@ import pytest
 
 from qoctl import _kernels, shapes
 from qoctl.core import ControlledHamiltonian, Operator, QuantumState
-from qoctl.scenarios import (ConfigError, emit_plot_data, load_config,
-                             qubit_reset_purity, reset_model, run_scenario)
+from qoctl.scenarios import (SCENARIOS, ConfigError, emit_plot_data,
+                             load_config, qubit_reset_purity, reset_model,
+                             run_scenario)
 from qoctl.dynamics import ControlField, TimeGrid, propagate_ket
 
 
@@ -56,7 +57,8 @@ CONFIG_ERRORS = [
 
 # --seed-field files that a {"scenario": "rabi"} run (no config grid) must
 # reject with exit 2: bad value, one row, empty, one column, non-finite
-# value, decreasing times, unevenly spaced times, two control columns.
+# value, decreasing times, unevenly spaced times, two control columns, a
+# pulse-shape sample outside [0, 1].
 SEED_FIELD_ERRORS = {
     "bad_value": "time,u\n0.5,abc\n",
     "one_row": "time,u\n0.5,0.1\n",
@@ -66,6 +68,21 @@ SEED_FIELD_ERRORS = {
     "decreasing": "time,u\n1.5,0.1\n0.5,0.2\n",
     "uneven": "time,u\n0.5,0.1\n1.5,0.2\n3.5,0.1\n",
     "two_controls": "time,u_0,u_1\n0.5,0.1,0.2\n1.5,0.1,0.2\n",
+    "shape_out_of_range": "time,u\n0.5,0.25\n1.5,2.0\n",
+}
+
+# A well-formed --seed-field that the configs below must reject with exit 2
+# before any numerics: four scenarios take no seed field, and its times lie
+# on none of the qubit_reset duration grids (midpoints 2.6 and 7.9).
+SEED_FIELD_TWO_ROWS = "time,u\n0.5,0.1\n1.5,0.2\n"
+SEED_FIELD_SCENARIO_ERRORS = {
+    "landau_zener": {"scenario": "landau_zener"},
+    "stirap": {"scenario": "stirap"},
+    "bichromatic": {"scenario": "bichromatic"},
+    "controllability": {"scenario": "controllability",
+                        "system": {"name": "tls"}},
+    "qubit_reset_off_grid": {"scenario": "qubit_reset", "system": {
+        "duration_fractions": [1.0], "nt": 3}},
 }
 
 
@@ -78,9 +95,9 @@ def no_numerics(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("a kernel ran")
 
-    for name in ("propagate_pwc_ket", "propagate_pwc_dm",
-                 "krotov_forward_ket", "krotov_forward_dm"):
-        monkeypatch.setattr(_kernels, name, kernel)
+    for name in dir(_kernels):
+        if not name.startswith("_") and callable(getattr(_kernels, name)):
+            monkeypatch.setattr(_kernels, name, kernel)
 
 
 class TestConfigValidation:
@@ -358,6 +375,30 @@ class TestCliProcess:
         assert json.loads(capsys.readouterr().out)["error"]["type"] \
             == "config"
 
+    @pytest.mark.parametrize("scenario", sorted(
+        set(SCENARIOS) - {"controllability"}))
+    def test_no_numerics_stops_every_propagating_scenario(
+            self, tmp_path, no_numerics, capsys, scenario):
+        from qoctl import cli
+        cfg = write_config(tmp_path, {"scenario": scenario})
+        assert cli.main(["run", str(cfg)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] \
+            == {"type": "numerics", "message": "a kernel ran"}
+
+    @pytest.mark.parametrize("config", SEED_FIELD_SCENARIO_ERRORS.values(),
+                             ids=SEED_FIELD_SCENARIO_ERRORS.keys())
+    def test_seed_field_rejected_before_numerics(self, tmp_path,
+                                                 no_numerics, capsys,
+                                                 config):
+        from qoctl import cli
+        seed_path = tmp_path / "seed.csv"
+        seed_path.write_text(SEED_FIELD_TWO_ROWS)
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["run", str(cfg), "--seed-field",
+                         str(seed_path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] \
+            == "config"
+
     def test_outputs_need_out_dir(self, tmp_path, no_numerics, capsys):
         from qoctl import cli
         cfg = write_config(tmp_path, {"scenario": "rabi",
@@ -481,6 +522,49 @@ class TestCliProcess:
         assert result.returncode == code, result.stderr
         if code:
             assert json.loads(result.stdout)["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "rabi"},
+        {"scenario": "gate_opt", "optimizer": {"budget": 0, "max_iters": 0}},
+    ], ids=["rabi", "gate_opt"])
+    def test_seed_field_sets_grid_without_config_grid(self, tmp_path,
+                                                      config):
+        seed_path = tmp_path / "seed.csv"
+        seed_path.write_text(SEED_FIELD_TWO_ROWS)
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        result = self.run_cli("run", str(cfg), "--out", str(out),
+                              "--seed-field", str(seed_path))
+        assert result.returncode == 0, result.stdout
+        if config["scenario"] == "rabi":
+            rows = (out / "trajectory.csv").read_text().splitlines()
+            assert [float(r.split(",")[0]) for r in rows[1:]] \
+                == [0.0, 1.0, 2.0]
+        else:
+            rows = (out / "fields.csv").read_text().splitlines()
+            assert rows[1:] == ["0.5,0.1,0.1", "1.5,0.2,0.2"]
+
+    def test_qubit_reset_seed_field_on_a_duration_grid(self, tmp_path):
+        # the seed field is the guess of the duration whose grid it lies
+        # on: the same run as with that constant guess amplitude
+        config = {"scenario": "qubit_reset",
+                  "system": {"duration_fractions": [0.8, 1.0], "nt": 11},
+                  "optimizer": {"max_iters": 0}}
+        t_min = np.pi / (2 * 0.15)
+        grid = TimeGrid(0.0, t_min, 11)
+        from qoctl.optimize import fields_to_csv
+        seed_path = tmp_path / "seed.csv"
+        fields_to_csv([ControlField.constant(grid, 0.5)], seed_path)
+        seeded = run_scenario(write_config(tmp_path, config),
+                              seed_field_path=seed_path)
+        config["optimizer"]["guess_amplitude"] = 0.5
+        plain = run_scenario(write_config(tmp_path, config))
+        default = run_scenario(write_config(tmp_path, {
+            **config, "optimizer": {"max_iters": 0}}))
+        purities = seeded.summary["results"]["purities"]
+        assert purities[1] == plain.summary["results"]["purities"][1]
+        assert purities[0] == default.summary["results"]["purities"][0]
+        assert purities[1] != default.summary["results"]["purities"][1]
 
     def test_one_row_seed_field_on_config_grid(self, tmp_path):
         seed_path = tmp_path / "seed.csv"
