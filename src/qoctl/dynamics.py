@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernels
+from .controllability import _RealSpan
 from .core import (ControlledHamiltonian, DimensionMismatchError, Liouvillian,
                    Operator, QuantumState, gellmann_basis)
 
@@ -289,9 +290,6 @@ def reduced_gkls_parts(liouvillian: Liouvillian, seeds: Sequence):
     orthonormal, the adjoint of a step is its transpose, and
     Hilbert-Schmidt pairings are dot products of coordinates.
     """
-    # imported here so that importing qoctl.optimize does not load it
-    from .controllability import _RealSpan
-
     gen0, gens = gkls_generator_parts(liouvillian)
     dim = liouvillian.hamiltonian.dim
     # row m is vec(B_m); <B_m, G(B_n)> is real since G keeps Hermiticity

@@ -26,8 +26,8 @@ from .dynamics import (ControlField, TimeGrid, _coupling_stack,
                        _sample_matrix, propagate_density, propagate_ket)
 from .frames import (FRAME_CHOICES, ThreeLevelDriveSpec, TwoLevelDriveSpec,
                      rwa_three_level, rwa_two_level)
-from .functionals import (CostSpec, bichromatic_visibility, pe_distance,
-                          weyl_coordinates)
+from .functionals import (CostSpec, bichromatic_visibility, canonical_gate,
+                          pe_distance, weyl_coordinates)
 from .optimize import (ControlProblem, KrotovSettings, Parametrization,
                        fields_to_csv, hybrid_optimize, krotov_ensemble)
 
@@ -442,7 +442,6 @@ def _qubit_reset(config, bundle, seed_field=None):
 
 
 def _gate_opt(config, bundle, seed_field=None):
-    from qoctl.functionals import canonical_gate
     opt = config["optimizer"]
     grid = config["grid"] or TimeGrid(0.0, 2.0, 401)
     sx, sz, eye = core.sigma_x(), core.sigma_z(), core.identity(2)
@@ -610,6 +609,14 @@ _GRID = Key(None, {"t0": Key(0.0), "tf": Key(REQUIRED),
             nullable=True, build=lambda grid: TimeGrid(**grid))
 
 
+def _increasing(values: list) -> list:
+    """``values``, which must increase strictly: the qubit_reset knee is
+    measured against the last duration, in steps of the first spacing."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"must increase strictly, got {values!r}")
+    return values
+
+
 def _scenario(plots, system: dict, **sections) -> dict:
     """Top-level rows of a scenario whose ``outputs`` may name ``plots``."""
     return {"schema_version": Key(SCHEMA_VERSION, int, lo=SCHEMA_VERSION,
@@ -654,7 +661,8 @@ SCHEMA = {
         "kappa": Key(2e-4, lo=0.0),
         "p_exc": Key(0.05, lo=0.0, hi=1.0),
         "duration_fractions": Key(np.arange(0.5, 1.35, 0.1).tolist(),
-                                  [Key(REQUIRED, positive=True)], lo=1),
+                                  [Key(REQUIRED, positive=True)], lo=1,
+                                  build=_increasing),
         "nt": Key(301, int, lo=2, hi=MAX_NT)}, optimizer=Key({}, {
         "lambda": Key(0.2, positive=True),
         "max_iters": Key(200, int, lo=0, hi=MAX_COUNT),

@@ -53,6 +53,8 @@ CONFIG_ERRORS = [
     {"outputs": ["fields"]},
     {"grid": {"t0": 0.0, "tf": 1.0, "nt": True}},
     {"grid": {"t0": 0.0, "tf": 1.0, "nt": 10 ** 9}},
+    {"scenario": "qubit_reset", "system": {"duration_fractions": [1.0, 1.0]}},
+    {"scenario": "qubit_reset", "system": {"duration_fractions": [1.2, 0.6]}},
 ]
 
 # --seed-field files that a {"scenario": "rabi"} run (no config grid) must
@@ -471,6 +473,39 @@ class TestCliProcess:
             assert got["seen"] == {"OPENBLAS_NUM_THREADS": expect,
                                    "OMP_NUM_THREADS": "1",
                                    "MKL_NUM_THREADS": "1"}
+
+    def test_only_the_simplex_search_loads_scipy_optimize(self, tmp_path):
+        # a fresh interpreter: which runs import scipy.optimize at all
+        configs = {
+            "bichromatic": {"scenario": "bichromatic",
+                            "grid": {"t0": 0, "tf": 60, "nt": 241},
+                            "system": {"n_phases": 3}},
+            "qubit_reset": {"scenario": "qubit_reset",
+                            "system": {"duration_fractions": [1.0],
+                                       "nt": 5},
+                            "optimizer": {"max_iters": 1}},
+            "gate_opt": {"scenario": "gate_opt",
+                         "grid": {"t0": 0, "tf": 2, "nt": 21},
+                         "optimizer": {"budget": 2, "max_iters": 1,
+                                       "n_fourier": 1}},
+        }
+        paths = {name: str(write_config(tmp_path, config, f"{name}.json"))
+                 for name, config in configs.items()}
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "import qoctl.cli, qoctl.optimize\n"
+            "seen = {'import': 'scipy.optimize' in sys.modules}\n"
+            f"for name, path in {paths!r}.items():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = qoctl.cli.main(['run', path])\n"
+            "    seen[name] = (code, 'scipy.optimize' in sys.modules)\n"
+            "print(json.dumps(seen))\n")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "import": False, "bichromatic": [0, False],
+            "qubit_reset": [0, False], "gate_opt": [0, True]}
 
     def test_missing_config_file_io_error(self, tmp_path):
         result = self.run_cli("run", str(tmp_path / "absent.json"))
