@@ -150,7 +150,7 @@ class Trajectory:
         """Smallest density-matrix eigenvalue over the trajectory."""
         if self.kind == "ket":
             raise ValueError("eigenvalue check applies to density states")
-        return float(min(np.linalg.eigvalsh(rho)[0] for rho in self.array))
+        return float(np.linalg.eigvalsh(self.array)[:, 0].min())
 
     def to_csv(self, path, observables: Sequence = ()):
         """Tidy trajectory export: time, populations, named expectations.

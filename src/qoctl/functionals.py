@@ -16,7 +16,7 @@ to the hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -64,29 +64,24 @@ def _require_unitary(u: Operator, atol: float = UNITARITY_ATOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Final-time cost selector plus running-cost weight.
+    """Final-time cost of an optimization: ``kind`` and its ``target``.
 
-    ``kind`` picks the figure of merit; ``target`` carries its payload
-    (target state, gate, ...).  ``weight`` scales the field-change running
-    cost accumulated by the optimizer.  All shipped variants are
-    normalized so that the realized final-time cost lies in [0, 1] and
-    vanishes exactly at the optimum.
+    ``"state_to_state"`` takes one target state per initial state (a single
+    state for one); ``"gate"`` takes the gate, whose action on the initial
+    states gives their targets.  Both are normalized so that the realized
+    cost lies in [0, 1] and vanishes exactly at the optimum, and every
+    optimizer in :mod:`qoctl.optimize` accepts both.
     """
 
     kind: str
     target: object = None
-    weight: float = 0.0
-    options: dict = field(default_factory=dict)
 
-    _KINDS = ("state_to_state", "gate", "pe_distance", "bloch_match",
-              "custom")
+    _KINDS = ("state_to_state", "gate")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}; "
                              f"known: {self._KINDS}")
-        if self.weight < 0:
-            raise ValueError("running-cost weight must be >= 0")
 
 
 def j_state_to_state(final_state: QuantumState,

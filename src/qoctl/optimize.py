@@ -40,7 +40,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm_frechet
@@ -102,16 +102,13 @@ class ControlProblem:
                 raise ValueError(f"need {self.n_states} targets, "
                                  f"got {len(targets)}")
             return targets
-        if cost.kind == "gate":
-            gate = cost.target
-            if self.is_open:
-                return [QuantumState._wrap(
-                    "density", gate.matrix @ s.rho @ gate.matrix.conj().T)
-                    for s in self.initial_states]
-            return [QuantumState._wrap("ket", gate.matrix @ s.ket)
-                    for s in self.initial_states]
-        raise ValueError(f"cost kind {self.cost.kind!r} has no per-state "
-                         "targets; use the gradient-free optimizer")
+        gate = cost.target
+        if self.is_open:
+            return [QuantumState._wrap(
+                "density", gate.matrix @ s.rho @ gate.matrix.conj().T)
+                for s in self.initial_states]
+        return [QuantumState._wrap("ket", gate.matrix @ s.ket)
+                for s in self.initial_states]
 
 
 @dataclass
@@ -207,10 +204,6 @@ class _KetEngine:
         self.coups = _coupling_stack(h)
         self.psi0 = np.stack([s.ket for s in problem.initial_states])
         self.grid = problem.grid
-        kind = problem.cost.kind
-        if kind not in ("state_to_state", "gate"):
-            raise ValueError(f"gradient methods do not support cost kind "
-                             f"{kind!r}")
         self.tgt = np.stack([t.ket for t in problem.targets()])
 
     def forward(self, amps):
@@ -242,15 +235,15 @@ class _KetEngine:
         what ``forward(amps)`` returned."""
         chi = _kernels.propagate_steps(steps, self.chi_boundary(fwd[-1]), -1)
         # In the eigenbasis of a step Hamiltonian the Frechet derivative of
-        # exp(-i H dt) along C_j is ratio * C_j.
+        # exp(-i H dt) along C_j is ratio * C_j.  The divided difference
+        # (e^{-i dt w_a} - e^{-i dt w_b}) / (w_a - w_b) is formed as
+        # -i dt h_a h_b sin(x)/x, h = e^{-i dt w/2}, x = dt (w_a - w_b)/2:
+        # exact at any splitting, where the quotient cancels as it shrinks.
         w, v = eig
-        phases = np.exp(-1j * self.grid.dt * w)
-        denom = w[:, :, None] - w[:, None, :]
-        close = np.abs(denom) <= 1e-14
-        ratio = np.where(
-            close, -1j * self.grid.dt * phases[:, :, None],
-            (phases[:, :, None] - phases[:, None, :])
-            / np.where(close, 1.0, denom))
+        dt = self.grid.dt
+        h = np.exp(-0.5j * dt * w)
+        ratio = -1j * dt * h[:, :, None] * h[:, None, :] * np.sinc(
+            dt * (w[:, :, None] - w[:, None, :]) / (2 * np.pi))
         vh = np.conj(np.swapaxes(v, 1, 2))
         fwd_e = np.einsum("kab,kwb->kwa", vh, fwd[:-1])
         chi_e = np.einsum("kab,kwb->kwa", vh, chi[1:])
@@ -320,16 +313,6 @@ def _engine(problem: ControlProblem):
 def _fields(problem: ControlProblem, amps: np.ndarray) -> list:
     return [ControlField(problem.grid, amps[:, j])
             for j in range(amps.shape[1])]
-
-
-def krotov_state_to_state(problem: ControlProblem,
-                          guess: Sequence[ControlField],
-                          settings: KrotovSettings,
-                          log_stream=None) -> OptimizationRecord:
-    """Sequential optimization of a single state-to-state transfer."""
-    if problem.cost.kind != "state_to_state":
-        raise ValueError("krotov_state_to_state needs a state_to_state cost")
-    return krotov_ensemble(problem, guess, settings, log_stream=log_stream)
 
 
 def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
@@ -508,15 +491,14 @@ def evaluate_cost(problem: ControlProblem,
 class Parametrization:
     """Low-dimensional field parametrization for the gradient-free search.
 
-    ``basis="fourier"``: per control, ``n_terms`` sine coefficients
-    (vanishing at both grid ends).  ``basis="gaussian"``: per control,
-    ``n_terms`` pulses with ``(amplitude, center, width)`` triples.
-    ``bounds`` has one ``(lo, hi)`` pair per coefficient; rendered fields
-    are the baseline plus the parametrized part.  Practical limit is a
-    couple of dozen coefficients -- beyond that the simplex search stalls.
+    Per control, ``n_terms`` Fourier sine coefficients: the ``m``-th scales
+    ``sin(m pi (t - t0) / T)``, ``m = 1..n_terms``, so the parametrized
+    part vanishes at both grid ends.  ``bounds`` has one ``(lo, hi)`` pair
+    per coefficient; rendered fields are the baseline plus the
+    parametrized part.  Practical limit is a couple of dozen coefficients
+    -- beyond that the simplex search stalls.
     """
 
-    basis: str
     n_controls: int
     n_terms: int
     bounds: list
@@ -524,11 +506,7 @@ class Parametrization:
     baseline: Optional[list] = None
 
     def __post_init__(self):
-        if self.basis not in ("fourier", "gaussian"):
-            raise ValueError("basis must be 'fourier' or 'gaussian'")
-        per = self.n_terms if self.basis == "fourier" else 3 * self.n_terms
-        self._per_control = per
-        n = per * self.n_controls
+        n = self.n_terms * self.n_controls
         if self.coefficients is None:
             self.coefficients = np.zeros(n)
         self.coefficients = np.asarray(self.coefficients, dtype=float)
@@ -552,19 +530,10 @@ class Parametrization:
         span = grid.tf - grid.t0
         fields = []
         for c in range(self.n_controls):
-            part = coeffs[c * self._per_control:(c + 1) * self._per_control]
-            if self.basis == "fourier":
-                samples = np.zeros_like(t)
-                for m, a in enumerate(part):
-                    samples += a * np.sin((m + 1) * np.pi
-                                          * (t - grid.t0) / span)
-            else:
-                samples = np.zeros_like(t)
-                for m in range(self.n_terms):
-                    amp, center, width = part[3 * m:3 * m + 3]
-                    width = max(width, 1e-6 * span)
-                    samples += amp * np.exp(-0.5 * ((t - center)
-                                                    / width) ** 2)
+            samples = np.zeros_like(t)
+            for m, a in enumerate(coeffs[c * self.n_terms:
+                                         (c + 1) * self.n_terms]):
+                samples += a * np.sin((m + 1) * np.pi * (t - grid.t0) / span)
             if self.baseline is not None:
                 samples = samples + self.baseline[c].samples
             fields.append(ControlField(grid, samples))
@@ -574,24 +543,22 @@ class Parametrization:
 def gradient_free_search(problem: ControlProblem,
                          parametrization: Parametrization,
                          budget: int,
-                         cost_function: Optional[Callable] = None,
                          log_stream=None) -> OptimizationRecord:
     """Derivative-free simplex search over the field coefficients.
 
-    ``cost_function(fields) -> float`` overrides the problem's final-time
-    cost (this is how non-propagation costs like the Weyl-chamber distance
-    are searched).  When the budget is exhausted the best-so-far fields
-    are returned with ``converged_reason="budget_exhausted"``.
+    Nelder-Mead minimizes the problem's final-time cost
+    (:func:`evaluate_cost`) over ``parametrization``'s coefficients, with
+    at most ``budget`` evaluations.  With a zero budget or no coefficients
+    the rendered start fields are returned with
+    ``converged_reason="no_parameters"``; when the budget is exhausted,
+    the best-so-far fields with ``"budget_exhausted"``.
     """
     grid = problem.grid
-    if cost_function is None:
-        cost_function = lambda fields: evaluate_cost(problem, fields)  # noqa: E731
-
     history = []
 
     def objective(x):
         t_start = time.perf_counter()
-        val = cost_function(parametrization.render(grid, x))
+        val = evaluate_cost(problem, parametrization.render(grid, x))
         wall = (time.perf_counter() - t_start) * 1e3
         entry = IterationEntry(len(history), float(val), 0.0, wall,
                                phase="gradient_free")
@@ -601,7 +568,7 @@ def gradient_free_search(problem: ControlProblem,
 
     if parametrization.n_params == 0 or budget <= 0:
         fields = parametrization.render(grid)
-        j0 = float(cost_function(fields))
+        j0 = float(evaluate_cost(problem, fields))
         entry = IterationEntry(0, j0, 0.0, 0.0, phase="gradient_free")
         return OptimizationRecord([entry], fields, "no_parameters",
                                   method="gradient_free")
@@ -612,7 +579,7 @@ def gradient_free_search(problem: ControlProblem,
                    method="Nelder-Mead", bounds=parametrization.bounds,
                    options={"maxfev": budget, "xatol": 1e-10,
                             "fatol": 1e-12})
-    best_entry, best_x = min(history, key=lambda h: h[0].j_tf)
+    best_x = min(history, key=lambda h: h[0].j_tf)[1]
     reason = "converged" if res.success else "budget_exhausted"
     entries = [h[0] for h in history]
     return OptimizationRecord(entries, parametrization.render(grid, best_x),
@@ -622,7 +589,6 @@ def gradient_free_search(problem: ControlProblem,
 def hybrid_optimize(problem: ControlProblem,
                     parametrization: Parametrization,
                     settings: KrotovSettings, budget: int,
-                    cost_function: Optional[Callable] = None,
                     log_stream=None) -> OptimizationRecord:
     """Gradient-free pre-optimization feeding the sequential method.
 
@@ -631,7 +597,6 @@ def hybrid_optimize(problem: ControlProblem,
     gradient-free result; with both disabled it returns the guess.
     """
     pre = gradient_free_search(problem, parametrization, budget,
-                               cost_function=cost_function,
                                log_stream=log_stream)
     if settings.max_iters <= 0:
         return pre

@@ -57,12 +57,10 @@ class ScenarioError(RuntimeError):
 
 @dataclass
 class ResultBundle:
-    """Summary dict plus the paths of every artifact written."""
+    """Summary dict, plot series and where the artifacts were written."""
 
     summary: dict
     summary_path: Optional[Path] = None
-    trajectories: list = field(default_factory=list)
-    fields: list = field(default_factory=list)
     series: dict = field(default_factory=dict)
     out_dir: Optional[Path] = None
 
@@ -211,9 +209,7 @@ def _rabi(config, bundle, seed_field=None):
         (t, lvl, pops[k, lvl]) for k, t in enumerate(grid.times)
         for lvl in range(2)]
     if bundle.out_dir is not None:
-        path = bundle.out_dir / "trajectory.csv"
-        traj.to_csv(path)
-        bundle.trajectories.append(path)
+        traj.to_csv(bundle.out_dir / "trajectory.csv")
 
 
 def _landau_zener(config, bundle):
@@ -308,12 +304,8 @@ def _stirap(config, bundle):
         (t, lvl, pops[k, lvl]) for k, t in enumerate(grid.times)
         for lvl in range(3)]
     if bundle.out_dir is not None:
-        path = bundle.out_dir / "trajectory.csv"
-        traj.to_csv(path)
-        bundle.trajectories.append(path)
-        fpath = bundle.out_dir / "fields.csv"
-        fields_to_csv(fields, fpath)
-        bundle.fields.append(fpath)
+        traj.to_csv(bundle.out_dir / "trajectory.csv")
+        fields_to_csv(fields, bundle.out_dir / "fields.csv")
 
 
 def _bichromatic(config, bundle):
@@ -455,7 +447,7 @@ def _gate_opt(config, bundle, seed_field=None):
                               max_iters=opt["max_iters"],
                               j_threshold=opt["j_threshold"])
     n_fourier = opt["n_fourier"]
-    par = Parametrization(basis="fourier", n_controls=2, n_terms=n_fourier,
+    par = Parametrization(n_controls=2, n_terms=n_fourier,
                           bounds=[(-2.0, 2.0)] * (2 * n_fourier),
                           baseline=[seed_field, seed_field]
                           if seed_field is not None else None)
@@ -475,9 +467,7 @@ def _gate_opt(config, bundle, seed_field=None):
     bundle.series["j_vs_iteration"] = [(e.index, e.j_tf)
                                        for e in record.iterations]
     if bundle.out_dir is not None:
-        fpath = bundle.out_dir / "fields.csv"
-        fields_to_csv(record.final_fields, fpath)
-        bundle.fields.append(fpath)
+        fields_to_csv(record.final_fields, bundle.out_dir / "fields.csv")
 
 
 def _realized_gate(problem: ControlProblem, fields) -> Operator:
@@ -528,7 +518,13 @@ def _sys_inline(params):
          else c["control_index"]) for i, c in enumerate(params["couplings"])])
 
 
-_OPERATOR = Key(REQUIRED, None, build=Operator.from_dict)
+# an Operator.to_dict: dim plus rows of [re, im] entry pairs; its dim is
+# capped like the ladder's levels
+_ENTRY = Key(REQUIRED, [Key(REQUIRED)], lo=2)
+_OPERATOR = Key(REQUIRED, {
+    "dim": Key(REQUIRED, int, lo=1, hi=MAX_LEVELS),
+    "entries": Key(REQUIRED, [Key(REQUIRED, [_ENTRY], lo=1)], lo=1)},
+    build=Operator.from_dict)
 # controllability systems: name (None: inline) -> (builder, section rows)
 _SYSTEMS = {
     "tls": (_sys_tls, {"omega": Key(1.0, positive=True)}),
@@ -573,9 +569,7 @@ def _controllability(config, bundle):
         "graph_positive_implies_lie_full":
             (not result.controllable) or lie.full_rank}
     if bundle.out_dir is not None:
-        path = bundle.out_dir / "graph.txt"
-        path.write_text(graph.to_text() + "\n")
-        bundle.trajectories.append(path)
+        (bundle.out_dir / "graph.txt").write_text(graph.to_text() + "\n")
 
 
 def _config_grid(config) -> list:
@@ -695,17 +689,6 @@ def load_config(path) -> dict:
     scenario = _check(config.get("scenario"), Key(REQUIRED, SCENARIOS),
                       "config.scenario")
     return _check(config, Key(REQUIRED, SCHEMA[scenario]), "config")
-
-
-def qubit_reset_scenario(config_path, out_dir=None,
-                         seed_field_path=None) -> ResultBundle:
-    """Run a ``qubit_reset`` config: optimize the drive at each duration
-    and locate the purity threshold against ``pi/(2J)``."""
-    config = load_config(config_path)
-    if config["scenario"] != "qubit_reset":
-        raise ConfigError("qubit_reset_scenario needs a qubit_reset config")
-    return run_scenario(config_path, out_dir=out_dir,
-                        seed_field_path=seed_field_path)
 
 
 def run_scenario(config_path, out_dir=None,

@@ -26,8 +26,7 @@ from qoctl.functionals import (CostSpec, bichromatic_visibility,
                                three_state_gate_fidelity,
                                verification_states, weyl_coordinates)
 from qoctl.optimize import (ControlProblem, KrotovSettings, grape_gradient,
-                            evaluate_cost, krotov_ensemble,
-                            krotov_state_to_state)
+                            evaluate_cost, krotov_ensemble)
 from qoctl.scenarios import qubit_reset_purity, reset_model
 
 from conftest import random_unitary
@@ -151,10 +150,10 @@ def test_criterion_03_krotov_monotonic_convergence():
     # 1) TLS state transfer: fidelity >= 0.999 within 50 iterations, < 5 s
     problem = _tls_problem()
     start = time.perf_counter()
-    rec = krotov_state_to_state(problem,
-                                [ControlField.constant(problem.grid, 0.1)],
-                                KrotovSettings(lambda_=1.0, max_iters=50,
-                                               j_threshold=1e-3))
+    rec = krotov_ensemble(problem,
+                          [ControlField.constant(problem.grid, 0.1)],
+                          KrotovSettings(lambda_=1.0, max_iters=50,
+                                         j_threshold=1e-3))
     tls_elapsed = time.perf_counter() - start
     tls_ok = rec.final_j <= 1e-3 and len(rec.iterations) - 1 <= 50 \
         and tls_elapsed < 5.0

@@ -412,7 +412,3 @@ class TestCostSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CostSpec(kind="energy")
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            CostSpec(kind="gate", weight=-1.0)

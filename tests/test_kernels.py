@@ -14,7 +14,6 @@ import pytest
 from scipy.linalg import expm
 
 from qoctl import _kernels
-from qoctl._kernels import _fallback
 from qoctl.core import Liouvillian
 from qoctl.dynamics import gkls_generator_parts, reduced_gkls_parts
 from qoctl.scenarios import reset_model
@@ -86,7 +85,7 @@ def generator_data(rng):
 
 class TestKetPropagation:
     # more steps than one eigh block, so block edges are crossed both ways
-    N_STEPS = 2 * _fallback.BLOCK + 5
+    N_STEPS = 2 * _kernels.block_rows(3) + 5  # hamiltonian_data is 3x3
 
     @pytest.mark.parametrize("n_ens", [None, 1, 3])
     @pytest.mark.parametrize("direction", [1, -1])
@@ -300,7 +299,8 @@ class TestMemberAxis:
     def test_propagate_steps(self, hamiltonian_data, rng, direction,
                              n_members):
         drift, coups = hamiltonian_data
-        n_mid, n = 2 * _fallback.BLOCK + 5, drift.shape[0]
+        n = drift.shape[0]
+        n_mid = 2 * _kernels.block_rows(n) + 5
         stacks = [_kernels.step_stack_ket(
             drift, coups, rng.normal(size=(n_mid, coups.shape[0])), 0.05)[0]
             for _ in range(n_members)]

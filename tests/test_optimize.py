@@ -17,8 +17,7 @@ from qoctl.functionals import (CostSpec, canonical_gate, pe_distance,
 from qoctl.optimize import (ControlProblem, KrotovSettings, Parametrization,
                             evaluate_cost, fields_to_csv,
                             gradient_free_search, grape_concurrent,
-                            grape_gradient, hybrid_optimize, krotov_ensemble,
-                            krotov_state_to_state)
+                            grape_gradient, hybrid_optimize, krotov_ensemble)
 from qoctl.optimize import _engine
 from qoctl.scenarios import reset_model
 
@@ -61,9 +60,8 @@ class TestKrotovStateToState:
         guess = [ControlField.constant(grid, -amp)]
         j0 = evaluate_cost(problem, guess)
         assert j0 <= 1e-12
-        rec = krotov_state_to_state(problem, guess,
-                                    KrotovSettings(max_iters=50,
-                                                   j_threshold=1e-10))
+        rec = krotov_ensemble(problem, guess, KrotovSettings(
+            max_iters=50, j_threshold=1e-10))
         assert len(rec.iterations) == 1
         assert rec.converged_reason == "j_threshold"
         assert np.allclose(rec.final_fields[0].samples, guess[0].samples)
@@ -72,9 +70,9 @@ class TestKrotovStateToState:
         problem = tls_transfer_problem()
         guess = [ControlField.constant(problem.grid, 0.1)]
         start = time.perf_counter()
-        rec = krotov_state_to_state(problem, guess,
-                                    KrotovSettings(lambda_=1.0, max_iters=50,
-                                                   j_threshold=1e-3))
+        rec = krotov_ensemble(problem, guess,
+                              KrotovSettings(lambda_=1.0, max_iters=50,
+                                             j_threshold=1e-3))
         elapsed = time.perf_counter() - start
         assert rec.final_j <= 1e-3       # fidelity >= 0.999
         assert len(rec.iterations) - 1 <= 50
@@ -84,8 +82,7 @@ class TestKrotovStateToState:
     def test_update_pinned_at_endpoints(self):
         problem = tls_transfer_problem()
         guess = [ControlField.constant(problem.grid, 0.1)]
-        rec = krotov_state_to_state(problem, guess,
-                                    KrotovSettings(max_iters=10))
+        rec = krotov_ensemble(problem, guess, KrotovSettings(max_iters=10))
         assert rec.final_fields[0].samples[0] == guess[0].samples[0]
         assert rec.final_fields[0].samples[-1] == guess[0].samples[-1]
 
@@ -93,17 +90,14 @@ class TestKrotovStateToState:
         problem = tls_transfer_problem()
         other = TimeGrid(0.0, 1.0, problem.grid.nt)
         with pytest.raises(ValueError):
-            krotov_state_to_state(problem,
-                                  [ControlField.constant(other, 0.1)],
-                                  KrotovSettings())
+            krotov_ensemble(problem, [ControlField.constant(other, 0.1)],
+                            KrotovSettings())
 
     def test_jsonl_stream(self):
         problem = tls_transfer_problem(nt=101)
         stream = io.StringIO()
-        krotov_state_to_state(problem,
-                              [ControlField.constant(problem.grid, 0.1)],
-                              KrotovSettings(max_iters=3),
-                              log_stream=stream)
+        krotov_ensemble(problem, [ControlField.constant(problem.grid, 0.1)],
+                        KrotovSettings(max_iters=3), log_stream=stream)
         lines = stream.getvalue().strip().splitlines()
         assert len(lines) >= 2
         row = json.loads(lines[1])
@@ -113,22 +107,12 @@ class TestKrotovStateToState:
         problem = tls_transfer_problem(nt=101)
         bad = ControlField.constant(problem.grid, 1.0)  # no endpoint zeros
         with pytest.raises(ValueError):
-            krotov_state_to_state(problem,
-                                  [ControlField.constant(problem.grid, 0.1)],
-                                  KrotovSettings(update_shape=bad))
+            krotov_ensemble(problem,
+                            [ControlField.constant(problem.grid, 0.1)],
+                            KrotovSettings(update_shape=bad))
 
 
 class TestKrotovEnsemble:
-    def test_single_pair_reduces_to_state_to_state(self):
-        problem = tls_transfer_problem(nt=201)
-        guess = [ControlField.constant(problem.grid, 0.1)]
-        settings = KrotovSettings(lambda_=1.0, max_iters=5)
-        rec_a = krotov_state_to_state(problem, guess, settings)
-        rec_b = krotov_ensemble(problem, guess, settings)
-        assert np.array_equal(rec_a.final_fields[0].samples,
-                              rec_b.final_fields[0].samples)
-        assert np.array_equal(rec_a.j_history, rec_b.j_history)
-
     def test_two_qubit_cnot_class(self):
         problem = two_qubit_gate_problem()
         guess = [shapes.sin2_ramp(problem.grid, 0.5, 0.1),
@@ -205,8 +189,8 @@ def fresh_passes(engine, amps):
 
 def step_loop_gradient(problem, amps):
     """The exact discrete gradient one step, control and member at a time,
-    from fresh passes: the eigenbasis Frechet formula of a fresh ``eigh``
-    per step (kets), or ``expm_frechet`` per step and control (GKLS)."""
+    from fresh passes: ``expm_frechet`` of each step's generator along each
+    control's part (``-i H dt`` along ``-i C_j dt`` for kets)."""
     engine = _engine(problem)
     fwd, chi = fresh_passes(engine, amps)
     dt = problem.grid.dt
@@ -215,19 +199,12 @@ def step_loop_gradient(problem, amps):
         for j in range(amps.shape[1]):
             if problem.is_open:
                 gen = engine.gen0 + np.tensordot(amps[k], engine.gens, 1)
-                dstep = expm_frechet(gen * dt, engine.gens[j] * dt,
-                                     compute_expm=False)
+                part = engine.gens[j]
             else:
-                w, v = np.linalg.eigh(
-                    engine.drift + np.tensordot(amps[k], engine.coups, 1))
-                phases = np.exp(-1j * dt * w)
-                denom = w[:, None] - w[None, :]
-                safe = np.where(np.abs(denom) > 1e-14, denom, 1.0)
-                ratio = np.where(np.abs(denom) > 1e-14,
-                                 (phases[:, None] - phases[None, :]) / safe,
-                                 -1j * dt * phases[:, None])
-                inner = v.conj().T @ engine.coups[j] @ v
-                dstep = v @ (ratio * inner) @ v.conj().T
+                gen = -1j * (engine.drift
+                             + np.tensordot(amps[k], engine.coups, 1))
+                part = -1j * engine.coups[j]
+            dstep = expm_frechet(gen * dt, part * dt, compute_expm=False)
             acc = sum(np.vdot(chi[k + 1, m], dstep @ fwd[k, m]).real
                       for m in range(fwd.shape[1]))
             grad[k, j] = -2.0 * acc / fwd.shape[1]
@@ -441,6 +418,28 @@ class TestGrape:
                                         for j in range(2)])
         assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("splitting", [1e-6, 1e-9, 1e-11, 1e-12, 0.0])
+    def test_gradient_exact_at_any_splitting(self, splitting):
+        # one step whose Hamiltonian has two eigenvalues `splitting` apart,
+        # coupled by the control; the gate swaps those two levels, so the
+        # gradient is their divided difference of exp(-i w dt), which a
+        # difference quotient would lose to cancellation
+        grid = TimeGrid(0.0, 1.0, 2)
+        drift = np.diag([2.0, 2.0 + splitting, -1.3]).astype(complex)
+        coupling = np.array([[0, 1, 0.4], [1, 0, 0.3], [0.4, 0.3, 0]],
+                            dtype=complex)
+        swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+        h = ControlledHamiltonian(Operator(drift), [(Operator(coupling), 0)])
+        problem = ControlProblem(h, grid,
+                                 [core.basis_ket(3, k) for k in range(3)],
+                                 CostSpec("gate", target=Operator(swap)))
+        grad = grape_gradient(problem, [ControlField.constant(grid, 0.0)])
+        # J = 1 - Re tr(O^dag U) / N, U = exp(-i (H0 + u C) dt)
+        dstep = expm_frechet(-1j * grid.dt * drift, -1j * grid.dt * coupling,
+                             compute_expm=False)
+        ref = -np.trace(swap.T @ dstep).real / 3
+        assert abs(grad[0, 0] - ref) <= 1e-14 * abs(ref)
+
     def test_zero_gradient_at_exact_optimum(self):
         problem = tls_transfer_problem(nt=201)
         grid = problem.grid
@@ -454,10 +453,10 @@ class TestGrape:
         # (the 1e-13 cost floor is set by accumulated roundoff).
         problem = tls_transfer_problem(nt=301)
         guess = [ControlField.constant(problem.grid, 0.1)]
-        rec = krotov_state_to_state(problem, guess,
-                                    KrotovSettings(lambda_=1.0,
-                                                   max_iters=200,
-                                                   j_threshold=1e-13))
+        rec = krotov_ensemble(problem, guess,
+                              KrotovSettings(lambda_=1.0,
+                                             max_iters=200,
+                                             j_threshold=1e-13))
         assert rec.final_j <= 1e-12
         settings = KrotovSettings(lambda_=10.0, max_iters=5,
                                   grape_step=0.1)
@@ -518,12 +517,34 @@ class TestGrape:
         assert rec.final_j < rec.j_history[0]
 
 
+@pytest.mark.parametrize("kind", CostSpec._KINDS)
+@pytest.mark.parametrize("dynamics", ["closed", "open"])
+def test_gradient_methods_accept_every_cost_kind(kind, dynamics):
+    # CostSpec offers only the kinds that the optimizers honour
+    grid = TimeGrid(0.0, 1.0, 21)
+    h = ControlledHamiltonian(0.5 * core.sigma_z(), [(core.sigma_x(), 0)])
+    initial, target = core.basis_ket(2, 0), core.basis_ket(2, 1)
+    jumps = ()
+    if dynamics == "open":
+        initial, target = initial.to_density(), target.to_density()
+        jumps = (np.sqrt(0.1) * core.sigma_minus(),)
+    if kind == "gate":
+        target = core.sigma_x()
+    problem = ControlProblem(h, grid, [initial], CostSpec(kind, target),
+                             jump_operators=jumps)
+    guess = [ControlField.constant(grid, 0.3)]
+    for optimizer in (krotov_ensemble, grape_concurrent):
+        rec = optimizer(problem, guess, KrotovSettings(max_iters=1))
+        assert len(rec.iterations) == 2
+        assert 0.0 <= rec.final_j < rec.j_history[0]
+
+
 class TestGradientFree:
     def test_pi_pulse_amplitude_scan(self):
         # analytic oracle: optimal pulse area equals pi
         problem = tls_transfer_problem(nt=301, tf=4.0)
         grid = problem.grid
-        par = Parametrization(basis="fourier", n_controls=1, n_terms=1,
+        par = Parametrization(n_controls=1, n_terms=1,
                               bounds=[(-3.0, 3.0)],
                               coefficients=np.array([0.3]))
         rec = gradient_free_search(problem, par, budget=80)
@@ -534,7 +555,7 @@ class TestGradientFree:
     def test_zero_parameters_returns_baseline(self):
         problem = tls_transfer_problem(nt=101)
         baseline = [ControlField.constant(problem.grid, 0.17)]
-        par = Parametrization(basis="fourier", n_controls=1, n_terms=0,
+        par = Parametrization(n_controls=1, n_terms=0,
                               bounds=[], baseline=baseline)
         rec = gradient_free_search(problem, par, budget=50)
         assert rec.converged_reason == "no_parameters"
@@ -543,7 +564,7 @@ class TestGradientFree:
 
     def test_budget_exhaustion_flagged(self):
         problem = tls_transfer_problem(nt=101)
-        par = Parametrization(basis="fourier", n_controls=1, n_terms=3,
+        par = Parametrization(n_controls=1, n_terms=3,
                               bounds=[(-2, 2)] * 3)
         rec = gradient_free_search(problem, par, budget=7)
         assert rec.converged_reason == "budget_exhausted"
@@ -587,7 +608,7 @@ class TestHybrid:
     def test_gradient_free_phase_disabled_is_plain_krotov(self):
         problem = tls_transfer_problem(nt=201)
         baseline = [ControlField.constant(problem.grid, 0.1)]
-        par = Parametrization(basis="fourier", n_controls=1, n_terms=0,
+        par = Parametrization(n_controls=1, n_terms=0,
                               bounds=[], baseline=baseline)
         settings = KrotovSettings(lambda_=1.0, max_iters=5)
         hyb = hybrid_optimize(problem, par, settings, budget=0)
@@ -598,7 +619,7 @@ class TestHybrid:
     def test_both_phases_disabled_returns_guess(self):
         problem = tls_transfer_problem(nt=101)
         baseline = [ControlField.constant(problem.grid, 0.07)]
-        par = Parametrization(basis="fourier", n_controls=1, n_terms=0,
+        par = Parametrization(n_controls=1, n_terms=0,
                               bounds=[], baseline=baseline)
         rec = hybrid_optimize(problem, par, KrotovSettings(max_iters=0),
                               budget=0)
@@ -616,7 +637,7 @@ class TestHybrid:
         nm_evals = 40
         k_hybrid = 60
         k_pure = k_hybrid + nm_evals // 2
-        par = Parametrization(basis="fourier", n_controls=2, n_terms=2,
+        par = Parametrization(n_controls=2, n_terms=2,
                               bounds=[(-2.0, 2.0)] * 4)
         hyb = hybrid_optimize(problem, par,
                               KrotovSettings(lambda_=2.0,
@@ -632,7 +653,7 @@ class TestHybrid:
 
     def test_phases_recorded(self):
         problem = tls_transfer_problem(nt=101)
-        par = Parametrization(basis="fourier", n_controls=1, n_terms=1,
+        par = Parametrization(n_controls=1, n_terms=1,
                               bounds=[(-2, 2)])
         rec = hybrid_optimize(problem, par,
                               KrotovSettings(max_iters=3), budget=10)

@@ -55,6 +55,19 @@ CONFIG_ERRORS = [
     {"grid": {"t0": 0.0, "tf": 1.0, "nt": 10 ** 9}},
     {"scenario": "qubit_reset", "system": {"duration_fractions": [1.0, 1.0]}},
     {"scenario": "qubit_reset", "system": {"duration_fractions": [1.2, 0.6]}},
+    # inline controllability operators: non-finite, boolean and fractional
+    # numbers, and more than MAX_LEVELS levels
+    {"scenario": "controllability", "system": {
+        "drift": {"dim": 1, "entries": [[[float("nan"), 0.0]]]}}},
+    {"scenario": "controllability", "system": {
+        "drift": {"dim": 1, "entries": [[[float("inf"), 0.0]]]}}},
+    {"scenario": "controllability", "system": {
+        "drift": {"dim": 1, "entries": [[[True, 0.0]]]}}},
+    {"scenario": "controllability", "system": {
+        "drift": {"dim": 2.7, "entries": [[[1.0, 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [1.0, 0.0]]]}}},
+    {"scenario": "controllability", "system": {
+        "drift": {"dim": 17, "entries": [[[0.0, 0.0]] * 17] * 17}}},
 ]
 
 # --seed-field files that a {"scenario": "rabi"} run (no config grid) must
@@ -635,16 +648,11 @@ class TestFrameChoiceAndAliases:
         with pytest.raises(ConfigError):
             run_scenario(bad)
 
-    def test_qubit_reset_scenario_alias(self, tmp_path):
-        from qoctl.scenarios import qubit_reset_scenario
+    def test_qubit_reset_purity(self, tmp_path):
         path = write_config(tmp_path, {
             "scenario": "qubit_reset",
             "system": {"coupling": 0.3, "duration_fractions": [1.0],
                        "nt": 151},
             "optimizer": {"max_iters": 40}})
-        bundle = qubit_reset_scenario(path)
+        bundle = run_scenario(path)
         assert bundle.summary["results"]["purities"][0] > 0.85
-        wrong = write_config(tmp_path, {"scenario": "rabi"},
-                             name="wrong.json")
-        with pytest.raises(ConfigError):
-            qubit_reset_scenario(wrong)
