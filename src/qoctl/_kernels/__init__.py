@@ -3,9 +3,10 @@
 Every caller (dynamics, optimizers, scenarios) goes through these entry
 points; ensembles and propagator columns are passed as ``(W, N)`` blocks
 rather than member by member.  The optimizers build one step stack per
-field (``step_stack_ket``: one batched ``eigh``, whose eigenpairs the GRAPE
-gradient reuses; ``step_stack_dm``: one stacked ``expm`` call) and take
-states forward and co-states backward through it with ``propagate_steps``.
+field (``step_stack_ket``: one batched ``eigh`` of a given stack of step
+Hamiltonians, whose eigenpairs the GRAPE gradient reuses;
+``step_stack_dm``: one stacked ``expm`` call) and take states forward and
+co-states backward through it with ``propagate_steps``.
 ``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
 block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
 ``krotov_forward_dm`` differ only in how they make a step, run one loop

@@ -1,15 +1,16 @@
 """Piecewise-constant propagation kernels in numpy.
 
 A step stack holds the ``(nt-1, N, N)`` step operators of one field:
-``step_stack_ket`` builds the unitaries from one batched ``eigh`` and also
-returns the eigenpairs, ``step_stack_dm`` exponentiates the GKLS
-generators in one stacked ``expm`` call.  ``propagate_steps`` steps states
-forward through a stack and co-states backward through its adjoints.
-``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
-block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
-``krotov_forward_dm`` differ only in how they make a step; both run one
-loop, ``krotov_forward``, which updates the field while it steps and
-returns the updated field's stack.  Every generator they step, a
+``step_stack_ket`` exponentiates a given stack of step Hamiltonians with
+one batched ``eigh`` and also returns the eigenpairs, ``step_stack_dm``
+exponentiates the GKLS generators of ``amps`` in one stacked ``expm``
+call.  ``propagate_steps`` steps states forward through a stack and
+co-states backward through its adjoints.  ``propagate_pwc_ket`` and
+``propagate_pwc_dm`` build and apply the steps a block at a time.  The
+sequential Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm``
+differ only in how they make a step; both run one loop,
+``krotov_forward``, which updates the field while it steps and returns
+the updated field's stack.  Every generator they step, a
 Hamiltonian ``H0 + sum_j u_j H_j`` or a GKLS one, comes from ``generator``.
 
 Conventions shared by the entry points:
@@ -31,8 +32,8 @@ Conventions shared by the entry points:
 * A step stack may carry a member axis, ``(nt-1, P, N, N)``: P independent
   trajectories, each with its own steps, stepped as one ``(P, W, N)``
   block by ``propagate_steps``.  ``step_stack_ket`` builds such a stack
-  from ``(nt-1, P, M)`` amps; ``block_rows`` says how many steps of it
-  make one block.
+  from ``(nt-1, P, N, N)`` Hamiltonians; ``block_rows`` says how many
+  steps of it make one block.
 """
 
 import numpy as np
@@ -55,12 +56,12 @@ def block_rows(dim, n_members=1):
     return max(1, min(BLOCK, BLOCK * 4 ** 2 // (dim ** 2 * n_members)))
 
 
-def step_stack_ket(drift, coups, amps, dt):
-    """Step unitaries ``exp(-1j * H_k * dt)`` and the eigenpairs ``w``
-    ``(nt-1, N)``, ``v`` ``(nt-1, N, N)`` of the ``H_k`` they came from.
-    One row ``amps`` of shape ``(M,)`` gives one step, without that axis;
-    ``(nt-1, P, M)`` amps give a stack with a member axis."""
-    w, v = np.linalg.eigh(generator(drift, coups, amps))
+def step_stack_ket(hams, dt):
+    """Step unitaries ``exp(-1j * H_k * dt)`` of a Hermitian stack ``hams``
+    ``(..., N, N)``, from one batched ``eigh``, and its eigenpairs ``w``
+    ``(..., N)``, ``v`` ``(..., N, N)``.  A ``(nt-1, P, N, N)`` stack gives
+    steps with a member axis."""
+    w, v = np.linalg.eigh(hams)
     steps = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.conj(
         np.swapaxes(v, -1, -2))
     return steps, w, v
@@ -105,8 +106,9 @@ def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
     -------
     (nt, N) or (nt, W, N) complex ndarray, indexed by state-grid point.
     """
-    return _propagate(lambda block: step_stack_ket(drift, coups, block, dt)[0],
-                      amps, psi0, direction, complex)
+    return _propagate(
+        lambda block: step_stack_ket(generator(drift, coups, block), dt)[0],
+        amps, psi0, direction, complex)
 
 
 def propagate_pwc_dm(gen0, gens, amps, dt, rho0_vec, direction):

@@ -20,7 +20,6 @@ grid, and time derivatives from :func:`qoctl.dynamics.midpoint_derivative`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import core
 from .core import ControlledHamiltonian, Operator
 from .dynamics import (ControlField, TimeGrid, Trajectory,
-                       midpoint_derivative, step_hamiltonians)
+                       midpoint_derivative, step_hamiltonians, write_csv)
 from .frames import ThreeLevelDriveSpec, rwa_three_level
 
 CONTINUITY_MIN_OVERLAP = 0.9
@@ -175,8 +174,10 @@ def counterdiabatic_tls(rabi: ControlField, detuning: ControlField,
     return ControlField(rabi.grid, 0.5 * angles.theta_dot)
 
 
-def counterdiabatic_generic(frame: DressedFrame) -> list:
-    """Counterdiabatic operator sequence ``i (dV/dt) V^dag`` per midpoint.
+def counterdiabatic_generic(frame: DressedFrame) -> np.ndarray:
+    """Counterdiabatic drive ``i (dV/dt) V^dag`` at every midpoint, as one
+    ``(nt-1, N, N)`` array that
+    :func:`qoctl.dynamics.propagate_operator_sequence` propagates.
 
     ``V`` is the continuity-gauged eigenvector frame; the derivative is a
     central finite difference (one-sided at the ends) and the result is
@@ -190,8 +191,7 @@ def counterdiabatic_generic(frame: DressedFrame) -> list:
         raise ValueError("need at least two midpoint frames")
     hcd = 1j * midpoint_derivative(v, frame.grid.dt) @ np.conj(
         np.swapaxes(v, 1, 2))
-    return [Operator(m)
-            for m in 0.5 * (hcd + np.conj(np.swapaxes(hcd, 1, 2)))]
+    return 0.5 * (hcd + np.conj(np.swapaxes(hcd, 1, 2)))
 
 
 def stirap_dark_state(spec: ThreeLevelDriveSpec) -> Trajectory:
@@ -243,20 +243,18 @@ def dressed_csv(frame: DressedFrame, trajectory: Trajectory, path):
 
     One row per midpoint: time, the ordered dressed energies, then the
     populations ``|<phi_n|psi>|^2`` of the grid state at the left edge of
-    each step (a half-step offset, adequate for plotting).
+    each step (a half-step offset, adequate for plotting).  The trajectory
+    must lie on the frame's grid.
     """
+    if trajectory.grid != frame.grid:
+        raise ValueError(f"trajectory grid {trajectory.grid} differs from "
+                         f"the dressed frame's grid {frame.grid}")
+    pops = np.abs(np.einsum("kin,ki->kn", frame.vectors.conj(),
+                            trajectory.array[:-1])) ** 2
     dim = frame.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"energy_{n}" for n in range(dim)]
-                        + [f"pop_{n}" for n in range(dim)])
-        for k, t in enumerate(frame.grid.midpoints):
-            psi = trajectory.array[k]
-            overlaps = np.abs(frame.vectors[k].conj().T @ psi) ** 2
-            row = [repr(float(t))]
-            row += [repr(float(e)) for e in frame.energies[k]]
-            row += [repr(float(p)) for p in overlaps]
-            writer.writerow(row)
+    write_csv(path, ["time"] + [f"energy_{n}" for n in range(dim)]
+              + [f"pop_{n}" for n in range(dim)],
+              np.column_stack([frame.grid.midpoints, frame.energies, pops]))
 
 
 def landau_zener(grid: TimeGrid, gap: float, rate: float):

@@ -114,10 +114,6 @@ class Trajectory:
         return QuantumState._wrap(self.kind, self.array[k])
 
     @property
-    def states(self) -> list:
-        return [self.state(k) for k in range(len(self))]
-
-    @property
     def final(self) -> QuantumState:
         return self.state(len(self) - 1)
 
@@ -157,21 +153,21 @@ class Trajectory:
 
         ``observables`` is a sequence of ``(name, Operator)`` pairs.
         """
-        pops = self.populations()
-        extra = [(name, self.expectations(op)) for name, op in observables]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (["time"] + [f"pop_{i}" for i in range(self.dim)]
-                      + [name for name, _ in extra])
-            writer.writerow(header)
-            for k, t in enumerate(self.grid.times):
-                row = [repr(float(t))]
-                row += [repr(float(p)) for p in pops[k]]
-                for _, vals in extra:
-                    v = vals[k]
-                    row.append(repr(float(v.real)) if np.iscomplexobj(vals)
-                               else repr(float(v)))
-                writer.writerow(row)
+        write_csv(path, ["time"] + [f"pop_{i}" for i in range(self.dim)]
+                  + [name for name, _ in observables], np.column_stack(
+                      [self.grid.times, self.populations()]
+                      + [self.expectations(op).real
+                         for _, op in observables]))
+
+
+def write_csv(path, header: Sequence[str], rows):
+    """Write a CSV artifact: the ``header`` row, then every value of
+    ``rows`` as ``repr(float(x))``, which reads back exactly.  Every CSV
+    qoctl writes goes through here."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) for x in row] for row in rows)
 
 
 def _sample_matrix(controls: Sequence[ControlField], grid: TimeGrid,
@@ -236,11 +232,6 @@ def propagate_ket(h: ControlledHamiltonian, controls: Sequence[ControlField],
 def vectorize_density(rho: np.ndarray) -> np.ndarray:
     """Row-major vec; with it ``vec(A rho B) = (A kron B^T) vec(rho)``."""
     return np.asarray(rho, dtype=complex).reshape(-1)
-
-
-def unvectorize_density(vec: np.ndarray) -> np.ndarray:
-    dim = int(round(np.sqrt(vec.shape[0])))
-    return vec.reshape(dim, dim)
 
 
 def hamiltonian_generator(h: np.ndarray) -> np.ndarray:
@@ -341,31 +332,26 @@ def propagate_density(liouvillian: Liouvillian,
     return Trajectory(grid, "density", (out @ basis.T).reshape(-1, dim, dim))
 
 
-def propagate_operator_sequence(mats, grid: TimeGrid, psi0: QuantumState,
+def propagate_operator_sequence(hams, grid: TimeGrid, psi0: QuantumState,
                                 direction: str = "forward") -> Trajectory:
-    """Propagate a ket under an arbitrary midpoint-sampled Hamiltonian.
+    """Propagate a ket under a given midpoint-sampled Hamiltonian.
 
-    ``mats`` is a sequence of ``nt - 1`` Hermitian matrices (or Operators),
-    one per midpoint.  Internally the sequence is expanded over the
-    orthonormal Hermitian basis so it runs through the same kernels as
-    :func:`propagate_ket`.
+    ``hams`` is array-like ``(nt-1, N, N)``, one Hermitian matrix per
+    midpoint, as :func:`step_hamiltonians`,
+    :func:`qoctl.frames.rotating_frame` and
+    :func:`qoctl.adiabatic.counterdiabatic_generic` return it.  Its steps
+    come from the kernel :func:`propagate_ket` builds its own with, so on
+    ``step_hamiltonians(h, controls, grid)`` the two agree bitwise.
     """
     if not psi0.is_ket:
         raise ValueError("propagate_operator_sequence needs a ket")
-    stack = np.stack([m.matrix if isinstance(m, Operator) else
-                      np.asarray(m, dtype=complex) for m in mats])
-    if stack.shape[0] != grid.nt - 1:
-        raise ValueError(f"need {grid.nt - 1} matrices, got {stack.shape[0]}")
-    dim = stack.shape[1]
-    basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    basis.extend(gellmann_basis(dim))
-    coups = np.stack(basis)
-    # tr(H B) is real for Hermitian H and basis elements
-    amps = np.ascontiguousarray(np.einsum("kij,mji->km", stack, coups).real)
-    out = _kernels.propagate_pwc_ket(np.zeros((dim, dim), dtype=complex),
-                                     coups, amps, grid.dt, psi0.ket,
-                                     _direction_sign(direction))
-    return Trajectory(grid, "ket", out)
+    sign = _direction_sign(direction)
+    hams = np.asarray(hams, dtype=complex)
+    if hams.shape[0] != grid.nt - 1:
+        raise ValueError(f"need {grid.nt - 1} matrices, got {hams.shape[0]}")
+    steps = _kernels.step_stack_ket(hams, grid.dt)[0]
+    return Trajectory(grid, "ket",
+                      _kernels.propagate_steps(steps, psi0.ket, sign))
 
 
 def _direction_sign(direction: str) -> int:

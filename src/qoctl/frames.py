@@ -219,13 +219,15 @@ def rwa_three_level(spec: ThreeLevelDriveSpec):
 def rotating_frame(h: ControlledHamiltonian,
                    controls: Sequence[ControlField], grid: TimeGrid,
                    theta: Callable[[float], Sequence[float]],
-                   theta_dot: Optional[Callable] = None) -> list:
+                   theta_dot: Optional[Callable] = None) -> np.ndarray:
     """Transform into the frame of diagonal phases ``U = diag(e^{-i th_k})``.
 
-    Returns the midpoint-sampled sequence of
-    ``H'(t) = U^dag H U - diag(theta_dot)``.  The analytic derivative of
-    ``theta`` is required; populations in the rotated frame match the
-    original ones (checked by the frame-equivalence oracle in the tests).
+    Returns the ``(nt-1, N, N)`` array of ``H'(t) = U^dag H U -
+    diag(theta_dot)`` at the midpoints, which
+    :func:`qoctl.dynamics.propagate_operator_sequence` propagates.  The
+    analytic derivative of ``theta`` is required; populations in the
+    rotated frame match the original ones (checked by the
+    frame-equivalence oracle in the tests).
     """
     if theta_dot is None:
         raise ValueError("rotating_frame needs the analytic derivative "
@@ -238,7 +240,7 @@ def rotating_frame(h: ControlledHamiltonian,
     u = np.exp(-1j * th)
     rotated = u.conj()[:, :, None] * hams * u[:, None, :]
     rotated[:, np.arange(h.dim), np.arange(h.dim)] -= td
-    return [Operator(m) for m in rotated]
+    return rotated
 
 
 def chirped_field(e0: float, shape: ControlField, omegaL: float,

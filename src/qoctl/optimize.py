@@ -36,7 +36,6 @@ product ``chi^T R_j rho``, where ``R_j`` is the control's generator part
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass
@@ -48,7 +47,8 @@ from scipy.linalg import expm_frechet
 from . import _kernels, shapes
 from .core import ControlledHamiltonian, Liouvillian, QuantumState
 from .dynamics import (ControlField, TimeGrid, _coupling_stack,
-                       _sample_matrix, reduced_gkls_parts, vectorize_density)
+                       _sample_matrix, reduced_gkls_parts, vectorize_density,
+                       write_csv)
 from .functionals import CostSpec
 
 
@@ -178,13 +178,9 @@ class OptimizationRecord:
 
 def fields_to_csv(fields: Sequence[ControlField], path):
     """Midpoint time in column 0, one column per control."""
-    grid = fields[0].grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"u_{j}" for j in range(len(fields))])
-        for k, t in enumerate(grid.midpoints):
-            writer.writerow([repr(float(t))]
-                            + [repr(float(f.samples[k])) for f in fields])
+    write_csv(path, ["time"] + [f"u_{j}" for j in range(len(fields))],
+              np.column_stack([fields[0].grid.midpoints]
+                              + [f.samples for f in fields]))
 
 
 def _log(stream, entry: IterationEntry):
@@ -209,8 +205,8 @@ class _KetEngine:
     def forward(self, amps):
         """States of the field ``amps``, its step unitaries and the
         eigenpairs ``(w, v)`` of its step Hamiltonians."""
-        steps, w, v = _kernels.step_stack_ket(self.drift, self.coups, amps,
-                                              self.grid.dt)
+        steps, w, v = _kernels.step_stack_ket(
+            _kernels.generator(self.drift, self.coups, amps), self.grid.dt)
         return _kernels.propagate_steps(steps, self.psi0, 1), steps, (w, v)
 
     def cost_value(self, finals) -> float:

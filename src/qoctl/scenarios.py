@@ -9,7 +9,6 @@ identical configs produce byte-identical JSON.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,8 @@ from .adiabatic import counterdiabatic_tls, landau_zener
 from .controllability import build_graph, graph_controllability, lie_rank
 from .core import ControlledHamiltonian, Liouvillian, Operator, QuantumState
 from .dynamics import (ControlField, TimeGrid, _coupling_stack,
-                       _sample_matrix, propagate_density, propagate_ket)
+                       _sample_matrix, propagate_density, propagate_ket,
+                       write_csv)
 from .frames import (FRAME_CHOICES, ThreeLevelDriveSpec, TwoLevelDriveSpec,
                      rwa_three_level, rwa_two_level)
 from .functionals import (CostSpec, bichromatic_visibility, canonical_gate,
@@ -120,6 +120,8 @@ def _check(value, row: Key, where: str):
         return value
     try:
         return row.build(value)
+    except ConfigError:  # a build that checks its own rows, as _system does
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
@@ -142,16 +144,6 @@ def _summary_text(summary: dict) -> str:
         raise ScenarioError(f"non-finite result: {exc}") from exc
 
 
-def _write_tidy_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) if isinstance(x, (int, float,
-                                                              np.floating))
-                             else x for x in row])
-
-
 def emit_plot_data(bundle: ResultBundle, kind: str) -> Path:
     """Tidy plot-ready CSV (one observation per row) from a result bundle.
 
@@ -172,7 +164,7 @@ def emit_plot_data(bundle: ResultBundle, kind: str) -> Path:
     if kind not in headers:
         raise ScenarioError(f"unknown plot kind {kind!r}")
     path = bundle.out_dir / f"{kind}.csv"
-    _write_tidy_csv(path, headers[kind], bundle.series[kind])
+    write_csv(path, headers[kind], bundle.series[kind])
     return path
 
 
@@ -336,8 +328,9 @@ def _bichromatic(config, bundle):
         drive = rabi_peak * envelope[k0:k0 + rows] * (
             np.cos(omega1 * t) + np.cos(omega2 * t + phases))
         # both controls carry the drive
-        steps = _kernels.step_stack_ket(drift.matrix, coups, np.stack(
-            [drive, drive], axis=-1), grid.dt)[0]
+        steps = _kernels.step_stack_ket(_kernels.generator(
+            drift.matrix, coups, np.stack([drive, drive], axis=-1)),
+            grid.dt)[0]
         block = _kernels.propagate_steps(steps, state, 1)
         worst_drift = max(worst_drift, np.abs(
             np.linalg.norm(block[1:], axis=-1) - 1.0).max())

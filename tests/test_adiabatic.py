@@ -230,7 +230,7 @@ class TestCounterdiabaticGeneric:
                                             np.full(20, 0.7))
         frame = dressed_frame(h, fields, grid)
         seq = counterdiabatic_generic(frame)
-        assert max(np.max(np.abs(op.matrix)) for op in seq) <= 1e-10
+        assert np.max(np.abs(seq)) <= 1e-10
 
     def test_matches_two_level_closed_form(self):
         g, rate = 1.0, 1.2
@@ -238,7 +238,7 @@ class TestCounterdiabaticGeneric:
         h, fields = landau_zener(grid, g, rate)
         frame = dressed_frame(h, fields, grid)
         seq = counterdiabatic_generic(frame)
-        got = np.array([op.matrix[0, 1].imag for op in seq])
+        got = seq[:, 0, 1].imag
         # H_CD = (theta_dot/2) sigma_y has (0,1) entry -i theta_dot / 2
         ucd = counterdiabatic_tls(
             ControlField.constant(grid, g),
@@ -246,8 +246,7 @@ class TestCounterdiabaticGeneric:
             rabi_dot=np.zeros(12000), detuning_dot=np.full(12000, rate))
         interior = slice(1, -1)  # one-sided ends are first-order only
         assert np.max(np.abs(-got[interior] - ucd.samples[interior])) <= 1e-6
-        hermit = max(np.max(np.abs(op.matrix - op.matrix.conj().T))
-                     for op in seq)
+        hermit = np.max(np.abs(seq - np.conj(np.swapaxes(seq, 1, 2))))
         assert hermit <= 1e-12
 
     def test_stirap_cd_drives_forbidden_transition(self):
@@ -260,7 +259,7 @@ class TestCounterdiabaticGeneric:
         h, fields = rwa_three_level(spec)
         frame = dressed_frame(h, fields, grid)
         seq = counterdiabatic_generic(frame)
-        peak_13 = max(abs(op.matrix[0, 2]) for op in seq)
+        peak_13 = np.max(np.abs(seq[:, 0, 2]))
         assert peak_13 > 1e-3
 
 
@@ -364,3 +363,19 @@ def test_dressed_csv_export(tmp_path):
     assert len(lines) == grid.nt  # one row per midpoint plus header
     first = [float(x) for x in lines[1].split(",")]
     assert first[3] + first[4] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("other", [TimeGrid(-4.0, 4.0, 51),
+                                   TimeGrid(-8.0, 8.0, 101),
+                                   TimeGrid(-4.0, 4.0, 201)],
+                         ids=["shorter", "same_nt", "longer"])
+def test_dressed_csv_rejects_trajectory_on_another_grid(tmp_path, other):
+    from qoctl.adiabatic import dressed_csv
+    grid = TimeGrid(-4.0, 4.0, 101)
+    frame = dressed_frame(*landau_zener(grid, 0.8, 1.0), grid)
+    h, fields = landau_zener(other, 0.8, 1.0)
+    traj = propagate_ket(h, fields, other, core.basis_ket(2, 0))
+    path = tmp_path / "dressed.csv"
+    with pytest.raises(ValueError, match="grid"):
+        dressed_csv(frame, traj, path)
+    assert not path.exists()

@@ -3,7 +3,9 @@
 Each example takes a small valid config of one scenario and replaces one
 key with a generated JSON value.  Whatever the value, ``qoctl run`` must
 exit 0, 2, 3 or 4, print one ``{"error": ...}`` object on failure, and
-write a byte-identical ``summary.json`` when run twice.
+write byte-identical artifacts when run twice: ``summary.json``, the plot
+data its ``outputs`` request and every other file of the output
+directory.
 """
 
 import contextlib
@@ -18,17 +20,24 @@ from hypothesis import strategies as st
 from qoctl import cli
 from qoctl.scenarios import SCENARIOS, SCHEMA
 
-# Small valid configs: at most 101 grid points and 2 iterations.
+# Small valid configs: at most 101 grid points and 2 iterations, each
+# requesting its scenario's plot data.
 BASES = {
-    "rabi": {"grid": {"t0": 0.0, "tf": 1.0, "nt": 101}},
-    "landau_zener": {"grid": {"t0": -5.0, "tf": 5.0, "nt": 101}},
-    "stirap": {"grid": {"t0": 0.0, "tf": 20.0, "nt": 101}},
+    "rabi": {"grid": {"t0": 0.0, "tf": 1.0, "nt": 101},
+             "outputs": ["population_vs_time"]},
+    "landau_zener": {"grid": {"t0": -5.0, "tf": 5.0, "nt": 101},
+                     "outputs": ["probability_vs_sweep_rate"]},
+    "stirap": {"grid": {"t0": 0.0, "tf": 20.0, "nt": 101},
+               "outputs": ["population_vs_time"]},
     "bichromatic": {"grid": {"t0": 0.0, "tf": 60.0, "nt": 101},
-                    "system": {"n_phases": 3}},
+                    "system": {"n_phases": 3},
+                    "outputs": ["population_vs_phase"]},
     "qubit_reset": {"system": {"duration_fractions": [1.0], "nt": 21},
-                    "optimizer": {"max_iters": 2}},
+                    "optimizer": {"max_iters": 2},
+                    "outputs": ["probability_vs_sweep_rate"]},
     "gate_opt": {"grid": {"t0": 0.0, "tf": 2.0, "nt": 41},
-                 "optimizer": {"max_iters": 2, "budget": 2}},
+                 "optimizer": {"max_iters": 2, "budget": 2},
+                 "outputs": ["j_vs_iteration"]},
     "controllability": {"system": {"name": "ladder", "levels": 3}},
 }
 
@@ -88,6 +97,12 @@ CASES = st.sampled_from(PATHS).flatmap(
     lambda case: st.tuples(st.just(case), _value_for(case[1])))
 
 
+def _files(out_dir):
+    """``relative path -> bytes`` of every file a run wrote."""
+    return {path.relative_to(out_dir): path.read_bytes()
+            for path in out_dir.rglob("*") if path.is_file()}
+
+
 def _run(config_path, out_dir):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -117,5 +132,6 @@ def test_cli_contract_holds_for_generated_configs(case):
             assert set(payload) == {"error"}, payload
             return
         assert _run(config_path, tmp / "b")[0] == 0
-        assert (tmp / "a" / "summary.json").read_bytes() \
-            == (tmp / "b" / "summary.json").read_bytes()
+        first = _files(tmp / "a")
+        assert Path("summary.json") in first
+        assert first == _files(tmp / "b")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qoctl import core
+from qoctl import _kernels, core
 from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
 from qoctl.dynamics import (ControlField, TimeGrid, Trajectory,
                             bloch_precession, expectation,
@@ -94,6 +94,24 @@ class TestKetPropagation:
         assert np.max(np.abs(seq.array - fwd.array)) <= 1e-9
         back = propagate_operator_sequence(mats, grid, seq.final, "backward")
         assert np.max(np.abs(back.array - seq.array)) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_operator_sequence_is_the_ket_path(self, rng, dim, direction):
+        # a given Hamiltonian stack is stepped by the kernel propagate_ket
+        # builds its own steps with: the same numbers, over several blocks
+        nt = 2 * _kernels.block_rows(dim) + 6
+        grid = TimeGrid(0.0, 0.01 * (nt - 1), nt)
+        h = ControlledHamiltonian(random_hermitian(rng, dim),
+                                  [(random_hermitian(rng, dim), 0),
+                                   (random_hermitian(rng, dim), 1)])
+        fields = [ControlField(grid, rng.normal(size=nt - 1))
+                  for _ in range(2)]
+        psi0 = random_ket(rng, dim)
+        ref = propagate_ket(h, fields, grid, psi0, direction)
+        got = propagate_operator_sequence(
+            step_hamiltonians(h, fields, grid), grid, psi0, direction)
+        assert np.array_equal(got.array, ref.array)
 
     def test_control_count_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 11)

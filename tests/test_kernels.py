@@ -8,15 +8,22 @@ once.
 """
 
 import inspect
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qoctl import _kernels
-from qoctl.core import Liouvillian
-from qoctl.dynamics import gkls_generator_parts, reduced_gkls_parts
+from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
+from qoctl.dynamics import (ControlField, TimeGrid, gkls_generator_parts,
+                            propagate_density, reduced_gkls_parts,
+                            vectorize_density)
 from qoctl.scenarios import reset_model
+
+from conftest import random_density, random_hermitian
 
 RTOL = 1e-12
 
@@ -212,7 +219,8 @@ class TestStepStack:
         drift, coups = hamiltonian_data
         n_mid, dt = 30, 0.05
         amps = rng.normal(size=(n_mid, coups.shape[0]))
-        steps, w, v = _kernels.step_stack_ket(drift, coups, amps, dt)
+        steps, w, v = _kernels.step_stack_ket(
+            _kernels.generator(drift, coups, amps), dt)
         assert steps.shape == v.shape == (n_mid,) + drift.shape
         for k in range(n_mid):
             h = drift + np.tensordot(amps[k], coups, 1)
@@ -301,8 +309,8 @@ class TestMemberAxis:
         drift, coups = hamiltonian_data
         n = drift.shape[0]
         n_mid = 2 * _kernels.block_rows(n) + 5
-        stacks = [_kernels.step_stack_ket(
-            drift, coups, rng.normal(size=(n_mid, coups.shape[0])), 0.05)[0]
+        stacks = [_kernels.step_stack_ket(_kernels.generator(
+            drift, coups, rng.normal(size=(n_mid, coups.shape[0]))), 0.05)[0]
             for _ in range(n_members)]
         state = random_block(rng, (n_members, 1, n))
         got = _kernels.propagate_steps(np.stack(stacks, axis=1), state,
@@ -316,11 +324,12 @@ class TestMemberAxis:
         drift, coups = hamiltonian_data
         rows, n_members, n = 40, 4, drift.shape[0]
         amps = rng.normal(size=(rows, n_members, coups.shape[0]))
-        got = _kernels.step_stack_ket(drift, coups, amps, 0.05)
+        got = _kernels.step_stack_ket(
+            _kernels.generator(drift, coups, amps), 0.05)
         assert got[0].shape == (rows, n_members, n, n)
         for p in range(n_members):
-            ref = _kernels.step_stack_ket(drift, coups, amps[:, p].copy(),
-                                          0.05)
+            ref = _kernels.step_stack_ket(
+                _kernels.generator(drift, coups, amps[:, p].copy()), 0.05)
             for got_part, ref_part in zip(got, ref):
                 assert np.array_equal(got_part[:, p], ref_part)
 
@@ -337,3 +346,87 @@ def test_traced_kernel_parameters(name, state):
     if name.startswith("propagate_pwc"):
         expected.add("direction")
     assert expected <= set(params)
+
+
+@dataclass
+class Model:
+    liouvillian: Liouvillian
+    amps: np.ndarray  # (n_steps, n_controls)
+    dt: float
+    rho0: object
+
+    @property
+    def parts(self):
+        h = self.liouvillian.hamiltonian
+        return h.drift.matrix, np.stack([op.matrix
+                                         for op in h.control_operators()])
+
+
+@st.composite
+def models(draw):
+    """A random model: 2 to 4 levels, 1 or 2 controls, 0 to 2 jump
+    operators, a drift whose two lowest levels may be split by only 1e-9,
+    and controls whose samples may be that small or zero."""
+    dim = draw(st.integers(2, 4))
+    n_ctrl = draw(st.integers(1, 2))
+    n_jumps = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    drift = random_hermitian(rng, dim)
+    if draw(st.booleans()):
+        w, v = np.linalg.eigh(drift.matrix)
+        w[1] = w[0] + 1e-9
+        drift = Operator((v * w) @ v.conj().T)
+    h = ControlledHamiltonian(drift, [(random_hermitian(rng, dim), j)
+                                      for j in range(n_ctrl)])
+    jumps = [Operator(0.3 * (rng.normal(size=(dim, dim))
+                             + 1j * rng.normal(size=(dim, dim))))
+             for _ in range(n_jumps)]
+    scale = draw(st.sampled_from([0.0, 1e-9, 1.0]))
+    amps = scale * rng.normal(size=(draw(st.integers(1, 40)), n_ctrl))
+    return Model(Liouvillian(h, jumps), amps,
+                 draw(st.sampled_from([0.01, 0.1, 0.5])),
+                 random_density(rng, dim))
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestProperties:
+    """Kernel invariants on random small models, drawn by hypothesis."""
+
+    @PROPERTY
+    @given(models())
+    def test_ket_steps_unitary(self, model):
+        steps = _kernels.step_stack_ket(_kernels.generator(
+            *model.parts, model.amps), model.dt)[0]
+        eye = np.eye(steps.shape[-1])
+        assert np.max(np.abs(steps @ np.conj(np.swapaxes(steps, 1, 2))
+                             - eye)) <= 1e-12
+
+    @PROPERTY
+    @given(models(), st.integers(1, 3))
+    def test_forward_backward_round_trip(self, model, n_ens):
+        steps = _kernels.step_stack_ket(_kernels.generator(
+            *model.parts, model.amps), model.dt)[0]
+        rng = np.random.default_rng(n_ens)
+        block = random_block(rng, (n_ens, steps.shape[-1]))
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        fwd = _kernels.propagate_steps(steps, block, 1)
+        back = _kernels.propagate_steps(steps, fwd[-1], -1)
+        assert np.max(np.abs(back[0] - block)) <= 1e-10
+
+    @PROPERTY
+    @given(models())
+    def test_density_matches_full_expm_loop(self, model):
+        liou, dim = model.liouvillian, model.rho0.dim
+        n_steps = model.amps.shape[0]
+        grid = TimeGrid(0.0, model.dt * n_steps, n_steps + 1)
+        fields = [ControlField(grid, col) for col in model.amps.T]
+        got = propagate_density(liou, fields, grid, model.rho0)
+        gen0, gens = gkls_generator_parts(liou)
+        ref = reference_propagation(gen0, gens, model.amps, model.dt,
+                                    vectorize_density(model.rho0.rho), 1)
+        assert np.max(np.abs(got.array - ref.reshape(-1, dim, dim))) \
+            <= 1e-10
+        assert got.max_norm_drift() <= 1e-12

@@ -337,6 +337,28 @@ class TestControllabilityScenario:
         bundle = run_scenario(path)
         assert bundle.summary["results"]["lie_dimension"] == 3
 
+    @pytest.mark.parametrize("system, message", [
+        ({"drift": {"dim": 17, "entries": [[[0.0, 0.0]] * 17] * 17}},
+         "config.system.drift.dim must be a finite int in [1, 16], got 17"),
+        ({"name": "ladder", "levels": 40},
+         "config.system.levels must be a finite int in [2, 16], got 40"),
+        ({"name": "tls", "wat": 1},
+         "config.system must be a JSON object with keys from ['name', "
+         "'omega'], got {'name': 'tls', 'wat': 1}"),
+        # an error of Operator.from_dict keeps the prefix of its key
+        ({"drift": {"dim": 2, "entries": [[[1.0, 0.0]]]}},
+         "invalid config.system.drift: entries shape (1, 1) contradicts "
+         "dim=2"),
+    ], ids=["inline_dim", "ladder_levels", "unknown_key", "inline_shape"])
+    def test_system_error_reported_once(self, tmp_path, capsys, system,
+                                        message):
+        from qoctl import cli
+        path = write_config(tmp_path, {"scenario": "controllability",
+                                       "system": system})
+        assert cli.main(["run", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] \
+            == {"type": "config", "message": message}
+
 
 class TestCliProcess:
     def run_cli(self, *argv):
