@@ -37,7 +37,6 @@ Conventions shared by the entry points:
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 BACKEND = "python"
 
@@ -70,6 +69,8 @@ def step_stack_ket(hams, dt):
 def step_stack_dm(gen0, gens, amps, dt):
     """Step operators ``expm(G_k * dt)``: one Pade exponential call over the
     whole stack of generators (the generator is not normal)."""
+    # deferred: scipy.linalg is over half a start-up; only GKLS steps use it
+    from scipy.linalg import expm
     return expm(generator(gen0 * dt, gens * dt, amps))
 
 
@@ -169,6 +170,8 @@ def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
     and the step operators ``expm(G_k * dt)`` of the updated field, shaped
     as for kets.
     """
+    # deferred: scipy.linalg is over half a start-up; only GKLS steps use it
+    from scipy.linalg import expm
     gen0, gens = gen0 * dt, gens * dt
     return krotov_forward(lambda row: expm(generator(gen0, gens, row)),
                           comms, amps, chi, rho0_vec, gain)
@@ -234,3 +237,14 @@ def generator(base, parts, amps):
         amps.shape[:-1] + base.shape)
     gen += base  # in place: a step stack is not allocated twice
     return gen
+
+
+def __getattr__(name):
+    # ``_fallback.expm`` resolves to the current ``scipy.linalg.expm`` only
+    # for perfbench's tracer test, which reads the name; it goes with the
+    # tracer's kernel patching (ROADMAP item 3b).  Binding it at import
+    # would load scipy.linalg in every run.
+    if name == "expm":
+        import scipy.linalg
+        return scipy.linalg.expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -77,7 +77,8 @@ def dressed_frame(h: ControlledHamiltonian,
     Steps where the assignment is ambiguous (tiny gap or overlap below 0.9)
     are flagged, not silently accepted.
     """
-    # deferred: scipy.optimize adds about 0.14 s and 20 MB to every start-up
+    # deferred: scipy.optimize, with the scipy.linalg it loads, outweighs
+    # the rest of a start-up
     from scipy.optimize import linear_sum_assignment
 
     energies, vectors = np.linalg.eigh(step_hamiltonians(h, controls, grid))

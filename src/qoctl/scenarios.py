@@ -39,6 +39,9 @@ MAX_NT = 100_001        # grid points of one propagation
 MAX_COUNT = 10_000      # iterations, Nelder-Mead evaluations, phases
 MAX_FOURIER = 64        # Fourier terms per control
 MAX_LEVELS = 16         # ladder levels; the Lie closure grows as levels**6
+# The optimizers' update shape vanishes at the first and last midpoint, so
+# an optimized grid needs two midpoints or more
+MIN_OPTIMIZED_NT = 3
 
 # a --seed-field time may be this many steps off its grid midpoint
 SEED_TIME_TOL = 1e-6
@@ -591,9 +594,14 @@ _RUNNERS = {
 
 # Schema table ---------------------------------------------------------------
 
-_GRID = Key(None, {"t0": Key(0.0), "tf": Key(REQUIRED),
-                   "nt": Key(REQUIRED, int, lo=2, hi=MAX_NT)},
-            nullable=True, build=lambda grid: TimeGrid(**grid))
+def _grid(min_nt: int) -> Key:
+    """A nullable ``grid`` row of at least ``min_nt`` points."""
+    return Key(None, {"t0": Key(0.0), "tf": Key(REQUIRED),
+                      "nt": Key(REQUIRED, int, lo=min_nt, hi=MAX_NT)},
+               nullable=True, build=lambda grid: TimeGrid(**grid))
+
+
+_GRID = _grid(2)
 
 
 def _increasing(values: list) -> list:
@@ -650,14 +658,15 @@ SCHEMA = {
         "duration_fractions": Key(np.arange(0.5, 1.35, 0.1).tolist(),
                                   [Key(REQUIRED, positive=True)], lo=1,
                                   build=_increasing),
-        "nt": Key(301, int, lo=2, hi=MAX_NT)}, optimizer=Key({}, {
+        "nt": Key(301, int, lo=MIN_OPTIMIZED_NT, hi=MAX_NT)},
+        optimizer=Key({}, {
         "lambda": Key(0.2, positive=True),
         "max_iters": Key(200, int, lo=0, hi=MAX_COUNT),
         "dj_threshold": Key(1e-9, lo=0.0),
         "stall_shrink": Key(0.7, positive=True, hi=1.0, nullable=True),
         "guess_amplitude": Key(None, nullable=True)})),  # None: 0.9 resonance
     "gate_opt": _scenario(("j_vs_iteration",), {"coupling": Key(1.0)},
-                          grid=_GRID, optimizer=Key({}, {
+                          grid=_grid(MIN_OPTIMIZED_NT), optimizer=Key({}, {
         "lambda": Key(2.0, positive=True),
         "max_iters": Key(800, int, lo=0, hi=MAX_COUNT),
         "j_threshold": Key(2e-7, lo=0.0),

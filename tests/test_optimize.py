@@ -4,13 +4,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
 from scipy.linalg import expm_frechet
 
 from qoctl import _kernels, core, shapes
 from qoctl.core import ControlledHamiltonian, Operator, tensor_product
-from qoctl.dynamics import (ControlField, TimeGrid, propagate_density,
-                            propagate_ket)
+from qoctl.dynamics import (ControlField, TimeGrid, gkls_generator_parts,
+                            propagate_density, propagate_ket,
+                            vectorize_density)
 from qoctl.functionals import (CostSpec, canonical_gate, pe_distance,
                                three_state_gate_fidelity,
                                verification_states, weyl_coordinates)
@@ -20,6 +23,9 @@ from qoctl.optimize import (ControlProblem, KrotovSettings, Parametrization,
                             grape_gradient, hybrid_optimize, krotov_ensemble)
 from qoctl.optimize import _engine
 from qoctl.scenarios import reset_model
+
+from conftest import random_density, random_ket, random_unitary
+from random_models import PROPERTY, models
 
 
 def tls_transfer_problem(nt=501, tf=3 * np.pi):
@@ -262,15 +268,16 @@ class TestKrotovStepReuse:
             <= 1e-12 * np.max(np.abs(amps_ref))
 
     def test_one_exponential_per_step_and_pass(self, monkeypatch):
-        from qoctl._kernels import _fallback
-        expm, calls = _fallback.expm, []
+        # the GKLS kernels import scipy.linalg.expm when they step
+        import scipy.linalg
+        expm, calls = scipy.linalg.expm, []
 
         def counting_expm(a):
             # one call exponentiates a whole stack: count its matrices
             calls.append(int(np.prod(np.shape(a)[:-2])))
             return expm(a)
 
-        monkeypatch.setattr(_fallback, "expm", counting_expm)
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
         problem, guess = qubit_reset_problem()
         rec = krotov_ensemble(problem, guess, self.SETTINGS)
         n_iter = len(rec.iterations) - 1
@@ -475,8 +482,9 @@ class TestGrape:
         settings = KrotovSettings(max_iters=6, grape_step=30.0)
         j_ref, amps_ref, trials = recomputing_grape(problem, fields, settings)
         assert trials > settings.max_iters  # some trials were rejected
-        from qoctl._kernels import _fallback
-        eigh, expm, counts = np.linalg.eigh, _fallback.expm, {}
+        # the GKLS kernels import scipy.linalg.expm when they step
+        import scipy.linalg
+        eigh, expm, counts = np.linalg.eigh, scipy.linalg.expm, {}
 
         def counting(name, func):
             def wrapper(a):
@@ -486,7 +494,7 @@ class TestGrape:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
-        monkeypatch.setattr(_fallback, "expm", counting("expm", expm))
+        monkeypatch.setattr(scipy.linalg, "expm", counting("expm", expm))
         rec = grape_concurrent(problem, fields, settings)
         assert len(rec.iterations) == len(j_ref)
         assert np.max(np.abs(rec.j_history - j_ref)) <= 1e-12 * j_ref[0]
@@ -537,6 +545,80 @@ def test_gradient_methods_accept_every_cost_kind(kind, dynamics):
         rec = optimizer(problem, guess, KrotovSettings(max_iters=1))
         assert len(rec.iterations) == 2
         assert 0.0 <= rec.final_j < rec.j_history[0]
+
+
+def full_space_gradient(problem, amps):
+    """``dJ/du_j[k]`` one step, control and member at a time in the full
+    space, with no qoctl kernel: kets under ``-i H``, or row-major
+    vectorized density matrices under the ``N^2 x N^2`` GKLS generator of
+    :func:`gkls_generator_parts`.  Each step is a scipy ``expm``; its
+    derivative along control ``j`` is the ``expm_frechet`` of the step
+    generator along that control's part."""
+    h = problem.hamiltonian
+    if problem.is_open:
+        gen0, gens = gkls_generator_parts(problem.liouvillian())
+        states = np.stack([vectorize_density(s.rho)
+                           for s in problem.initial_states])
+        targets = np.stack([vectorize_density(t.rho)
+                            for t in problem.targets()])
+    else:
+        gen0 = -1j * h.drift.matrix
+        gens = -1j * np.stack([op.matrix for op in h.control_operators()])
+        states = np.stack([s.ket for s in problem.initial_states])
+        targets = np.stack([t.ket for t in problem.targets()])
+    dt, n_states = problem.grid.dt, len(states)
+    gen = (gen0 + np.tensordot(amps, gens, 1)) * dt
+    fwd = [states]
+    for g in gen:
+        fwd.append(fwd[-1] @ dense_expm(g).T)
+    # co-state at tf: sum_w Re <chi_w|d state_w> = n_states * dJ
+    final = fwd[-1]
+    if problem.is_open:  # J = mean ||rho - target||^2 / 2
+        chi = final - targets
+    elif problem.cost.kind == "state_to_state":  # J = 1 - mean |<t|psi>|^2
+        chi = -2.0 * np.sum(targets.conj() * final, axis=1)[:, None] \
+            * targets
+    else:  # J = 1 - mean Re <t|psi>
+        chi = -targets
+    grad = np.zeros_like(amps)
+    for k in range(len(gen) - 1, -1, -1):
+        for j in range(len(gens)):
+            dstep = expm_frechet(gen[k], gens[j] * dt, compute_expm=False)
+            grad[k, j] = np.vdot(chi, fwd[k] @ dstep.T).real / n_states
+        chi = chi @ dense_expm(gen[k]).conj()  # S_k^dag chi, as rows
+    return grad
+
+
+class TestGradientProperties:
+    """The GRAPE gradients of both engines on random small models (2 to 4
+    levels, 1 or 2 controls, 0 to 2 jump operators, near-degenerate drifts,
+    zero or tiny samples), against the full-space Frechet loop."""
+
+    @staticmethod
+    def problem(model, kind, is_open, n_states, seed):
+        rng = np.random.default_rng(seed)
+        liou, dim = model.liouvillian, model.rho0.dim
+        draw = random_density if is_open else random_ket
+        initial = [draw(rng, dim) for _ in range(n_states)]
+        target = Operator(random_unitary(rng, dim)) if kind == "gate" \
+            else [draw(rng, dim) for _ in range(n_states)]
+        n_steps = model.amps.shape[0]
+        grid = TimeGrid(0.0, model.dt * n_steps, n_steps + 1)
+        return ControlProblem(
+            liou.hamiltonian, grid, initial, CostSpec(kind, target),
+            jump_operators=liou.jump_operators if is_open else ())
+
+    @PROPERTY
+    @given(models(), st.sampled_from(CostSpec._KINDS), st.booleans(),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_matches_full_space_frechet_loop(self, model, kind, is_open,
+                                             n_states, seed):
+        problem = self.problem(model, kind, is_open, n_states, seed)
+        grid, amps = problem.grid, model.amps
+        grad = grape_gradient(problem, [ControlField(grid, col)
+                                        for col in amps.T])
+        ref = full_space_gradient(problem, amps)
+        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestGradientFree:

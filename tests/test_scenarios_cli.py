@@ -68,6 +68,9 @@ CONFIG_ERRORS = [
                                           [[0.0, 0.0], [1.0, 0.0]]]}}},
     {"scenario": "controllability", "system": {
         "drift": {"dim": 17, "entries": [[[0.0, 0.0]] * 17] * 17}}},
+    # one midpoint, where the update shape vanishes: nothing to optimize
+    {"scenario": "qubit_reset", "system": {"nt": 2}},
+    {"scenario": "gate_opt", "grid": {"t0": 0, "tf": 2, "nt": 2}},
 ]
 
 # --seed-field files that a {"scenario": "rabi"} run (no config grid) must
@@ -436,6 +439,19 @@ class TestCliProcess:
         assert json.loads(capsys.readouterr().out)["error"]["type"] \
             == "config"
 
+    @pytest.mark.parametrize("config", [
+        {"scenario": "qubit_reset",
+         "system": {"nt": 3, "duration_fractions": [1.0]}},
+        {"scenario": "gate_opt", "grid": {"t0": 0, "tf": 2, "nt": 3}},
+    ], ids=["qubit_reset", "gate_opt"])
+    def test_optimized_grid_of_two_midpoints_runs(self, tmp_path, config):
+        # the update shape pins both midpoints; one midpoint (nt 2) is a
+        # config error (CONFIG_ERRORS)
+        from qoctl import cli
+        cfg = write_config(tmp_path, {**config,
+                                      "optimizer": {"max_iters": 1}})
+        assert cli.main(["run", str(cfg)]) == 0
+
     def test_outputs_need_out_dir(self, tmp_path, no_numerics, capsys):
         from qoctl import cli
         cfg = write_config(tmp_path, {"scenario": "rabi",
@@ -541,6 +557,59 @@ class TestCliProcess:
         assert json.loads(result.stdout) == {
             "import": False, "bichromatic": [0, False],
             "qubit_reset": [0, False], "gate_opt": [0, True]}
+
+    def test_only_gkls_steps_and_the_simplex_search_load_scipy_linalg(
+            self, tmp_path):
+        # fresh interpreters: the closed-system runs one after another in
+        # one, then each run that loads scipy.linalg in one of its own
+        small = {"grid": {"t0": 0, "tf": 2, "nt": 21}}
+        closed = {
+            "rabi": {"scenario": "rabi"},
+            "landau_zener": {"scenario": "landau_zener"},
+            "controllability": {"scenario": "controllability",
+                                "system": {"name": "tls"}},
+            "bichromatic": {"scenario": "bichromatic",
+                            "grid": {"t0": 0, "tf": 60, "nt": 241},
+                            "system": {"n_phases": 3}},
+            "gate_opt_budget_0": {"scenario": "gate_opt", **small,
+                                  "optimizer": {"budget": 0,
+                                                "max_iters": 1}},
+        }
+        loading = {
+            "qubit_reset": {"scenario": "qubit_reset",
+                            "system": {"duration_fractions": [1.0],
+                                       "nt": 5},
+                            "optimizer": {"max_iters": 1}},
+            "stirap": {"scenario": "stirap",
+                       "grid": {"t0": 0, "tf": 20, "nt": 201}},
+            "gate_opt": {"scenario": "gate_opt", **small,
+                         "optimizer": {"budget": 2, "max_iters": 1,
+                                       "n_fourier": 1}},
+        }
+
+        def loads(configs):
+            paths = {name: str(write_config(tmp_path, config,
+                                            f"{name}.json"))
+                     for name, config in configs.items()}
+            probe = (
+                "import contextlib, io, json, sys\n"
+                "import qoctl.cli, qoctl.optimize\n"
+                "seen = {'import': 'scipy.linalg' in sys.modules}\n"
+                f"for name, path in {paths!r}.items():\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = qoctl.cli.main(['run', path])\n"
+                "    seen[name] = (code, 'scipy.linalg' in sys.modules)\n"
+                "print(json.dumps(seen))\n")
+            result = subprocess.run([sys.executable, "-c", probe],
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            return json.loads(result.stdout)
+
+        assert loads(closed) == {"import": False, **{
+            name: [0, False] for name in closed}}
+        for name, config in loading.items():
+            assert loads({name: config}) == {"import": False,
+                                             name: [0, True]}
 
     def test_missing_config_file_io_error(self, tmp_path):
         result = self.run_cli("run", str(tmp_path / "absent.json"))
