@@ -196,17 +196,15 @@ def build_graph(h: ControlledHamiltonian) -> TransitionGraph:
     return TransitionGraph(energies, tuple(edges))
 
 
-def coupled_transitions(graph: TransitionGraph,
-                        freq_tol: Optional[float] = None) -> list:
+def coupled_transitions(graph: TransitionGraph) -> list:
     """Partition edges into coupled groups (same control, same frequency).
 
-    Frequency equality is transitive clustering within ``freq_tol``
-    (default ``1e-9`` of the spectral span); degenerate transitions driven
-    by the same control cannot be addressed separately.
+    Frequency equality is transitive clustering within ``1e-9`` of the
+    spectral span (``1e-9`` when the span is zero); degenerate transitions
+    driven by the same control cannot be addressed separately.
     """
-    if freq_tol is None:
-        span = float(np.ptp(graph.energies))
-        freq_tol = 1e-9 * span if span > 0 else 1e-9
+    span = float(np.ptp(graph.energies))
+    freq_tol = 1e-9 * span if span > 0 else 1e-9
     groups = []
     by_control = {}
     for edge in graph.edges:
@@ -224,8 +222,7 @@ def coupled_transitions(graph: TransitionGraph,
     return groups
 
 
-def graph_controllability(graph: TransitionGraph,
-                          freq_tol: Optional[float] = None
+def graph_controllability(graph: TransitionGraph
                           ) -> GraphControllabilityResult:
     """Search for a spanning connected subgraph of decoupled transitions.
 
@@ -238,58 +235,40 @@ def graph_controllability(graph: TransitionGraph,
     n = graph.n_nodes
     if n == 1:
         return GraphControllabilityResult(True, (), None)
-    if not _connected(n, graph.edges):
+    if not _spans(n, graph.edges):
         return GraphControllabilityResult(False, None, "disconnected")
-    groups = coupled_transitions(graph, freq_tol)
-    witness = _spanning_selection(n, groups)
+    witness = _spanning_selection(n, coupled_transitions(graph))
     if witness is None:
         return GraphControllabilityResult(False, None,
                                           "only_coupled_spanning")
     return GraphControllabilityResult(True, tuple(witness), None)
 
 
-def _connected(n_nodes: int, edges) -> bool:
-    if n_nodes == 0:
-        return True
-    adj = {i: set() for i in range(n_nodes)}
+def _spans(n_nodes: int, edges) -> bool:
+    """Whether ``edges`` connect all ``n_nodes`` nodes (union-find)."""
+    parent = list(range(n_nodes))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comps = n_nodes
     for e in edges:
-        adj[e.node_a].add(e.node_b)
-        adj[e.node_b].add(e.node_a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for other in adj[node]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == n_nodes
+        ra, rb = find(e.node_a), find(e.node_b)
+        if ra != rb:
+            parent[ra] = rb
+            comps -= 1
+    return comps == 1
 
 
 def _spanning_selection(n_nodes: int, groups):
     """Backtracking search: pick <= 1 edge per group, span all nodes."""
     chosen = []
 
-    def feasible(selected):
-        # union-find over selected edges
-        parent = list(range(n_nodes))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n_nodes
-        for e in selected:
-            ra, rb = find(e.node_a), find(e.node_b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps == 1
-
     def recurse(idx):
-        if feasible(chosen):
+        if _spans(n_nodes, chosen):
             return True
         if idx == len(groups):
             return False

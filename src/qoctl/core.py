@@ -78,9 +78,6 @@ class Operator:
         """Cached result of the entrywise ``|A - A^dag| <= 1e-12`` check."""
         return self._hermitian
 
-    def dagger(self) -> "Operator":
-        return Operator(self._matrix.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self._matrix))
 
@@ -389,7 +386,9 @@ class ControlledHamiltonian:
 
     ``couplings`` maps each coupling operator to a control index; several
     operators may share an index (they enter with the same amplitude).
-    Indices must be contiguous from 0.
+    Indices must be contiguous from 0.  The drift and every coupling must
+    be Hermitian: the propagators diagonalize with ``eigh``, which reads
+    one triangle only.
     """
 
     drift: Operator
@@ -400,10 +399,15 @@ class ControlledHamiltonian:
         object.__setattr__(self, "drift", drift)
         coups = tuple((op, int(idx)) for op, idx in couplings)
         object.__setattr__(self, "couplings", coups)
-        for op, _ in coups:
+        if not drift.hermitian:
+            raise ValueError("drift Hamiltonian must be Hermitian")
+        for op, idx in coups:
             if op.dim != drift.dim:
                 raise DimensionMismatchError(
                     f"coupling dim {op.dim} != drift dim {drift.dim}")
+            if not op.hermitian:
+                raise ValueError(f"coupling operator of control {idx} "
+                                 f"must be Hermitian")
         indices = sorted({idx for _, idx in coups})
         if indices and indices != list(range(len(indices))):
             raise ValueError(f"control indices must be contiguous from 0, "
@@ -476,11 +480,6 @@ def sigma_y() -> Operator:
 
 def sigma_z() -> Operator:
     return Operator([[1, 0], [0, -1]])
-
-
-def sigma_plus() -> Operator:
-    """Raising operator |1><0| in the sigma_z eigenbasis (|0> upper)."""
-    return Operator([[0, 0], [1, 0]])
 
 
 def sigma_minus() -> Operator:

@@ -79,11 +79,6 @@ class ControlField:
     def constant(cls, grid: TimeGrid, value: float) -> "ControlField":
         return cls(grid, np.full(grid.nt - 1, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid,
-                      func: Callable[[float], float]) -> "ControlField":
-        return cls(grid, np.array([func(t) for t in grid.midpoints]))
-
     def __add__(self, other: "ControlField") -> "ControlField":
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
@@ -148,16 +143,10 @@ class Trajectory:
             raise ValueError("eigenvalue check applies to density states")
         return float(np.linalg.eigvalsh(self.array)[:, 0].min())
 
-    def to_csv(self, path, observables: Sequence = ()):
-        """Tidy trajectory export: time, populations, named expectations.
-
-        ``observables`` is a sequence of ``(name, Operator)`` pairs.
-        """
-        write_csv(path, ["time"] + [f"pop_{i}" for i in range(self.dim)]
-                  + [name for name, _ in observables], np.column_stack(
-                      [self.grid.times, self.populations()]
-                      + [self.expectations(op).real
-                         for _, op in observables]))
+    def to_csv(self, path):
+        """Tidy trajectory export: time, then one population per level."""
+        write_csv(path, ["time"] + [f"pop_{i}" for i in range(self.dim)],
+                  np.column_stack([self.grid.times, self.populations()]))
 
 
 def write_csv(path, header: Sequence[str], rows):

@@ -113,22 +113,18 @@ class ThreeLevelDriveSpec:
         return self.carriers[0] - self.omega21
 
     @property
-    def detuning_2(self) -> float:
-        """One-photon detuning of the second transition."""
-        return self.carriers[1] - self.omega32
-
-    @property
     def detuning_2p(self) -> float:
-        """Two-photon detuning; equals the sum of the one-photon ones."""
-        return self.detuning_1 + self.detuning_2
+        """Two-photon detuning: the first one-photon detuning plus the
+        second, ``omega2 - omega32``."""
+        return self.detuning_1 + (self.carriers[1] - self.omega32)
 
-    def lab_hamiltonian(self, dipole_ratio: float = 1.0):
+    def lab_hamiltonian(self):
         """Lab-frame problem with both colors coupling both transitions.
 
-        ``Omega_i(t) = mu_i E_i S_i(t)`` fixes each color's envelope, and
-        ``dipole_ratio = mu_2 / mu_1`` sets how strongly each color leaks
-        into the other transition (the leakage is what the two-photon RWA
-        discards).  Returns ``(ControlledHamiltonian, fields)``.
+        ``Omega_i(t) = mu_i E_i S_i(t)`` fixes each color's envelope; with
+        equal dipoles each color leaks into the other transition at full
+        strength (the leakage is what the two-photon RWA discards).
+        Returns ``(ControlledHamiltonian, fields)``.
         """
         drift = Operator(np.diag(np.asarray(self.energies, dtype=complex)))
         c12 = Operator([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
@@ -137,11 +133,8 @@ class ThreeLevelDriveSpec:
         t = self.grid.midpoints
         color1 = self.rabi[0].samples * np.cos(self.carriers[0] * t)
         color2 = self.rabi[1].samples * np.cos(self.carriers[1] * t)
-        fields = [
-            ControlField(self.grid, color1 + color2 / dipole_ratio),
-            ControlField(self.grid, dipole_ratio * color1 + color2),
-        ]
-        return h, fields
+        field = ControlField(self.grid, color1 + color2)
+        return h, [field, field]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (DimensionMismatchError, Operator, QuantumState,
                    bloch_vector)
 
 UNITARITY_ATOL = 1e-10
+WEYL_DIGITS = 10
 
 _MAGIC = np.array([[1, 0, 0, 1j],
                    [0, 1j, 1, 0],
@@ -96,21 +97,17 @@ def j_state_to_state(final_state: QuantumState,
 
 
 def j_gate(realized: Operator, gate: Operator,
-           logical_indices: Optional[list] = None,
            phase_insensitive: bool = False) -> float:
     """Projected gate cost ``1 - Re tr(O^dag P U P) / N`` (0 at optimum).
 
     ``realized`` acts on the full space; ``gate`` on the ``N``-dimensional
-    logical subspace spanned by ``logical_indices`` (default: the first
-    ``N`` basis states).  The real-trace form penalizes global phase; the
-    ``phase_insensitive`` flag switches to ``1 - |tr|^2 / N^2``.
+    logical subspace spanned by the first ``N`` basis states.  The
+    real-trace form penalizes global phase; the ``phase_insensitive`` flag
+    switches to ``1 - |tr|^2 / N^2``.
     """
     _require_unitary(gate)
     n = gate.dim
-    idx = list(range(n)) if logical_indices is None else list(logical_indices)
-    if len(idx) != n:
-        raise ValueError(f"need {n} logical indices, got {len(idx)}")
-    sub = realized.matrix[np.ix_(idx, idx)]
+    sub = realized.matrix[:n, :n]
     tr = np.trace(gate.matrix.conj().T @ sub)
     if phase_insensitive:
         return float(1.0 - (abs(tr) / n) ** 2)
@@ -160,14 +157,14 @@ class WeylCoordinates:
                 and p2 + p3 <= 0.5 + tol)
 
 
-def weyl_coordinates(u: Operator, ndigits: int = 10) -> WeylCoordinates:
+def weyl_coordinates(u: Operator) -> WeylCoordinates:
     """Canonical Weyl chamber coordinates of a two-qubit gate.
 
     Spectral algorithm: the eigenphases of ``U (SySy U^T SySy) / sqrt(det)``
     determine the class; the representative is folded into the canonical
     chamber, so locally equivalent gates map to identical coordinates.
-    Rounded to ``ndigits`` before the fold, so that boundary gates land
-    exactly on the boundary and fold by their rounded ``c3``.
+    Rounded to ``WEYL_DIGITS`` decimals before the fold, so that boundary
+    gates land exactly on the boundary and fold by their rounded ``c3``.
     """
     if u.dim != 4:
         raise DimensionMismatchError("Weyl coordinates need a 4x4 unitary")
@@ -182,11 +179,11 @@ def weyl_coordinates(u: Operator, ndigits: int = 10) -> WeylCoordinates:
     s -= np.concatenate([np.ones(n), np.zeros(4 - n)])
     s = np.roll(s, -n)
     mat = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    c1, c2, c3 = np.round(mat @ s[:3], ndigits)
+    c1, c2, c3 = np.round(mat @ s[:3], WEYL_DIGITS)
     if c3 < 0 or (c3 == 0 and c1 > 0.5):
         c1, c3 = 1.0 - c1, -c3
     # rounded again so both sides of a fold agree; + 0.0 turns -0.0 into 0.0
-    coords = (np.round([c1, c2, c3], ndigits) + 0.0) * np.pi
+    coords = (np.round([c1, c2, c3], WEYL_DIGITS) + 0.0) * np.pi
     return WeylCoordinates(*map(float, coords))
 
 
@@ -354,15 +351,15 @@ def _state_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 # Mixed-target matching ------------------------------------------------------
 
-def bloch_match_cost(rho: QuantumState, target: QuantumState,
-                     w_angle: float = 0.5, w_length: float = 0.5) -> float:
+def bloch_match_cost(rho: QuantumState, target: QuantumState) -> float:
     """Angle-and-length mismatch of Bloch vectors, in [0, 1].
 
-    ``w_a (1 - cos th)/2 + w_l (|r| - |r_t|)^2 / (1 - 1/N)``; zero iff the
-    states coincide.  Unlike the Hilbert-Schmidt overlap this does not
-    reward states purer than a mixed target.  For a maximally mixed target
-    the angle is undefined and the cost degrades to length-only (full
-    weight on the length term).
+    ``(1 - cos th)/4 + (|r| - |r_t|)^2 / (2 (1 - 1/N))``: equal weights
+    on the angle and the length term, zero iff the states coincide.
+    Unlike the Hilbert-Schmidt overlap this does not reward states purer
+    than a mixed target.  For a maximally mixed target the angle is
+    undefined and the cost degrades to length-only (full weight on the
+    length term).
     """
     if not (rho.is_density and target.is_density):
         raise ValueError("bloch_match_cost compares density matrices")
@@ -379,7 +376,7 @@ def bloch_match_cost(rho: QuantumState, target: QuantumState,
         cos_th = 0.0
     else:
         cos_th = float(np.clip(r @ rt / (len_r * len_t), -1.0, 1.0))
-    return float(w_angle * (1.0 - cos_th) / 2.0 + w_length * length_term)
+    return float(0.5 * (1.0 - cos_th) / 2.0 + 0.5 * length_term)
 
 
 # Perturbative interference formulas ----------------------------------------

@@ -112,18 +112,15 @@ class ControlProblem:
 
 @dataclass
 class KrotovSettings:
-    """Step size, update shape and stopping thresholds.
+    """Step size and stopping thresholds.
 
-    ``lambda_`` is the inverse step size of the sequential update;
-    ``update_shape`` must vanish at both ends (fields stay pinned at
-    switch-on/off) and defaults to a flat-top with 5% sine-squared ramps.
+    ``lambda_`` is the inverse step size of the sequential update.
     ``stall_shrink``, if set, multiplies ``lambda_`` by that factor
     whenever an iteration improves by less than ``dj_threshold`` without
     having converged.  ``grape_step`` only affects the concurrent method.
     """
 
     lambda_: float = 1.0
-    update_shape: Optional[ControlField] = None
     max_iters: int = 100
     j_threshold: float = 0.0
     dj_threshold: float = 0.0
@@ -131,16 +128,14 @@ class KrotovSettings:
     grape_step: float = 1.0
 
     def shape_for(self, grid: TimeGrid) -> np.ndarray:
-        if self.update_shape is None:
-            s = shapes.sin2_ramp(grid, 1.0, 0.05).samples
-        else:
-            if self.update_shape.grid != grid:
-                raise ValueError("update shape grid mismatch")
-            s = self.update_shape.samples
+        """Update shape on ``grid``: a flat top with 5% sine-squared ramps.
+
+        It must vanish at both ends (fields stay pinned at switch-on/off),
+        which a grid of one midpoint cannot give.
+        """
+        s = shapes.sin2_ramp(grid, 1.0, 0.05).samples
         if abs(s[0]) > 1e-15 or abs(s[-1]) > 1e-15:
             raise ValueError("update shape must vanish at both ends")
-        if np.min(s) < 0 or np.max(s) > 1 + 1e-12:
-            raise ValueError("update shape must lie in [0, 1]")
         return s
 
 
@@ -170,9 +165,9 @@ class OptimizationRecord:
     def final_j(self) -> float:
         return self.iterations[-1].j_tf
 
-    def monotonic(self, slack: float = 1e-12) -> bool:
-        j = self.j_history
-        return bool(np.all(np.diff(j) <= slack))
+    def monotonic(self) -> bool:
+        """Whether no iteration raised the cost by more than 1e-12."""
+        return bool(np.all(np.diff(self.j_history) <= 1e-12))
 
 
 def fields_to_csv(fields: Sequence[ControlField], path):
@@ -325,7 +320,7 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     engine = _engine(problem)
     amps = _sample_matrix(guess, problem.grid,
                           problem.hamiltonian.n_controls)
-    gain = settings.shape_for(problem.grid) / settings.lambda_
+    shape = settings.shape_for(problem.grid)
     dt = problem.grid.dt
     tf_span = problem.grid.tf - problem.grid.t0
     lam = settings.lambda_
@@ -352,7 +347,7 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
                     steps, engine.chi_boundary(fwd[-1]), -1)
                 steps = None  # one step stack alive at a time
             old = amps.copy()
-            trial, steps = engine.krotov_forward(amps, chi, gain)
+            trial, steps = engine.krotov_forward(amps, chi, shape / lam)
             j_new = engine.cost_value(trial[-1])
             if not np.isfinite(j_new):
                 raise FloatingPointError(f"non-finite functional at "
@@ -364,7 +359,6 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
                 amps[:] = old
                 steps = None
                 lam *= 2.0
-                gain = settings.shape_for(problem.grid) / lam
                 rejects += 1
                 entry = IterationEntry(
                     it, j_tf, 0.0, (time.perf_counter() - t_start) * 1e3)
@@ -375,13 +369,10 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
                     break
                 continue
             fwd, chi = trial, None
-            delta = amps - old
-            shape = gain * lam
-            with np.errstate(invalid="ignore", divide="ignore"):
-                penalty = np.where(shape[:, None] > 0,
-                                   delta ** 2
-                                   / np.where(shape[:, None] > 0,
-                                              shape[:, None], 1.0), 0.0)
+            # the update is zero where the shape is, so those samples
+            # add nothing to the running cost
+            active = shape > 0
+            penalty = (amps - old)[active] ** 2 / shape[active, None]
             running = float(lam * np.sum(penalty) * dt / tf_span)
             wall = (time.perf_counter() - t_start) * 1e3
             entry = IterationEntry(it, j_new, running, wall)
@@ -396,7 +387,6 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
                     improvement < settings.dj_threshold:
                 if settings.stall_shrink is not None and rejects == 0:
                     lam = lam * settings.stall_shrink
-                    gain = settings.shape_for(problem.grid) / lam
                     continue
                 reason = "dj_threshold"
                 break
@@ -422,6 +412,8 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
     shape = settings.shape_for(problem.grid)
     fwd, steps, eig = engine.forward(amps)
     j_tf = engine.cost_value(fwd[-1])
+    if not np.isfinite(j_tf):
+        raise FloatingPointError("non-finite functional for the guess field")
     entries = [IterationEntry(0, j_tf, 0.0, 0.0, phase="grape")]
     _log(log_stream, entries[0])
     if j_tf <= settings.j_threshold:

@@ -356,15 +356,17 @@ def _bichromatic(config, bundle):
 
 
 def reset_model(coupling_j, omega_s=10.0, omega_b=12.0, kappa=2e-4,
-                p_exc=0.05, qubit_populations=(0.6, 0.4)):
-    """Qubit + auxiliary TLS with XX coupling and z-drive on the qubit."""
+                p_exc=0.05):
+    """Qubit + auxiliary TLS with XX coupling and z-drive on the qubit.
+
+    The qubit starts with populations ``(0.6, 0.4)``."""
     sx, sz, eye = core.sigma_x(), core.sigma_z(), core.identity(2)
     drift = 0.5 * omega_s * core.tensor_product(sz, eye) \
         + 0.5 * omega_b * core.tensor_product(eye, sz) \
         + coupling_j * core.tensor_product(sx, sx)
     h = ControlledHamiltonian(drift, [(core.tensor_product(sz, eye), 0)])
     jump = np.sqrt(kappa) * core.tensor_product(eye, core.sigma_minus())
-    rho_s = np.diag(qubit_populations).astype(complex)
+    rho_s = np.diag([0.6, 0.4]).astype(complex)
     rho_b = np.diag([1 - p_exc, p_exc]).astype(complex)
     rho0 = QuantumState.from_density(np.kron(rho_s, rho_b))
     target = QuantumState.from_density(np.kron(rho_b, rho_s))
@@ -407,7 +409,7 @@ def _qubit_reset(config, bundle, seed_field=None):
             lambda_=opt["lambda"], max_iters=opt["max_iters"],
             dj_threshold=opt["dj_threshold"],
             stall_shrink=opt["stall_shrink"]))
-        monotone = monotone and record.monotonic(1e-12)
+        monotone = monotone and record.monotonic()
         traj = propagate_density(problem.liouvillian(), record.final_fields,
                                  grid, rho0)
         durations.append(grid.tf)

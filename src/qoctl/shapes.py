@@ -1,7 +1,7 @@
 """Field envelopes for guesses and update shapes.
 
 Configs name no envelope: the ``rabi`` scenario drives with ``flat`` and
-the optimizers' default update shape is ``sin2_ramp``.  All builders return
+the optimizers' update shape is ``sin2_ramp``.  All builders return
 a :class:`~qoctl.dynamics.ControlField` sampled on the midpoint grid.
 """
 

@@ -212,6 +212,18 @@ class TestControlledHamiltonian:
         with pytest.raises(core.DimensionMismatchError):
             ControlledHamiltonian(core.identity(3), [(core.sigma_x(), 0)])
 
+    def test_non_hermitian_drift_rejected(self):
+        # eigh reads one triangle: [[0, 1], [0, 0]] would step as sigma_x
+        with pytest.raises(ValueError, match="Hermitian"):
+            ControlledHamiltonian(Operator([[0, 1], [0, 0]]),
+                                  [(core.sigma_x(), 0)])
+
+    def test_non_hermitian_coupling_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            ControlledHamiltonian(core.sigma_z(),
+                                  [(core.sigma_x(), 0),
+                                   (Operator([[0, 1], [0, 0]]), 1)])
+
     def test_at_assembles_sum(self):
         h = ControlledHamiltonian(core.sigma_z(), [(core.sigma_x(), 0),
                                                    (core.sigma_y(), 1)])

@@ -390,9 +390,9 @@ class TestTrajectoryExport:
         h, fields = tls_rabi(grid, 1.0)
         traj = propagate_ket(h, fields, grid, core.basis_ket(2, 0))
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, observables=[("sx", core.sigma_x())])
+        traj.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,pop_0,pop_1,sx"
+        assert lines[0] == "time,pop_0,pop_1"
         assert len(lines) == 6
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0 and first[1] == 1.0
