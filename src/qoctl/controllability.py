@@ -37,7 +37,6 @@ class LieAlgebraReport:
     dimension_found: int
     full_rank: bool
     target_dimension: int
-    depth_reached: int
     truncated: bool
 
 
@@ -150,11 +149,10 @@ def lie_rank(h: ControlledHamiltonian,
     depth = 0
     truncated = False
     while frontier and len(span) < target:
-        depth += 1
-        if depth > max_depth:
+        if depth >= max_depth:
             truncated = True
-            depth = max_depth
             break
+        depth += 1
         new_frontier = []
         snapshot = list(span.basis)
         for f in frontier:
@@ -169,7 +167,6 @@ def lie_rank(h: ControlledHamiltonian,
     return LieAlgebraReport(dimension_found=found,
                             full_rank=found >= target,
                             target_dimension=target,
-                            depth_reached=depth,
                             truncated=truncated)
 
 

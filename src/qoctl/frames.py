@@ -126,15 +126,21 @@ class ThreeLevelDriveSpec:
         strength (the leakage is what the two-photon RWA discards).
         Returns ``(ControlledHamiltonian, fields)``.
         """
-        drift = Operator(np.diag(np.asarray(self.energies, dtype=complex)))
-        c12 = Operator([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        c23 = Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-        h = ControlledHamiltonian(drift, [(c12, 0), (c23, 1)])
         t = self.grid.midpoints
         color1 = self.rabi[0].samples * np.cos(self.carriers[0] * t)
         color2 = self.rabi[1].samples * np.cos(self.carriers[1] * t)
         field = ControlField(self.grid, color1 + color2)
-        return h, [field, field]
+        return _ladder(self.energies), [field, field]
+
+
+def _ladder(diagonal) -> ControlledHamiltonian:
+    """Diagonal drift with control 0 on the 1-2 and control 1 on the 2-3
+    transition of the three-level ladder."""
+    c12 = Operator([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    c23 = Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    return ControlledHamiltonian(
+        Operator(np.diag(np.asarray(diagonal, dtype=complex))),
+        [(c12, 0), (c23, 1)])
 
 
 @dataclass(frozen=True)
@@ -200,31 +206,23 @@ def rwa_three_level(spec: ThreeLevelDriveSpec):
     ``(0, Delta_1, Delta_2P)`` and real off-diagonals ``Omega_i(t)/2`` --
     the frame in which the detunings sit on the diagonal.
     """
-    drift = Operator(np.diag([0.0, spec.detuning_1, spec.detuning_2p])
-                     .astype(complex))
-    c12 = Operator([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    c23 = Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-    h = ControlledHamiltonian(drift, [(c12, 0), (c23, 1)])
-    fields = [0.5 * spec.rabi[0], 0.5 * spec.rabi[1]]
-    return h, fields
+    h = _ladder([0.0, spec.detuning_1, spec.detuning_2p])
+    return h, [0.5 * spec.rabi[0], 0.5 * spec.rabi[1]]
 
 
 def rotating_frame(h: ControlledHamiltonian,
                    controls: Sequence[ControlField], grid: TimeGrid,
                    theta: Callable[[float], Sequence[float]],
-                   theta_dot: Optional[Callable] = None) -> np.ndarray:
+                   theta_dot: Callable) -> np.ndarray:
     """Transform into the frame of diagonal phases ``U = diag(e^{-i th_k})``.
 
     Returns the ``(nt-1, N, N)`` array of ``H'(t) = U^dag H U -
     diag(theta_dot)`` at the midpoints, which
-    :func:`qoctl.dynamics.propagate_operator_sequence` propagates.  The
-    analytic derivative of ``theta`` is required; populations in the
-    rotated frame match the original ones (checked by the
+    :func:`qoctl.dynamics.propagate_operator_sequence` propagates.
+    ``theta_dot`` is the analytic derivative of ``theta``; populations in
+    the rotated frame match the original ones (checked by the
     frame-equivalence oracle in the tests).
     """
-    if theta_dot is None:
-        raise ValueError("rotating_frame needs the analytic derivative "
-                         "theta_dot of the frame phases")
     hams = step_hamiltonians(h, controls, grid)
     th = np.array([theta(t) for t in grid.midpoints], dtype=float)
     td = np.array([theta_dot(t) for t in grid.midpoints], dtype=float)

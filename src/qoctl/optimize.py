@@ -44,7 +44,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, shapes
-from .core import ControlledHamiltonian, Liouvillian, QuantumState
+from .core import (ControlledHamiltonian, DimensionMismatchError,
+                   Liouvillian, QuantumState, StateVariantError)
 from .dynamics import (ControlField, TimeGrid, _coupling_stack,
                        _sample_matrix, reduced_gkls_parts, vectorize_density,
                        write_csv)
@@ -57,8 +58,9 @@ class ControlProblem:
 
     ``initial_states`` and the cost's target payload must be matched in
     length (gate costs derive their targets from the gate and the initial
-    states).  Open-system dynamics is selected by density initial states;
-    ``jump_operators`` may then be non-empty.
+    states).  Every state is of one variant and, like the gate, of the
+    Hamiltonian's dimension.  Open-system dynamics is selected by density
+    initial states; ``jump_operators`` may then be non-empty.
     """
 
     hamiltonian: ControlledHamiltonian
@@ -67,16 +69,25 @@ class ControlProblem:
     cost: CostSpec
     jump_operators: tuple = ()
 
-    def __init__(self, hamiltonian, grid, initial_states, cost,
-                 jump_operators=()):
-        object.__setattr__(self, "hamiltonian", hamiltonian)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "initial_states", tuple(initial_states))
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "jump_operators", tuple(jump_operators))
-        kinds = {s.kind for s in self.initial_states}
-        if len(kinds) != 1:
-            raise ValueError("initial states must share a variant")
+    def __post_init__(self):
+        object.__setattr__(self, "initial_states", tuple(self.initial_states))
+        object.__setattr__(self, "jump_operators", tuple(self.jump_operators))
+        if not self.initial_states:
+            raise ValueError("need at least one initial state")
+        dim, kind = self.hamiltonian.dim, self.initial_states[0].kind
+        gate = self.cost.kind == "gate"
+        if gate and self.cost.target.dim != dim:
+            raise DimensionMismatchError(
+                f"gate dim {self.cost.target.dim} != Hamiltonian dim {dim}")
+        for name, states in (("initial state", self.initial_states),
+                             ("target", [] if gate else self.targets())):
+            for k, state in enumerate(states):
+                if state.kind != kind:
+                    raise StateVariantError(f"{name} {k} is a {state.kind}, "
+                                            f"initial state 0 a {kind}")
+                if state.dim != dim:
+                    raise DimensionMismatchError(f"{name} {k} dim {state.dim}"
+                                                 f" != Hamiltonian dim {dim}")
         if self.jump_operators and not self.is_open:
             raise ValueError("jump operators require density initial states")
 
@@ -166,8 +177,11 @@ class OptimizationRecord:
         return self.iterations[-1].j_tf
 
     def monotonic(self) -> bool:
-        """Whether no iteration raised the cost by more than 1e-12."""
-        return bool(np.all(np.diff(self.j_history) <= 1e-12))
+        """Whether no Krotov or GRAPE iteration raised the cost by more
+        than 1e-12; simplex evaluations are not iterations."""
+        js = [e.j_tf for e in self.iterations
+              if e.phase in ("krotov", "grape")]
+        return bool(np.all(np.diff(js) <= 1e-12))
 
 
 def fields_to_csv(fields: Sequence[ControlField], path):
@@ -181,7 +195,8 @@ def _log(stream, entry: IterationEntry):
     if stream is not None:
         stream.write(json.dumps({"iter": entry.index, "J_tf": entry.j_tf,
                                  "running_cost": entry.running_cost,
-                                 "wall_ms": entry.wall_ms}) + "\n")
+                                 "wall_ms": entry.wall_ms,
+                                 "phase": entry.phase}) + "\n")
 
 
 class _KetEngine:
@@ -560,6 +575,7 @@ def gradient_free_search(problem: ControlProblem,
         fields = parametrization.render(grid)
         j0 = float(evaluate_cost(problem, fields))
         entry = IterationEntry(0, j0, 0.0, 0.0, phase="gradient_free")
+        _log(log_stream, entry)
         return OptimizationRecord([entry], fields, "no_parameters",
                                   method="gradient_free")
 
@@ -585,7 +601,9 @@ def hybrid_optimize(problem: ControlProblem,
 
     With a zero budget (or an empty parametrization) it reduces to plain
     Krotov from the baseline guess; with ``max_iters == 0`` it returns the
-    gradient-free result; with both disabled it returns the guess.
+    gradient-free result; with both disabled it returns the guess.  The
+    record is the two phases' records in turn, each entry's ``index``
+    counting within its phase, as the log stream does.
     """
     pre = gradient_free_search(problem, parametrization, budget,
                                log_stream=log_stream)
@@ -593,11 +611,8 @@ def hybrid_optimize(problem: ControlProblem,
         return pre
     polish = krotov_ensemble(problem, pre.final_fields, settings,
                              log_stream=log_stream)
-    offset = len(pre.iterations)
-    merged = pre.iterations + [
-        IterationEntry(offset + e.index, e.j_tf, e.running_cost, e.wall_ms,
-                       phase=e.phase) for e in polish.iterations]
-    return OptimizationRecord(merged, polish.final_fields,
+    return OptimizationRecord(pre.iterations + polish.iterations,
+                              polish.final_fields,
                               polish.converged_reason, method="hybrid")
 
 

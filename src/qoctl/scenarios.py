@@ -181,7 +181,8 @@ def _rabi(config, bundle, seed_field=None):
         0.0, system["periods"] * 2 * np.pi / rabi0, 2001)
     spec = TwoLevelDriveSpec(omega0=100 * rabi0,
                              omegaL=100 * rabi0 - detuning, rabi0=rabi0,
-                             shape=seed_field or shapes.flat(grid, 1.0))
+                             shape=seed_field
+                             or ControlField.constant(grid, 1.0))
     res = rwa_two_level(spec, frame=frame)
     traj = propagate_ket(res.hamiltonian, res.fields, grid,
                          core.basis_ket(2, 0))
@@ -241,41 +242,33 @@ def _landau_zener(config, bundle):
 
 
 def _lz_cd_infidelity(grid, gap, rate) -> float:
-    nt = grid.nt
+    """Worst infidelity to the adiabatic state with counterdiabatic driving."""
+    sweep, (detuning, rabi) = landau_zener(grid, gap, rate)
+    # the sweep's fields are half its detuning and Rabi frequency
     ucd = counterdiabatic_tls(
-        ControlField.constant(grid, gap),
-        ControlField(grid, rate * grid.midpoints),
-        rabi_dot=np.zeros(nt - 1), detuning_dot=np.full(nt - 1, rate))
-    h = ControlledHamiltonian(
-        Operator(np.zeros((2, 2))),
-        [(core.sigma_z(), 0), (core.sigma_x(), 1), (core.sigma_y(), 2)])
-    fields = [ControlField(grid, 0.5 * rate * grid.midpoints),
-              ControlField.constant(grid, 0.5 * gap), ucd]
+        2 * rabi, 2 * detuning, rabi_dot=np.zeros(grid.nt - 1),
+        detuning_dot=np.full(grid.nt - 1, rate))
+    h = ControlledHamiltonian(sweep.drift,
+                              [*sweep.couplings, (core.sigma_y(), 2)])
     theta = np.arctan2(gap, rate * grid.times)
     upper = np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=1)
-    traj = propagate_ket(h, fields, grid,
+    traj = propagate_ket(h, [detuning, rabi, ucd], grid,
                          QuantumState.from_ket(upper[0].astype(complex)))
     overlap = np.einsum("ki,ki->k", upper.astype(complex).conj(),
                         traj.array)
     return float(np.max(1.0 - np.abs(overlap) ** 2))
 
 
-def _stirap_pulses(grid, rabi0, tau, delay, ordering):
-    tc = 0.5 * (grid.t0 + grid.tf)
-    sign = 1.0 if ordering == "counterintuitive" else -1.0
-    t = grid.midpoints
-    pump = rabi0 * np.exp(-0.5 * ((t - (tc + sign * delay / 2)) / tau) ** 2)
-    stokes = rabi0 * np.exp(-0.5 * ((t - (tc - sign * delay / 2))
-                                    / tau) ** 2)
-    return ControlField(grid, pump), ControlField(grid, stokes)
-
-
 def _stirap(config, bundle):
     system = config["system"]
     ordering = system["ordering"]
     grid = config["grid"] or TimeGrid(0.0, 20.0, 2001)
-    pump, stokes = _stirap_pulses(grid, system["rabi0"], system["tau"],
-                                  system["delay"], ordering)
+    # the counterintuitive order sends the Stokes pulse first
+    tc = 0.5 * (grid.t0 + grid.tf)
+    shift = (1.0 if ordering == "counterintuitive" else -1.0) \
+        * system["delay"] / 2
+    pump, stokes = (shapes.gaussian(grid, system["rabi0"], tc + s,
+                                    system["tau"]) for s in (shift, -shift))
     spec = ThreeLevelDriveSpec(energies=(0.0, 30.0, 60.0),
                                rabi=(pump, stokes), carriers=(30.0, 30.0))
     h, fields = rwa_three_level(spec)
@@ -392,11 +385,11 @@ def _qubit_reset(config, bundle, seed_field=None):
     system, opt = config["system"], config["optimizer"]
     coupling = system["coupling"]
     t_min = np.pi / (2 * coupling)
+    h, jumps, rho0, target, resonance = reset_model(
+        coupling, omega_s=system["omega_s"], omega_b=system["omega_b"],
+        kappa=system["kappa"], p_exc=system["p_exc"])
     durations, purities, monotone = [], [], True
     for grid in _reset_grids(config):
-        h, jumps, rho0, target, resonance = reset_model(
-            coupling, omega_s=system["omega_s"], omega_b=system["omega_b"],
-            kappa=system["kappa"], p_exc=system["p_exc"])
         problem = ControlProblem(h, grid, [rho0],
                                  CostSpec("state_to_state", target=target),
                                  jump_operators=jumps)
@@ -452,8 +445,6 @@ def _gate_opt(config, bundle, seed_field=None):
     record = hybrid_optimize(problem, par, settings, budget=opt["budget"])
     realized = _realized_gate(problem, record.final_fields)
     coords = weyl_coordinates(realized)
-    krotov_js = [e.j_tf for e in record.iterations if e.phase == "krotov"]
-    mono = bool(np.all(np.diff(krotov_js) <= 1e-12)) if krotov_js else True
     bundle.summary["results"] = {
         "final_cost": record.final_j,
         "converged_reason": record.converged_reason,
@@ -461,9 +452,8 @@ def _gate_opt(config, bundle, seed_field=None):
         "pe_distance": pe_distance(coords),
         "iterations": len(record.iterations) - 1,
     }
-    bundle.summary["invariants"] = {"krotov_monotonic": mono}
-    bundle.series["j_vs_iteration"] = [(e.index, e.j_tf)
-                                       for e in record.iterations]
+    bundle.summary["invariants"] = {"krotov_monotonic": record.monotonic()}
+    bundle.series["j_vs_iteration"] = list(enumerate(record.j_history))
     if bundle.out_dir is not None:
         fields_to_csv(record.final_fields, bundle.out_dir / "fields.csv")
 

@@ -1,8 +1,9 @@
 """Field envelopes for guesses and update shapes.
 
-Configs name no envelope: the ``rabi`` scenario drives with ``flat`` and
-the optimizers' update shape is ``sin2_ramp``.  All builders return
-a :class:`~qoctl.dynamics.ControlField` sampled on the midpoint grid.
+Configs name no envelope: the ``stirap`` scenario's pump and Stokes pulses
+are ``gaussian`` and the optimizers' update shape is ``sin2_ramp``; a flat
+envelope is :meth:`~qoctl.dynamics.ControlField.constant`.  Both builders
+return a :class:`~qoctl.dynamics.ControlField` sampled on the midpoint grid.
 """
 
 from __future__ import annotations
@@ -10,10 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import ControlField, TimeGrid
-
-
-def flat(grid: TimeGrid, amplitude: float = 1.0) -> ControlField:
-    return ControlField.constant(grid, amplitude)
 
 
 def gaussian(grid: TimeGrid, amplitude: float, center: float,

@@ -50,7 +50,8 @@ def test_criterion_01_rabi_oracle():
     rabi0 = 2 * np.pi
     grid = TimeGrid(0.0, 10.0, 4001)  # 10 Rabi periods
     spec = TwoLevelDriveSpec(omega0=200 * np.pi, omegaL=200 * np.pi,
-                             rabi0=rabi0, shape=shapes.flat(grid, 1.0))
+                             rabi0=rabi0,
+                             shape=ControlField.constant(grid, 1.0))
     start = time.perf_counter()
     res = rwa_two_level(spec, frame="carrier")
     traj = propagate_ket(res.hamiltonian, res.fields, grid,
@@ -530,7 +531,7 @@ def test_criterion_13_frame_rwa_consistency():
         nt = int(160 * omega0 * tf / (2 * np.pi)) + 1
         grid = TimeGrid(0.0, tf, nt)
         spec = TwoLevelDriveSpec(omega0=omega0, omegaL=omega0, rabi0=rabi0,
-                                 shape=shapes.flat(grid, 1.0))
+                                 shape=ControlField.constant(grid, 1.0))
         lab_h, lab_fields = spec.lab_hamiltonian()
         lab = propagate_ket(lab_h, lab_fields, grid, core.basis_ket(2, 0))
         res = rwa_two_level(spec, frame="carrier")

@@ -41,7 +41,7 @@ class TestRotatingFrame:
     def test_missing_derivative(self):
         grid = TimeGrid(0.0, 1.0, 11)
         h = ControlledHamiltonian(core.sigma_z(), [])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             rotating_frame(h, [], grid, theta=lambda t: (0.0, 0.0))
 
     def test_tls_offdiagonal_factors(self):

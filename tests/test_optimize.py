@@ -10,14 +10,16 @@ from scipy.linalg import expm as dense_expm
 from scipy.linalg import expm_frechet
 
 from qoctl import _kernels, core, shapes
-from qoctl.core import ControlledHamiltonian, Operator, tensor_product
+from qoctl.core import (ControlledHamiltonian, DimensionMismatchError,
+                        Operator, StateVariantError, tensor_product)
 from qoctl.dynamics import (ControlField, TimeGrid, gkls_generator_parts,
                             propagate_density, propagate_ket,
                             vectorize_density)
 from qoctl.functionals import (CostSpec, canonical_gate, pe_distance,
                                three_state_gate_fidelity,
                                verification_states, weyl_coordinates)
-from qoctl.optimize import (ControlProblem, KrotovSettings, Parametrization,
+from qoctl.optimize import (ControlProblem, IterationEntry, KrotovSettings,
+                            OptimizationRecord, Parametrization,
                             evaluate_cost, fields_to_csv,
                             gradient_free_search, grape_concurrent,
                             grape_gradient, hybrid_optimize, krotov_ensemble)
@@ -55,6 +57,39 @@ def realized_gate(problem, fields):
                           ).array[-1]
             for k in range(problem.hamiltonian.dim)]
     return Operator(np.stack(cols, axis=1))
+
+
+class TestControlProblem:
+    """Every member is checked against the Hamiltonian when the problem is
+    built, not at its first propagation."""
+
+    @pytest.mark.parametrize("states,target,error,member", [
+        ([core.basis_ket(2, 0), core.basis_ket(3, 0)],
+         [core.basis_ket(2, 1)] * 2, DimensionMismatchError,
+         "initial state 1 dim 3"),
+        ([core.basis_ket(2, 0)], core.basis_ket(3, 1),
+         DimensionMismatchError, "target 0 dim 3"),
+        ([core.basis_ket(2, 0)], Operator(np.eye(3)), DimensionMismatchError,
+         "gate dim 3"),
+        ([core.basis_ket(2, 0), core.basis_ket(2, 1).to_density()],
+         [core.basis_ket(2, 1)] * 2, StateVariantError,
+         "initial state 1 is a density"),
+        ([core.basis_ket(2, 0)], core.basis_ket(2, 1).to_density(),
+         StateVariantError, "target 0 is a density"),
+    ], ids=["state_dim", "target_dim", "gate_dim", "state_variant",
+            "target_variant"])
+    def test_member_mismatch_is_named(self, states, target, error, member):
+        h = tls_transfer_problem().hamiltonian
+        kind = "gate" if isinstance(target, Operator) else "state_to_state"
+        with pytest.raises(error, match=member):
+            ControlProblem(h, TimeGrid(0.0, 1.0, 11), states,
+                           CostSpec(kind, target=target))
+
+    def test_no_initial_states(self):
+        problem = tls_transfer_problem()
+        with pytest.raises(ValueError, match="at least one initial state"):
+            ControlProblem(problem.hamiltonian, problem.grid, [],
+                           CostSpec("state_to_state", target=[]))
 
 
 class TestKrotovStateToState:
@@ -98,16 +133,6 @@ class TestKrotovStateToState:
         with pytest.raises(ValueError):
             krotov_ensemble(problem, [ControlField.constant(other, 0.1)],
                             KrotovSettings())
-
-    def test_jsonl_stream(self):
-        problem = tls_transfer_problem(nt=101)
-        stream = io.StringIO()
-        krotov_ensemble(problem, [ControlField.constant(problem.grid, 0.1)],
-                        KrotovSettings(max_iters=3), log_stream=stream)
-        lines = stream.getvalue().strip().splitlines()
-        assert len(lines) >= 2
-        row = json.loads(lines[1])
-        assert set(row) == {"iter", "J_tf", "running_cost", "wall_ms"}
 
     def test_update_shape_validation(self):
         # on one midpoint the update shape cannot vanish at both ends
@@ -757,6 +782,19 @@ class TestHybrid:
         assert hyb.final_j <= pure.final_j
         assert hyb.final_j < 0.05
 
+    def test_monotonic_judges_gradient_iterations_only(self):
+        def record(*entries):
+            return OptimizationRecord(
+                [IterationEntry(0, j, 0.0, 0.0, phase=phase)
+                 for phase, j in entries], [], "max_iters", "hybrid")
+
+        # simplex evaluations may rise: they are not iterations
+        assert record(("gradient_free", 0.5), ("gradient_free", 0.9),
+                      ("krotov", 0.4), ("krotov", 0.3)).monotonic()
+        assert not record(("gradient_free", 0.5), ("krotov", 0.4),
+                          ("krotov", 0.41)).monotonic()
+        assert not record(("grape", 0.4), ("grape", 0.41)).monotonic()
+
     def test_phases_recorded(self):
         problem = tls_transfer_problem(nt=101)
         par = Parametrization(n_controls=1, n_terms=1,
@@ -766,6 +804,38 @@ class TestHybrid:
         phases = {e.phase for e in rec.iterations}
         assert phases == {"gradient_free", "krotov"}
         assert rec.method == "hybrid"
+
+
+@pytest.mark.parametrize("optimizer,budget", [
+    (krotov_ensemble, None), (grape_concurrent, None),
+    (gradient_free_search, 0), (gradient_free_search, 5),
+    (hybrid_optimize, 0), (hybrid_optimize, 5),
+], ids=["krotov", "grape", "gradient_free-budget0", "gradient_free-budget5",
+        "hybrid-budget0", "hybrid-budget5"])
+def test_jsonl_stream(optimizer, budget):
+    """The log stream is the record: each entry once, in order, numbered
+    within its phase."""
+    problem = tls_transfer_problem(nt=101)
+    guess = [ControlField.constant(problem.grid, 0.1)]
+    par = Parametrization(n_controls=1, n_terms=1, bounds=[(-2, 2)],
+                          baseline=guess)
+    settings = KrotovSettings(max_iters=3)
+    stream = io.StringIO()
+    if budget is None:
+        rec = optimizer(problem, guess, settings, log_stream=stream)
+    elif optimizer is gradient_free_search:
+        rec = optimizer(problem, par, budget, log_stream=stream)
+    else:
+        rec = optimizer(problem, par, settings, budget, log_stream=stream)
+    rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+    for row in rows:
+        assert set(row) == {"iter", "J_tf", "running_cost", "wall_ms",
+                            "phase"}
+    assert [(r["iter"], r["J_tf"], r["phase"]) for r in rows] == \
+        [(e.index, e.j_tf, e.phase) for e in rec.iterations]
+    for phase in {e.phase for e in rec.iterations}:
+        indices = [e.index for e in rec.iterations if e.phase == phase]
+        assert indices == list(range(len(indices)))
 
 
 def test_fields_csv_round_trip(tmp_path):
