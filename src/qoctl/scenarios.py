@@ -48,6 +48,7 @@ SEED_TIME_TOL = 1e-6
 
 REQUIRED = object()     # default of a key that must be given
 _HUGE = np.finfo(float).max
+_TINY = np.finfo(float).tiny     # the smallest normal float
 
 
 class ConfigError(ValueError):
@@ -227,9 +228,12 @@ def _landau_zener(config, bundle):
                              QuantumState.from_ket(lower0))
         p_dia = float(abs(np.vdot(upperf, traj.array[-1])) ** 2)
         formula = float(np.exp(-np.pi * gap ** 2 / (2 * rate)))
+        # deep in the adiabatic limit the formula underflows below the
+        # normal floats, where no relative error is meaningful
         entry = {"rate": rate, "gap": gap, "p_diabatic": p_dia,
                  "p_formula": formula,
-                 "relative_error": abs(p_dia - formula) / formula,
+                 "relative_error": abs(p_dia - formula) / formula
+                 if formula >= _TINY else None,
                  "norm_drift": traj.max_norm_drift()}
         if system["with_counterdiabatic"]:
             entry["cd_max_infidelity"] = _lz_cd_infidelity(grid, gap, rate)
@@ -659,7 +663,9 @@ SCHEMA = {
         "guess_amplitude": Key(None, nullable=True)})),  # None: 0.9 resonance
     "gate_opt": _scenario(("j_vs_iteration",), {"coupling": Key(1.0)},
                           grid=_grid(MIN_OPTIMIZED_NT), optimizer=Key({}, {
-        "lambda": Key(2.0, positive=True),
+        # the step is 1/lambda: 0.25 rejects nothing over coupling 0.5-2 and
+        # nt 101-1001, where 2.0 needs 7-10x the Krotov iterations (README)
+        "lambda": Key(0.25, positive=True),
         "max_iters": Key(800, int, lo=0, hi=MAX_COUNT),
         "j_threshold": Key(2e-7, lo=0.0),
         "budget": Key(40, int, lo=0, hi=MAX_COUNT),
@@ -711,8 +717,11 @@ def run_scenario(config_path, out_dir=None,
         if "grid" in config:  # the config's grid, or the one the times set
             config["grid"] = seed["seed_field"].grid
     try:
-        _RUNNERS[scenario](config, bundle, **seed)
-    except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+        # a valid config may still leave the floats: an overflow, an invalid
+        # operation or a division by zero aborts the run with its name
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _RUNNERS[scenario](config, bundle, **seed)
+    except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
         raise ScenarioError(f"numerics aborted: {exc}") from exc
     text = _summary_text(bundle.summary)
     for kind in config["outputs"]:

@@ -195,6 +195,19 @@ class TestLandauZenerScenario:
         assert entry["relative_error"] <= 0.02
         assert entry["cd_max_infidelity"] < 1e-6
 
+    @pytest.mark.parametrize("gap", [21.6, 30.0])
+    def test_deep_adiabatic_limit_has_no_relative_error(self, tmp_path,
+                                                        gap):
+        # the formula is subnormal at gap 21.6 and 0.0 at gap 30
+        path = write_config(tmp_path, {
+            "scenario": "landau_zener", "system": {"gap": gap},
+            "grid": {"t0": -60.0, "tf": 60.0, "nt": 2001}})
+        entry = run_scenario(path, out_dir=tmp_path / "out") \
+            .summary["results"][0]
+        assert entry["p_formula"] < np.finfo(float).tiny
+        assert entry["relative_error"] is None
+        assert entry["p_diabatic"] < 1e-6
+
 
 class TestStirapScenario:
     @pytest.mark.parametrize("ordering,check", [
@@ -308,6 +321,10 @@ class TestGateOptScenario:
         res = bundle.summary["results"]
         assert res["pe_distance"] < 1e-3
         assert bundle.summary["invariants"]["krotov_monotonic"]
+        # at the default lambda the record holds 40 simplex evaluations
+        # and 42 Krotov iterations; lambda 2.0 took 299 Krotov iterations
+        assert res["converged_reason"] == "j_threshold"
+        assert res["iterations"] < 150
         rows = (tmp_path / "out" / "j_vs_iteration.csv") \
             .read_text().splitlines()
         assert rows[0] == "iter,J_tf"
