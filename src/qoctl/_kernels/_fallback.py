@@ -149,32 +149,31 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     -------
     states : (nt, W, N) complex ndarray of forward-propagated states.
     steps : (nt-1, N, N) complex ndarray
-        The step unitaries ``exp(-1j * H_k * dt)`` of the updated field.
+        The step unitaries ``exp(-1j * H_k * dt)`` of the updated field,
+        each made by ``step_stack_ket``.
     """
-    def step_of(row):
-        w, v = np.linalg.eigh(generator(drift, coups, row))
-        return (v * np.exp(-1j * dt * w)) @ v.conj().T
-
     # Im <chi|C_j|psi> = Re <chi|-1j C_j|psi>
-    return krotov_forward(step_of, -1j * coups, amps, chi, psi0, gain)
+    return krotov_forward(
+        lambda row: step_stack_ket(generator(drift, coups, row), dt)[0],
+        -1j * coups, amps, chi, psi0, gain)
 
 
-def krotov_forward_dm(gen0, gens, comms, amps, chi, rho0_vec, dt, gain):
+def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain):
     """Sequential-update forward pass, GKLS variant.
 
-    ``comms[j]`` is the update operator ``R_j`` of control ``j``: the update
-    reads ``du_j = gain[k] * mean_w Re(chi[k, w]^dag R_j rho[k, w])``.  For
-    a control Hamiltonian ``H_j``, ``R_j`` is its generator part
-    ``-i[H_j, .]``; in the real basis of ``dynamics.reduced_gkls_parts``
-    the update is the real product ``chi^T R_j rho``.  Returns the states
-    and the step operators ``expm(G_k * dt)`` of the updated field, shaped
-    as for kets.
+    The update operator of control ``j`` is its generator part
+    ``R_j = gens[j]`` (``-i[H_j, .]`` for a control Hamiltonian ``H_j``):
+    the update reads ``du_j = gain[k] * mean_w Re(chi[k, w]^dag R_j
+    rho[k, w])``, in the real basis of ``dynamics.reduced_gkls_parts`` the
+    real product ``chi^T R_j rho``.  Returns the states and the step
+    operators ``expm(G_k * dt)`` of the updated field, shaped as for kets.
     """
     # deferred: scipy.linalg is over half a start-up; only GKLS steps use it
     from scipy.linalg import expm
-    gen0, gens = gen0 * dt, gens * dt
-    return krotov_forward(lambda row: expm(generator(gen0, gens, row)),
-                          comms, amps, chi, rho0_vec, gain)
+    # scaled once per pass, not per step as step_stack_dm would
+    gen0_dt, gens_dt = gen0 * dt, gens * dt
+    return krotov_forward(lambda row: expm(generator(gen0_dt, gens_dt, row)),
+                          gens, amps, chi, rho0_vec, gain)
 
 
 def krotov_forward(step_of, ops, amps, chi, state0, gain):

@@ -138,7 +138,7 @@ def lie_rank(h: ControlledHamiltonian,
     if max_depth is None:
         max_depth = 2 * n * n
     generators = [1j * h.drift.matrix]
-    generators += [1j * op.matrix for op in h.control_operators()]
+    generators += list(1j * h.coupling_stack)
     traceless = all(abs(np.trace(g)) <= 1e-12 for g in generators)
     target = n * n - 1 if traceless else n * n
     span = _RealSpan()
@@ -180,9 +180,9 @@ def build_graph(h: ControlledHamiltonian) -> TransitionGraph:
     energies, vectors = np.linalg.eigh(h.drift.matrix)
     edges = []
     # coupling operators sharing one control index enter as their sum
-    for j, op in enumerate(h.control_operators()):
-        elements = vectors.conj().T @ op.matrix @ vectors
-        threshold = EDGE_TOL * np.linalg.norm(op.matrix, 2)
+    for j, op in enumerate(h.coupling_stack):
+        elements = vectors.conj().T @ op @ vectors
+        threshold = EDGE_TOL * np.linalg.norm(op, 2)
         for a in range(len(energies)):
             for b in range(a + 1, len(energies)):
                 mag = abs(elements[a, b])

@@ -387,8 +387,9 @@ class ControlledHamiltonian:
     ``couplings`` maps each coupling operator to a control index; several
     operators may share an index (they enter with the same amplitude).
     Indices must be contiguous from 0.  The drift and every coupling must
-    be Hermitian: the propagators diagonalize with ``eigh``, which reads
-    one triangle only.
+    be finite and Hermitian: the propagators diagonalize with ``eigh``,
+    which reads one triangle only.  ``coupling_stack``, built once, is the
+    read-only ``(M, N, N)`` stack of each control's summed couplings.
     """
 
     drift: Operator
@@ -399,19 +400,27 @@ class ControlledHamiltonian:
         object.__setattr__(self, "drift", drift)
         coups = tuple((op, int(idx)) for op, idx in couplings)
         object.__setattr__(self, "couplings", coups)
-        if not drift.hermitian:
-            raise ValueError("drift Hamiltonian must be Hermitian")
         for op, idx in coups:
             if op.dim != drift.dim:
                 raise DimensionMismatchError(
                     f"coupling dim {op.dim} != drift dim {drift.dim}")
+        for op, name in [(drift, "drift Hamiltonian")] + [
+                (op, f"coupling operator of control {idx}")
+                for op, idx in coups]:
+            # a NaN entry also fails the Hermitian check, a symptom
+            if not np.isfinite(op.matrix).all():
+                raise ValueError(f"{name} has non-finite entries")
             if not op.hermitian:
-                raise ValueError(f"coupling operator of control {idx} "
-                                 f"must be Hermitian")
+                raise ValueError(f"{name} must be Hermitian")
         indices = sorted({idx for _, idx in coups})
         if indices and indices != list(range(len(indices))):
             raise ValueError(f"control indices must be contiguous from 0, "
                              f"got {indices}")
+        stack = np.zeros((len(indices), drift.dim, drift.dim), dtype=complex)
+        for op, idx in coups:
+            stack[idx] += op.matrix
+        stack.setflags(write=False)
+        object.__setattr__(self, "coupling_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -419,17 +428,7 @@ class ControlledHamiltonian:
 
     @property
     def n_controls(self) -> int:
-        if not self.couplings:
-            return 0
-        return max(idx for _, idx in self.couplings) + 1
-
-    def control_operators(self) -> list:
-        """Summed coupling operator per control index."""
-        ops = [np.zeros((self.dim, self.dim), dtype=complex)
-               for _ in range(self.n_controls)]
-        for op, idx in self.couplings:
-            ops[idx] = ops[idx] + op.matrix
-        return [Operator(m) for m in ops]
+        return len(self.coupling_stack)
 
     def at(self, amplitudes: Sequence[float]) -> Operator:
         """Hamiltonian for one sample of the control amplitudes."""

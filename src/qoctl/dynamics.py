@@ -6,9 +6,9 @@ sequential optimizer update explicit, and midpoint sampling gives
 second-order accuracy for time-dependent generators.
 
 This module is the one place that samples controls: the ``(nt-1, M)``
-sample matrix, the ``(M, N, N)`` coupling stack, the step Hamiltonians
-(:func:`step_hamiltonians`) and the midpoint derivative
-(:func:`midpoint_derivative`) that the other modules use.
+sample matrix, the step Hamiltonians (:func:`step_hamiltonians`) and the
+midpoint derivative (:func:`midpoint_derivative`) that the other modules
+use.
 
 Forward propagation applies ``exp(-i H dt)`` (Schroedinger) or the
 exponential of the full GKLS generator, stepped as a real matrix on the
@@ -21,6 +21,7 @@ co-state contract the gradient-based optimizers rely on.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -34,7 +35,9 @@ from .core import (ControlledHamiltonian, DimensionMismatchError, Liouvillian,
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid with ``nt`` state points from ``t0`` to ``tf``."""
+    """Uniform grid with ``nt`` state points from ``t0`` to ``tf``.  Its
+    step must be a finite normal float and its midpoints must increase
+    strictly: a grid the floats cannot resolve is rejected by name."""
 
     t0: float
     tf: float
@@ -43,8 +46,15 @@ class TimeGrid:
     def __post_init__(self):
         if self.nt < 2:
             raise ValueError("need at least two state grid points")
-        if not self.tf > self.t0:
-            raise ValueError("tf must exceed t0")
+        if not self.tf > self.t0:  # also when either is NaN
+            raise ValueError(f"{self}: tf must exceed t0")
+        # an infinite t0 or tf makes the step infinite; scalar checks
+        # first, so that the midpoints below are finite
+        if not (math.isfinite(self.dt) and self.dt >= np.finfo(float).tiny):
+            raise ValueError(f"{self}: step {self.dt!r} is not a finite "
+                             f"normal float")
+        if not np.all(np.diff(self.midpoints) > 0):
+            raise ValueError(f"{self}: midpoints do not increase strictly")
 
     @property
     def dt(self) -> float:
@@ -173,18 +183,13 @@ def _sample_matrix(controls: Sequence[ControlField], grid: TimeGrid,
     return amps
 
 
-def _coupling_stack(h: ControlledHamiltonian) -> np.ndarray:
-    return np.array([op.matrix for op in h.control_operators()],
-                    dtype=complex).reshape(-1, h.dim, h.dim)
-
-
 def step_hamiltonians(h: ControlledHamiltonian,
                       controls: Sequence[ControlField],
                       grid: TimeGrid) -> np.ndarray:
     """The ``(nt-1, N, N)`` Hamiltonians ``H0 + sum_j u_j(t) H_j`` at the
     midpoints of ``grid``, in one product.  The fields are checked as for
     propagation: one per control, each on ``grid``."""
-    return _kernels.generator(h.drift.matrix, _coupling_stack(h),
+    return _kernels.generator(h.drift.matrix, h.coupling_stack,
                               _sample_matrix(controls, grid, h.n_controls))
 
 
@@ -212,7 +217,7 @@ def propagate_ket(h: ControlledHamiltonian, controls: Sequence[ControlField],
     if psi0.dim != h.dim:
         raise DimensionMismatchError(f"state dim {psi0.dim} != {h.dim}")
     amps = _sample_matrix(controls, grid, h.n_controls)
-    out = _kernels.propagate_pwc_ket(h.drift.matrix, _coupling_stack(h),
+    out = _kernels.propagate_pwc_ket(h.drift.matrix, h.coupling_stack,
                                      amps, grid.dt, psi0.ket,
                                      _direction_sign(direction))
     return Trajectory(grid, "ket", out)
@@ -247,7 +252,7 @@ def gkls_generator_parts(liouvillian: Liouvillian):
     h = liouvillian.hamiltonian
     gen0 = hamiltonian_generator(h.drift.matrix) + dissipator_generator(
         (op.matrix for op in liouvillian.jump_operators), h.dim)
-    return gen0, hamiltonian_generator(_coupling_stack(h))
+    return gen0, hamiltonian_generator(h.coupling_stack)
 
 
 def reduced_gkls_parts(liouvillian: Liouvillian, seeds: Sequence):

@@ -46,9 +46,8 @@ import numpy as np
 from . import _kernels, shapes
 from .core import (ControlledHamiltonian, DimensionMismatchError,
                    Liouvillian, QuantumState, StateVariantError)
-from .dynamics import (ControlField, TimeGrid, _coupling_stack,
-                       _sample_matrix, reduced_gkls_parts, vectorize_density,
-                       write_csv)
+from .dynamics import (ControlField, TimeGrid, _sample_matrix,
+                       reduced_gkls_parts, vectorize_density, write_csv)
 from .functionals import CostSpec
 
 
@@ -125,17 +124,17 @@ class ControlProblem:
 class KrotovSettings:
     """Step size and stopping thresholds.
 
-    ``lambda_`` is the inverse step size of the sequential update.
-    ``stall_shrink``, if set, multiplies ``lambda_`` by that factor
-    whenever an iteration improves by less than ``dj_threshold`` without
-    having converged.  ``grape_step`` only affects the concurrent method.
+    ``lambda_`` is the inverse step size of the sequential update; the
+    optimizer doubles it on every rejected step and changes it no other
+    way.  An accepted iteration that improves the cost by less than
+    ``dj_threshold`` stops either method.  ``grape_step`` only affects the
+    concurrent method.
     """
 
     lambda_: float = 1.0
     max_iters: int = 100
     j_threshold: float = 0.0
     dj_threshold: float = 0.0
-    stall_shrink: Optional[float] = None
     grape_step: float = 1.0
 
     def shape_for(self, grid: TimeGrid) -> np.ndarray:
@@ -206,7 +205,7 @@ class _KetEngine:
         self.problem = problem
         h = problem.hamiltonian
         self.drift = h.drift.matrix
-        self.coups = _coupling_stack(h)
+        self.coups = h.coupling_stack
         self.psi0 = np.stack([s.ket for s in problem.initial_states])
         self.grid = problem.grid
         self.tgt = np.stack([t.ket for t in problem.targets()])
@@ -289,10 +288,8 @@ class _DensityEngine:
         return 0.5 * (self.tgt - finals)
 
     def krotov_forward(self, amps, chi, gain):
-        # a control's update operator is its generator part -i[H_j, .]
-        return _kernels.krotov_forward_dm(self.gen0, self.gens, self.gens,
-                                          amps, chi, self.rho0,
-                                          self.grid.dt, gain)
+        return _kernels.krotov_forward_dm(self.gen0, self.gens, amps, chi,
+                                          self.rho0, self.grid.dt, gain)
 
     def gradient(self, amps, fwd, steps, eig):
         # deferred: scipy.linalg is over half a start-up; only this
@@ -398,11 +395,7 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
             if j_tf <= settings.j_threshold:
                 reason = "j_threshold"
                 break
-            if settings.dj_threshold > 0 and \
-                    improvement < settings.dj_threshold:
-                if settings.stall_shrink is not None and rejects == 0:
-                    lam = lam * settings.stall_shrink
-                    continue
+            if improvement < settings.dj_threshold:
                 reason = "dj_threshold"
                 break
     return OptimizationRecord(entries, _fields(problem, amps), reason,
@@ -463,7 +456,7 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
         if j_tf <= settings.j_threshold:
             reason = "j_threshold"
             break
-        if settings.dj_threshold > 0 and improvement < settings.dj_threshold:
+        if improvement < settings.dj_threshold:
             reason = "dj_threshold"
             break
     return OptimizationRecord(entries, _fields(problem, amps), reason,

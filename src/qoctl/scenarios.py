@@ -21,9 +21,8 @@ from . import _kernels, core, shapes
 from .adiabatic import counterdiabatic_tls, landau_zener
 from .controllability import build_graph, graph_controllability, lie_rank
 from .core import ControlledHamiltonian, Liouvillian, Operator, QuantumState
-from .dynamics import (ControlField, TimeGrid, _coupling_stack,
-                       _sample_matrix, propagate_density, propagate_ket,
-                       write_csv)
+from .dynamics import (ControlField, TimeGrid, _sample_matrix,
+                       propagate_density, propagate_ket, write_csv)
 from .frames import (FRAME_CHOICES, ThreeLevelDriveSpec, TwoLevelDriveSpec,
                      rwa_three_level, rwa_two_level)
 from .functionals import (CostSpec, bichromatic_visibility, canonical_gate,
@@ -404,8 +403,7 @@ def _qubit_reset(config, bundle, seed_field=None):
                                        else amp)]
         record = krotov_ensemble(problem, guess, KrotovSettings(
             lambda_=opt["lambda"], max_iters=opt["max_iters"],
-            dj_threshold=opt["dj_threshold"],
-            stall_shrink=opt["stall_shrink"]))
+            dj_threshold=opt["dj_threshold"]))
         monotone = monotone and record.monotonic()
         traj = propagate_density(problem.liouvillian(), record.final_fields,
                                  grid, rho0)
@@ -466,7 +464,7 @@ def _realized_gate(problem: ControlProblem, fields) -> Operator:
     """Final-time propagator: the basis columns stepped as one block."""
     h, grid = problem.hamiltonian, problem.grid
     finals = _kernels.propagate_pwc_ket(
-        h.drift.matrix, _coupling_stack(h),
+        h.drift.matrix, h.coupling_stack,
         _sample_matrix(fields, grid, h.n_controls), grid.dt,
         np.eye(h.dim, dtype=complex), 1)[-1]
     return Operator(finals.T)
@@ -659,7 +657,6 @@ SCHEMA = {
         "lambda": Key(0.2, positive=True),
         "max_iters": Key(200, int, lo=0, hi=MAX_COUNT),
         "dj_threshold": Key(1e-9, lo=0.0),
-        "stall_shrink": Key(0.7, positive=True, hi=1.0, nullable=True),
         "guess_amplitude": Key(None, nullable=True)})),  # None: 0.9 resonance
     "gate_opt": _scenario(("j_vs_iteration",), {"coupling": Key(1.0)},
                           grid=_grid(MIN_OPTIMIZED_NT), optimizer=Key({}, {

@@ -22,8 +22,7 @@ class Model:
     @property
     def parts(self):
         h = self.liouvillian.hamiltonian
-        return h.drift.matrix, np.stack([op.matrix
-                                         for op in h.control_operators()])
+        return h.drift.matrix, h.coupling_stack
 
 
 @st.composite

@@ -175,8 +175,7 @@ def test_criterion_03_krotov_monotonic_convergence():
     p5 = _reset_problem(0.9 * np.pi / 0.3)
     runs.append(("qubit_reset", krotov_ensemble(
         p5, [ControlField.constant(p5.grid, 0.9)],
-        KrotovSettings(lambda_=0.2, max_iters=80, dj_threshold=1e-9,
-                       stall_shrink=0.7))))
+        KrotovSettings(lambda_=0.2, max_iters=80, dj_threshold=1e-9))))
     # 5) gate under dephasing (open)
     p6 = _dephasing_gate_problem()
     runs.append(("dephasing_gate", krotov_ensemble(
@@ -432,8 +431,7 @@ def test_criterion_10_qubit_reset_speed_limit():
             problem = _reset_problem_for(coupling, frac * t_min)
             guess = [ControlField.constant(problem.grid, 0.9)]
             rec = krotov_ensemble(problem, guess, KrotovSettings(
-                lambda_=0.2, max_iters=150, dj_threshold=1e-9,
-                stall_shrink=0.7))
+                lambda_=0.2, max_iters=150, dj_threshold=1e-9))
             traj = propagate_density(problem.liouvillian(),
                                      rec.final_fields, problem.grid,
                                      problem.initial_states[0])

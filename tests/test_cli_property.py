@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qoctl import cli, scenarios
+from qoctl.dynamics import TimeGrid
 from qoctl.scenarios import SCENARIOS, SCHEMA, ScenarioError, run_scenario
 
 # Small valid configs: at most 101 grid points and 2 iterations, each
@@ -157,12 +158,22 @@ def _number(row, cap=None):
                      allow_infinity=False)
 
 
+def _is_grid(grid) -> bool:
+    try:
+        TimeGrid(**grid)
+    except ValueError:
+        return False
+    return True
+
+
 def _grid(row):
-    """``t0 < tf`` and at most the capped number of points."""
+    """``t0 < tf``, at most the capped number of points, and a step and
+    midpoints that the floats resolve, as ``TimeGrid`` requires."""
     span = st.lists(_number(row.kind["t0"]), min_size=2, max_size=2,
                     unique=True).map(sorted)
     return st.builds(lambda ts, nt: {"t0": ts[0], "tf": ts[1], "nt": nt},
-                     span, _number(row.kind["nt"], CAPS[("grid", "nt")]))
+                     span, _number(row.kind["nt"], CAPS[("grid", "nt")])
+                     ).filter(_is_grid)
 
 
 @st.composite

@@ -224,6 +224,16 @@ class TestControlledHamiltonian:
                                   [(core.sigma_x(), 0),
                                    (Operator([[0, 1], [0, 0]]), 1)])
 
+    def test_non_finite_entries_named_before_hermiticity(self):
+        # a NaN entry also fails the Hermitian check, which names a symptom
+        nan = Operator([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError, match="drift Hamiltonian has "
+                                             "non-finite entries"):
+            ControlledHamiltonian(nan, [(core.sigma_x(), 0)])
+        with pytest.raises(ValueError, match="coupling operator of control "
+                                             "0 has non-finite entries"):
+            ControlledHamiltonian(core.sigma_z(), [(nan, 0)])
+
     def test_at_assembles_sum(self):
         h = ControlledHamiltonian(core.sigma_z(), [(core.sigma_x(), 0),
                                                    (core.sigma_y(), 1)])
@@ -236,9 +246,16 @@ class TestControlledHamiltonian:
         h = ControlledHamiltonian(core.sigma_z(), [(core.sigma_x(), 0),
                                                    (core.sigma_y(), 0)])
         assert h.n_controls == 1
-        ops = h.control_operators()
-        assert np.allclose(ops[0].matrix,
+        stack = h.coupling_stack
+        assert stack.shape == (1, 2, 2)
+        assert np.allclose(stack[0],
                            core.sigma_x().matrix + core.sigma_y().matrix)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+        empty = ControlledHamiltonian(core.sigma_z(), []).coupling_stack
+        assert empty.shape == (0, 2, 2)
+        assert not empty.flags.writeable
 
     def test_liouvillian_dim_check(self):
         h = ControlledHamiltonian(core.sigma_z(), [])

@@ -36,6 +36,23 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("t0, tf, nt, cause", [
+        (float("nan"), 1.0, 3, "tf must exceed t0"),
+        (0.0, float("inf"), 3, "step inf"),
+        (-float("inf"), 0.0, 3, "step inf"),
+        (-1e308, 1e308, 11, "step inf"),
+        (0.0, 5e-324, 11, "step 0.0"),
+        (0.0, 1e-310, 2, "step 1e-310"),
+        # at 1e16 the floats are 2 apart: the midpoints 1e16 + 0.5,
+        # + 1.5, + 2.5 round to 1e16, 1e16 + 2, 1e16 + 2
+        (1e16, 1e16 + 4, 5, "midpoints do not increase strictly"),
+    ])
+    def test_unresolvable_grid_named(self, t0, tf, nt, cause):
+        # rejected by name, before any numpy warning can fire
+        with pytest.raises(ValueError, match="TimeGrid") as info:
+            TimeGrid(t0, tf, nt)
+        assert cause in str(info.value)
+
     def test_field_length_enforced(self):
         grid = TimeGrid(0.0, 1.0, 5)
         with pytest.raises(ValueError):
@@ -88,7 +105,7 @@ class TestKetPropagation:
         back = propagate_ket(h, [field], grid, fwd.final, "backward")
         assert np.max(np.abs(back.array[0] - psi0.ket)) <= 1e-9
         # the same Hamiltonian as an explicit midpoint sequence
-        mats = [h.drift.matrix + u * h.control_operators()[0].matrix
+        mats = [h.drift.matrix + u * h.coupling_stack[0]
                 for u in field.samples]
         seq = propagate_operator_sequence(mats, grid, psi0)
         assert np.max(np.abs(seq.array - fwd.array)) <= 1e-9

@@ -167,14 +167,14 @@ class TestKrotovForward:
         n_mid, n_ens, n = 25, 3, gen0.shape[0]
         amps = rng.normal(size=(n_mid, gens.shape[0]))
         rho0 = random_block(rng, (n_ens, n))
-        comms = random_block(rng, gens.shape)
         chi = random_block(rng, (n_mid + 1, n_ens, n))
         gain = rng.uniform(0, 0.1, size=n_mid)
         amps_ref = amps.copy()
-        got, steps = _kernels.krotov_forward_dm(gen0, gens, comms, amps, chi,
-                                                rho0, 0.05, gain)
-        # the GKLS update is Re(chi^dag R_j rho) = Im(chi^dag (1j R_j) rho)
-        ref, ref_steps = reference_krotov(gen0, gens, 1j * comms, amps_ref,
+        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho0,
+                                                0.05, gain)
+        # the GKLS update operators are the control parts R_j = gens[j]:
+        # Re(chi^dag R_j rho) = Im(chi^dag (1j R_j) rho)
+        ref, ref_steps = reference_krotov(gen0, gens, 1j * gens, amps_ref,
                                           chi, rho0, 0.05, gain)
         assert close(amps, amps_ref)
         assert close(got, ref)
@@ -190,17 +190,17 @@ class TestKrotovForward:
         gen0, gens, basis = reduced_gkls_parts(liou, [rho0.rho, target.rho])
         full0, fulls = gkls_generator_parts(liou)
         eye = np.eye(h.dim)
-        comms = np.stack([np.kron(op.matrix, eye) - np.kron(eye, op.matrix.T)
-                          for op in h.control_operators()])
+        commutators = np.stack([np.kron(op, eye) - np.kron(eye, op.T)
+                                for op in h.coupling_stack])
         n_mid, n_ens, d = 40, 2, gen0.shape[0]
         amps = rng.normal(size=(n_mid, 1))
         rho = rng.normal(size=(n_ens, d))
         chi = rng.normal(size=(n_mid + 1, n_ens, d))
         gain = rng.uniform(0, 0.1, size=n_mid)
         amps_ref = amps.copy()
-        got, steps = _kernels.krotov_forward_dm(gen0, gens, gens, amps, chi,
-                                                rho, 0.05, gain)
-        ref, ref_steps = reference_krotov(full0, fulls, comms, amps_ref,
+        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho,
+                                                0.05, gain)
+        ref, ref_steps = reference_krotov(full0, fulls, commutators, amps_ref,
                                           chi @ basis.T, rho @ basis.T, 0.05,
                                           gain)
         assert got.dtype == steps.dtype == np.float64
@@ -269,8 +269,8 @@ class TestPropagateAdjoint:
         rho0 = random_block(rng, (2, n))
         chi = random_block(rng, (n_mid + 1, 2, n))
         gain = rng.uniform(0, 0.1, size=n_mid)
-        _, steps = _kernels.krotov_forward_dm(gen0, gens, random_block(
-            rng, gens.shape), amps, chi, rho0, dt, gain)
+        _, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho0,
+                                              dt, gain)
         shape = (n,) if n_ens is None else (n_ens, n)
         state = random_block(rng, shape)
         got = _kernels.propagate_steps(steps, state, direction)

@@ -612,7 +612,7 @@ def full_space_gradient(problem, amps):
                             for t in problem.targets()])
     else:
         gen0 = -1j * h.drift.matrix
-        gens = -1j * np.stack([op.matrix for op in h.control_operators()])
+        gens = -1j * h.coupling_stack
         states = np.stack([s.ket for s in problem.initial_states])
         targets = np.stack([t.ket for t in problem.targets()])
     dt, n_states = problem.grid.dt, len(states)

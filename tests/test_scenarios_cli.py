@@ -45,7 +45,9 @@ CONFIG_ERRORS = [
     {"scenario": "bichromatic", "system": {"n_phases": 2.7}},
     {"scenario": "gate_opt", "optimizer": {"budget": -3}},
     {"schema_version": 99},
+    # a removed key: lambda changes only on a rejected step
     {"scenario": "qubit_reset", "optimizer": {"stall_shrink": "abc"}},
+    {"scenario": "qubit_reset", "optimizer": {"dj_threshold": "abc"}},
     {"optimizer": {"max_iters": 2}},
     {"scenario": "controllability", "system": {"name": "tls"},
      "grid": {"t0": 0.0, "tf": 1.0, "nt": 11}},
@@ -53,6 +55,9 @@ CONFIG_ERRORS = [
     {"outputs": ["fields"]},
     {"grid": {"t0": 0.0, "tf": 1.0, "nt": True}},
     {"grid": {"t0": 0.0, "tf": 1.0, "nt": 10 ** 9}},
+    # grids the floats cannot step: an infinite step, a step of zero
+    {"grid": {"t0": -1e308, "tf": 1e308, "nt": 11}},
+    {"grid": {"t0": 0.0, "tf": 5e-324, "nt": 11}},
     {"scenario": "qubit_reset", "system": {"duration_fractions": [1.0, 1.0]}},
     {"scenario": "qubit_reset", "system": {"duration_fractions": [1.2, 0.6]}},
     # inline controllability operators: non-finite, boolean and fractional
@@ -472,6 +477,56 @@ class TestCliProcess:
         cfg = write_config(tmp_path, {**config,
                                       "optimizer": {"max_iters": 1}})
         assert cli.main(["run", str(cfg)]) == 0
+
+    def test_zero_update_stops_after_one_pass(self, tmp_path, monkeypatch):
+        # at nt 3 the update shape is zero, so the first accepted pass
+        # improves by nothing and stops with dj_threshold: lambda is not
+        # shrunk to retry until max_iters
+        calls = []
+        kernel = _kernels.krotov_forward_dm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(_kernels, "krotov_forward_dm", counting)
+        cfg = write_config(tmp_path, {
+            "scenario": "qubit_reset",
+            "system": {"nt": 3, "duration_fractions": [1.0]},
+            "optimizer": {"max_iters": 50}})
+        run_scenario(cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fraction", [5e-324, 1e-320, 1.7e308])
+    def test_unresolvable_reset_grid_is_named(self, tmp_path, capsys,
+                                              fraction):
+        # fraction * pi / (2 coupling) underflows to a duration whose step
+        # is zero or subnormal, or overflows to an infinite one
+        from qoctl import cli
+        cfg = write_config(tmp_path, {
+            "scenario": "qubit_reset",
+            "system": {"duration_fractions": [fraction]},
+            "optimizer": {"max_iters": 1}})
+        assert cli.main(["run", str(cfg)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "numerics"
+        assert "TimeGrid(t0=0.0" in error["message"]
+
+    @pytest.mark.parametrize("grid, cause", [
+        ({"tf": 1.0, "nt": 11}, "drift Hamiltonian has non-finite entries"),
+        # the default grid, 10 periods of a Rabi frequency of 8.2e307, has
+        # a subnormal step
+        (None, "is not a finite normal float"),
+    ], ids=["config_grid", "default_grid"])
+    def test_overflowing_rabi_frequency_is_named(self, tmp_path, capsys,
+                                                 grid, cause):
+        # 100 * rabi0 overflows, so the carrier-frame detuning is NaN
+        from qoctl import cli
+        cfg = write_config(tmp_path, {"scenario": "rabi", "grid": grid,
+                                      "system": {"rabi0": 8.2e307}})
+        assert cli.main(["run", str(cfg)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "numerics"
+        assert cause in error["message"]
 
     def test_outputs_need_out_dir(self, tmp_path, no_numerics, capsys):
         from qoctl import cli
