@@ -106,15 +106,10 @@ def dressed_frame(h: ControlledHamiltonian,
 
 @dataclass(frozen=True)
 class MixingAngles:
-    """Two-level mixing angle ``theta`` (and coupling phase ``phi``)."""
+    """Two-level mixing angle ``theta`` and its rate ``theta_dot``."""
 
     theta: ControlField
-    phi: ControlField
     theta_dot: np.ndarray
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.theta.grid
 
 
 def mixing_angles(rabi: ControlField, detuning: ControlField,
@@ -143,8 +138,7 @@ def mixing_angles(rabi: ControlField, detuning: ControlField,
                              / np.where(omega_sq > 0, omega_sq, 1.0),
                              0.0)
     theta = ControlField(rabi.grid, np.arctan2(omega, delta))
-    phi = ControlField(rabi.grid, np.where(omega >= 0, 0.0, np.pi))
-    return MixingAngles(theta, phi, theta_dot)
+    return MixingAngles(theta, theta_dot)
 
 
 def adiabaticity_margin(frame: DressedFrame,

@@ -3,16 +3,17 @@
 Exit codes: 0 success, 2 config/schema violation, 3 numerics abort,
 4 file I/O failure.  Failures print a machine-readable JSON object to
 stdout (and write ``error.json`` into the output directory when one is
-available) so CI can gate on scenario runs.
+available) so CI can gate on scenario runs; a failure of no known kind
+also prints its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
+import traceback
 from pathlib import Path
 
 # qoctl's matrices are 2x2 to 16x16, where extra BLAS threads only contend
@@ -22,8 +23,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .scenarios import ConfigError, ScenarioError, run_scenario  # noqa: E402
-
-log = logging.getLogger("qoctl")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "pulse shape, the gate_opt baseline or a "
                           "qubit_reset guess; its times set the grid when "
                           "the config has none")
-    run.add_argument("--log-level", default="warning",
-                     choices=["debug", "info", "warning", "error"])
     return parser
 
 
@@ -60,8 +57,6 @@ def _fail(kind: str, exc: Exception, code: int, out_dir) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=args.log_level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         bundle = run_scenario(args.config, out_dir=args.out,
                               seed_field_path=args.seed_field)
@@ -72,13 +67,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail("io", exc, 4, args.out)
     except Exception as exc:  # any other failure keeps the JSON contract
-        log.debug("unclassified failure", exc_info=True)
+        traceback.print_exc()
         return _fail("numerics", exc, 3, args.out)
-    log.info("scenario %s finished", bundle.summary["scenario"])
     if bundle.summary_path is not None:
         print(bundle.summary_path)
     else:
-        print(json.dumps(bundle.summary, sort_keys=True, default=str))
+        print(json.dumps(bundle.summary, sort_keys=True))
     return 0
 
 

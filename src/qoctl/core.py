@@ -78,28 +78,14 @@ class Operator:
         """Cached result of the entrywise ``|A - A^dag| <= 1e-12`` check."""
         return self._hermitian
 
-    def trace(self) -> complex:
-        return complex(np.trace(self._matrix))
-
     def __add__(self, other: "Operator") -> "Operator":
         _check_same_dim(self, other)
         return Operator(self._matrix + other._matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _check_same_dim(self, other)
-        return Operator(self._matrix - other._matrix)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_same_dim(self, other)
-        return Operator(self._matrix @ other._matrix)
 
     def __mul__(self, scalar) -> "Operator":
         return Operator(self._matrix * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self._matrix)
 
     def isclose(self, other: "Operator", atol: float = 1e-12) -> bool:
         return self.dim == other.dim and bool(
@@ -222,11 +208,6 @@ class QuantumState:
             return self
         return QuantumState._wrap("density", np.outer(self._data,
                                                       self._data.conj()))
-
-    def populations(self) -> np.ndarray:
-        if self._kind == "ket":
-            return np.abs(self._data) ** 2
-        return np.diag(self._data).real.copy()
 
     def __repr__(self):
         return f"QuantumState(kind={self._kind!r}, dim={self.dim})"
@@ -457,10 +438,6 @@ class Liouvillian:
             if op.dim != hamiltonian.dim:
                 raise DimensionMismatchError(
                     f"jump operator dim {op.dim} != {hamiltonian.dim}")
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.dim
 
 
 # Frequently used fixed operators -----------------------------------------

@@ -89,11 +89,6 @@ class ControlField:
     def constant(cls, grid: TimeGrid, value: float) -> "ControlField":
         return cls(grid, np.full(grid.nt - 1, float(value)))
 
-    def __add__(self, other: "ControlField") -> "ControlField":
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return ControlField(self.grid, self.samples + other.samples)
-
     def __mul__(self, scalar) -> "ControlField":
         return ControlField(self.grid, self.samples * float(scalar))
 

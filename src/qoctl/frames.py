@@ -50,6 +50,11 @@ class TwoLevelDriveSpec:
     phase: Optional[ControlField] = None
 
     def __post_init__(self):
+        for name in ("omega0", "omegaL", "rabi0"):
+            # an overflowed frequency would reach the Hamiltonian as 0 * inf
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         s = self.shape.samples
         if np.min(s) < -1e-12 or np.max(s) > 1.0 + 1e-12:
             raise ValueError("shape samples must lie in [0, 1]")
@@ -149,7 +154,6 @@ class RWAResult:
 
     hamiltonian: ControlledHamiltonian
     fields: list
-    frame: str
     validity_ratio: float
 
 
@@ -169,7 +173,7 @@ def rwa_two_level(spec: TwoLevelDriveSpec,
     ratio = np.inf if spec.rabi0 == 0 else abs(spec.omega0 / spec.rabi0)
     if frame == "lab":
         h, fields = spec.lab_hamiltonian()
-        return RWAResult(h, fields, frame, ratio)
+        return RWAResult(h, fields, ratio)
     phi = spec.phase_samples()
     envelope = spec.rabi0 * spec.shape.samples
     if frame == "carrier":
@@ -178,7 +182,7 @@ def rwa_two_level(spec: TwoLevelDriveSpec,
             [(core.sigma_x(), 0), (core.sigma_y(), 1)])
         fields = [ControlField(grid, -0.5 * envelope * np.cos(phi)),
                   ControlField(grid, 0.5 * envelope * np.sin(phi))]
-        return RWAResult(h, fields, frame, ratio)
+        return RWAResult(h, fields, ratio)
     if frame == "drift":
         # Off-diagonal -O0/2 S e^{-i(Delta_L t - phi)} in the (0, 1) slot.
         arg = spec.detuning * grid.midpoints - phi
@@ -187,7 +191,7 @@ def rwa_two_level(spec: TwoLevelDriveSpec,
             [(core.sigma_x(), 0), (core.sigma_y(), 1)])
         fields = [ControlField(grid, -0.5 * envelope * np.cos(arg)),
                   ControlField(grid, -0.5 * envelope * np.sin(arg))]
-        return RWAResult(h, fields, frame, ratio)
+        return RWAResult(h, fields, ratio)
     # Instantaneous frame: rotate at omega_L t + phi(t); the phase
     # derivative (central differences, one-sided ends) shifts the detuning.
     phi_dot = midpoint_derivative(phi, grid.dt)
@@ -196,7 +200,7 @@ def rwa_two_level(spec: TwoLevelDriveSpec,
         [(core.sigma_z(), 0), (core.sigma_x(), 1)])
     fields = [ControlField(grid, -0.5 * (spec.detuning - phi_dot)),
               ControlField(grid, -0.5 * envelope)]
-    return RWAResult(h, fields, frame, ratio)
+    return RWAResult(h, fields, ratio)
 
 
 def rwa_three_level(spec: ThreeLevelDriveSpec):

@@ -432,9 +432,6 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
         t_start = time.perf_counter()
         grad = engine.gradient(amps, fwd, steps, eig)
         fwd = steps = eig = None  # one step stack alive at a time
-        if np.max(np.abs(grad)) == 0.0:
-            reason = "dj_threshold"
-            break
         step = settings.grape_step
         for _ in range(25):
             trial = amps - step * shape[:, None] * grad

@@ -129,20 +129,12 @@ def _check(value, row: Key, where: str):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _summary_text(summary: dict) -> str:
     """The text of ``summary.json``.  JSON has no literal for an infinite or
     NaN number, so one in the results is a numerics failure."""
     try:
         return json.dumps(summary, sort_keys=True, indent=2,
-                          default=_json_default, allow_nan=False) + "\n"
+                          allow_nan=False) + "\n"
     except ValueError as exc:
         raise ScenarioError(f"non-finite result: {exc}") from exc
 
@@ -703,21 +695,25 @@ def run_scenario(config_path, out_dir=None,
         "seed": config["seed"],
     }, out_dir=out)
     scenario = config["scenario"]
+    if seed_field_path is not None and scenario not in SEED_FIELDS:
+        raise ConfigError(f"scenario {scenario!r} takes no seed field; "
+                          f"{', '.join(SEED_FIELDS)} do")
     seed = {}
-    if seed_field_path is not None:
-        if scenario not in SEED_FIELDS:
-            raise ConfigError(f"scenario {scenario!r} takes no seed field; "
-                              f"{', '.join(SEED_FIELDS)} do")
-        grids, row = SEED_FIELDS[scenario]
-        seed["seed_field"] = _load_seed_field(seed_field_path,
-                                              grids(config), row)
-        if "grid" in config:  # the config's grid, or the one the times set
-            config["grid"] = seed["seed_field"].grid
     try:
+        if seed_field_path is not None:
+            # the grids a valid config sets may still be unresolvable
+            # (numerics); a malformed seed field is a config error
+            grids, row = SEED_FIELDS[scenario]
+            seed["seed_field"] = _load_seed_field(seed_field_path,
+                                                  grids(config), row)
+            if "grid" in config:  # the config's grid, or the times' grid
+                config["grid"] = seed["seed_field"].grid
         # a valid config may still leave the floats: an overflow, an invalid
         # operation or a division by zero aborts the run with its name
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _RUNNERS[scenario](config, bundle, **seed)
+    except ConfigError:
+        raise
     except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
         raise ScenarioError(f"numerics aborted: {exc}") from exc
     text = _summary_text(bundle.summary)

@@ -1,12 +1,8 @@
-import os
+# qoctl.cli pins the BLAS threads before numpy loads BLAS; the CLI
+# subprocess tests inherit its values.
+import qoctl.cli  # noqa: F401
 
-# qoctl's matrices are 2x2 to 16x16, where extra BLAS threads only contend
-# for cores; set before numpy loads BLAS.  The CLI subprocess tests inherit
-# these values.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
+import numpy as np
 import pytest
 
 from qoctl import core

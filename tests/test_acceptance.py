@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here, not configurable.
 """
 
+import json
 import time
 
 import numpy as np
@@ -27,7 +28,7 @@ from qoctl.functionals import (CostSpec, bichromatic_visibility,
                                verification_states, weyl_coordinates)
 from qoctl.optimize import (ControlProblem, KrotovSettings, grape_gradient,
                             evaluate_cost, krotov_ensemble)
-from qoctl.scenarios import qubit_reset_purity, reset_model
+from qoctl.scenarios import reset_model, run_scenario
 
 from conftest import random_unitary
 
@@ -126,8 +127,8 @@ def _two_qubit_problem():
                                    target=canonical_gate(np.pi / 2, 0, 0)))
 
 
-def _reset_problem(duration, nt=251):
-    h, jumps, rho0, target, _ = reset_model(0.15)
+def _reset_problem_for(coupling, duration, nt=251):
+    h, jumps, rho0, target, _ = reset_model(coupling)
     grid = TimeGrid(0.0, duration, nt)
     return ControlProblem(h, grid, [rho0],
                           CostSpec("state_to_state", target=target),
@@ -172,7 +173,7 @@ def test_criterion_03_krotov_monotonic_convergence():
              shapes.sin2_ramp(p4.grid, -0.3, 0.1)],
         KrotovSettings(lambda_=2.0, max_iters=200, j_threshold=1e-5))))
     # 4) qubit reset (open)
-    p5 = _reset_problem(0.9 * np.pi / 0.3)
+    p5 = _reset_problem_for(0.15, 0.9 * np.pi / 0.3)
     runs.append(("qubit_reset", krotov_ensemble(
         p5, [ControlField.constant(p5.grid, 0.9)],
         KrotovSettings(lambda_=0.2, max_iters=80, dj_threshold=1e-9))))
@@ -420,37 +421,26 @@ def test_criterion_09_mixed_target_ordering():
            and distance_prefers_closer)
 
 
-def test_criterion_10_qubit_reset_speed_limit():
+def test_criterion_10_qubit_reset_speed_limit(tmp_path):
     details = []
     ok = True
     for coupling in (0.15, 0.30):
-        t_min = np.pi / (2 * coupling)
         fractions = np.arange(0.7, 1.25, 0.1)
-        purities = []
-        for frac in fractions:
-            problem = _reset_problem_for(coupling, frac * t_min)
-            guess = [ControlField.constant(problem.grid, 0.9)]
-            rec = krotov_ensemble(problem, guess, KrotovSettings(
-                lambda_=0.2, max_iters=150, dj_threshold=1e-9))
-            traj = propagate_density(problem.liouvillian(),
-                                     rec.final_fields, problem.grid,
-                                     problem.initial_states[0])
-            purities.append(qubit_reset_purity(traj.array[-1]))
-        purities = np.array(purities)
+        config = tmp_path / f"reset_{coupling}.json"
+        config.write_text(json.dumps({
+            "scenario": "qubit_reset",
+            "system": {"coupling": coupling, "nt": 251,
+                       "duration_fractions": fractions.tolist()},
+            "optimizer": {"lambda": 0.2, "max_iters": 150,
+                          "dj_threshold": 1e-9}}))
+        purities = np.array(
+            run_scenario(config).summary["results"]["purities"])
         plateau = purities[-1]
         knee = fractions[int(np.argmax(purities >= plateau - 0.002))]
         ok = ok and abs(knee - 1.0) <= 0.1 + 1e-9
         details.append(f"J={coupling}: knee at {knee:.2f} T_min")
     report(10, "optimized reset purity knees at pi/(2J) within one grid "
                "step for J and 2J", ok, "; ".join(details))
-
-
-def _reset_problem_for(coupling, duration, nt=251):
-    h, jumps, rho0, target, _ = reset_model(coupling)
-    grid = TimeGrid(0.0, duration, nt)
-    return ControlProblem(h, grid, [rho0],
-                          CostSpec("state_to_state", target=target),
-                          jump_operators=jumps)
 
 
 def test_criterion_11_controllability():

@@ -1,12 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qoctl import core
-from qoctl.controllability import (build_graph, coupled_transitions,
+from qoctl.controllability import (GraphEdge, _spanning_selection, _spans,
+                                   build_graph, coupled_transitions,
                                    graph_controllability, lie_rank)
 from qoctl.core import ControlledHamiltonian, Operator, tensor_product
 
 from conftest import random_unitary
+from random_models import PROPERTY
 
 
 def identical_coupled_qubits(omega=1.0, coupling=0.2):
@@ -169,6 +175,13 @@ class TestGraphControllability:
         # cross-check against the Lie-rank criterion
         assert lie_rank(ladder_system(n)).full_rank
 
+    def test_one_level_controllable_with_empty_witness(self):
+        result = graph_controllability(build_graph(
+            ControlledHamiltonian(Operator([[0.5]]))))
+        assert result.controllable
+        assert result.witness_edges == ()
+        assert result.reason is None
+
     def test_empty_control_set_not_controllable(self):
         h = ControlledHamiltonian(core.sigma_z(), [])
         result = graph_controllability(build_graph(h))
@@ -189,3 +202,35 @@ class TestGraphControllability:
         d = result.to_dict()
         assert d["controllable"] is True
         assert len(d["witness_edges"]) == 2
+
+
+@st.composite
+def edge_groups(draw):
+    """A node count and groups of 1-3 node pairs each."""
+    n = draw(st.integers(2, 5))
+    pair = st.sampled_from(list(itertools.combinations(range(n), 2)))
+    return n, draw(st.lists(st.lists(pair, min_size=1, max_size=3),
+                            max_size=5))
+
+
+@PROPERTY
+@given(case=edge_groups())
+# the first choice of group 0 fails: its edge is popped, group 1 skipped
+@example(case=(3, [[(0, 1), (1, 2)], [(0, 1)]]))
+# nothing spans: every edge is popped and every group skipped
+@example(case=(3, [[(0, 1)], [(0, 1)]]))
+def test_spanning_selection_matches_brute_force(case):
+    n, pairs = case
+    # a distinct frequency per edge keeps equal node pairs apart
+    freqs = itertools.count()
+    groups = [tuple(GraphEdge(a, b, g, float(next(freqs)), 1.0)
+                    for a, b in group) for g, group in enumerate(pairs)]
+    any_spans = any(
+        _spans(n, [e for e in pick if e is not None])
+        for pick in itertools.product(*[(None,) + g for g in groups]))
+    found = _spanning_selection(n, groups)
+    assert (found is not None) == any_spans
+    if found is not None:
+        assert _spans(n, found)
+        used = [e.control_index for e in found]
+        assert len(set(used)) == len(used)  # at most one edge per group

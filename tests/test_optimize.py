@@ -573,6 +573,30 @@ class TestGrape:
                                KrotovSettings(max_iters=30, grape_step=5.0))
         assert rec.final_j < rec.j_history[0]
 
+    @pytest.mark.parametrize("reason", ["j_threshold", "dj_threshold"])
+    def test_grape_stops_after_an_accepted_iteration(self, reason):
+        # the third accepted iteration meets j_threshold, or the first one
+        # improves by less than dj_threshold; either is recorded
+        problem = tls_transfer_problem(nt=201)
+        guess = [ControlField.constant(problem.grid, 0.1)]
+        free = grape_concurrent(problem, guess,
+                                KrotovSettings(max_iters=5, grape_step=5.0))
+        assert np.all(np.diff(free.j_history) < 0)
+        if reason == "j_threshold":
+            settings = KrotovSettings(max_iters=5, grape_step=5.0,
+                                      j_threshold=free.j_history[3])
+            n_accepted = 3
+        else:
+            improvement = free.j_history[0] - free.j_history[1]
+            settings = KrotovSettings(max_iters=5, grape_step=5.0,
+                                      dj_threshold=2.0 * improvement)
+            n_accepted = 1
+        rec = grape_concurrent(problem, guess, settings)
+        assert rec.converged_reason == reason
+        assert len(rec.iterations) == n_accepted + 1
+        assert np.array_equal(rec.j_history,
+                              free.j_history[:n_accepted + 1])
+
 
 @pytest.mark.parametrize("kind", CostSpec._KINDS)
 @pytest.mark.parametrize("dynamics", ["closed", "open"])

@@ -9,9 +9,9 @@ import pytest
 
 from qoctl import _kernels, shapes
 from qoctl.core import ControlledHamiltonian, Operator, QuantumState
-from qoctl.scenarios import (SCENARIOS, ConfigError, emit_plot_data,
-                             load_config, qubit_reset_purity, reset_model,
-                             run_scenario)
+from qoctl.scenarios import (SCENARIOS, ConfigError, ScenarioError,
+                             emit_plot_data, load_config, qubit_reset_purity,
+                             reset_model, run_scenario)
 from qoctl.dynamics import ControlField, TimeGrid, propagate_ket
 
 
@@ -511,18 +511,40 @@ class TestCliProcess:
         assert error["type"] == "numerics"
         assert "TimeGrid(t0=0.0" in error["message"]
 
-    @pytest.mark.parametrize("grid, cause", [
-        ({"tf": 1.0, "nt": 11}, "drift Hamiltonian has non-finite entries"),
+    def test_unresolvable_reset_grid_is_named_with_seed_field(
+            self, tmp_path, capsys):
+        # the seed field is matched against the duration grids, which the
+        # floats cannot step: a numerics failure, named like one
+        from qoctl import cli
+        seed_path = tmp_path / "seed.csv"
+        seed_path.write_text("time,value\n0.5,0.1\n")
+        cfg = write_config(tmp_path, {
+            "scenario": "qubit_reset",
+            "system": {"duration_fractions": [1e-320], "nt": 5}})
+        with pytest.raises(ScenarioError,
+                           match=r"^numerics aborted: TimeGrid\("):
+            run_scenario(cfg, seed_field_path=seed_path)
+        assert cli.main(["run", str(cfg), "--seed-field",
+                         str(seed_path)]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["message"].startswith(
+            "numerics aborted: TimeGrid(")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("grid, frame, cause", [
+        ({"tf": 1.0, "nt": 11}, "carrier", "omega0 must be finite, got inf"),
         # the default grid, 10 periods of a Rabi frequency of 8.2e307, has
         # a subnormal step
-        (None, "is not a finite normal float"),
-    ], ids=["config_grid", "default_grid"])
+        (None, "carrier", "is not a finite normal float"),
+        ({"tf": 1.0, "nt": 11}, "lab", "omega0 must be finite, got inf"),
+    ], ids=["config_grid", "default_grid", "lab_frame"])
     def test_overflowing_rabi_frequency_is_named(self, tmp_path, capsys,
-                                                 grid, cause):
-        # 100 * rabi0 overflows, so the carrier-frame detuning is NaN
+                                                 grid, frame, cause):
+        # 100 * rabi0 overflows to an infinite transition frequency
         from qoctl import cli
         cfg = write_config(tmp_path, {"scenario": "rabi", "grid": grid,
-                                      "system": {"rabi0": 8.2e307}})
+                                      "system": {"rabi0": 8.2e307,
+                                                 "frame": frame}})
         assert cli.main(["run", str(cfg)]) == 3
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "numerics"
@@ -546,9 +568,11 @@ class TestCliProcess:
         monkeypatch.setattr(cli, "run_scenario", boom)
         cfg = write_config(tmp_path, {"scenario": "rabi"})
         assert cli.main(["run", str(cfg)]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"] == {"type": "numerics",
-                                    "message": "unexpected"}
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == {"type": "numerics",
+                                                     "message": "unexpected"}
+        # a failure of no known kind leaves its traceback on stderr
+        assert "ZeroDivisionError: unexpected" in captured.err
 
     def test_non_finite_result_is_numerics_failure(self, tmp_path, capsys):
         # c1 = 5e-324 makes the formula visibility underflow, so the
