@@ -261,24 +261,24 @@ def _spans(n_nodes: int, edges) -> bool:
 
 
 def _spanning_selection(n_nodes: int, groups):
-    """Backtracking search: pick <= 1 edge per group, span all nodes."""
+    """Depth-first search: one edge from each group in turn until they
+    span.  Skipping a group never helps, as no added edge disconnects."""
+    if len(groups) < n_nodes - 1:
+        return None
     chosen = []
 
     def recurse(idx):
         if _spans(n_nodes, chosen):
             return True
-        if idx == len(groups):
-            return False
-        # prune: even one edge from every remaining group cannot span
-        if len(chosen) + (len(groups) - idx) < n_nodes - 1:
+        # bound: the chosen edges and every remaining one cannot span
+        if idx == len(groups) or not _spans(
+                n_nodes, chosen + [e for g in groups[idx:] for e in g]):
             return False
         for edge in groups[idx]:
             chosen.append(edge)
             if recurse(idx + 1):
                 return True
             chosen.pop()
-        return recurse(idx + 1)  # skip this group
+        return False
 
-    if recurse(0):
-        return list(chosen)
-    return None
+    return list(chosen) if recurse(0) else None

@@ -9,10 +9,10 @@ state/control grids make this explicit, and for the shipped (convex)
 final-time costs the total cost decreases monotonically.
 
 The concurrent method (GRAPE) computes the exact discrete gradient -- the
-Frechet derivative of each step exponential, eigenbasis formula for the
-Hermitian case, `scipy.linalg.expm_frechet` for the GKLS generator -- and
+Frechet derivative of each step exponential: an eigenbasis formula for
+kets, and for the GKLS generator one Van Loan ``expm`` of ``(nt-1) M``
+blocks of ``2d x 2d`` reals, ``4M`` times the step stack's memory -- and
 applies one shaped update per iteration with a backtracking line search.
-No monotonicity guarantee is asserted for it.
 
 Each field is exponentiated once: a forward pass returns its step stack
 (for kets with the step eigenpairs the gradient needs), and every co-state
@@ -294,20 +294,19 @@ class _DensityEngine:
     def gradient(self, amps, fwd, steps, eig):
         # deferred: scipy.linalg is over half a start-up; only this
         # gradient and the GKLS steps use it
-        from scipy.linalg import expm_frechet
+        from scipy.linalg import expm
         chi = _kernels.propagate_steps(steps, self.chi_boundary(fwd[-1]), -1)
-        dt = self.grid.dt
-        n_steps, n_ctrl = amps.shape
-        grad = np.zeros_like(amps)
-        for k in range(n_steps):
-            gen = _kernels.generator(self.gen0, self.gens, amps[k]) * dt
-            for j in range(n_ctrl):
-                dstep = expm_frechet(gen, self.gens[j] * dt,
-                                     compute_expm=False)
-                # vdot sums over the ensemble: sum_w <chi_w|dstep|rho_w>
-                acc = np.vdot(chi[k + 1], fwd[k] @ dstep.T).real
-                grad[k, j] = -2.0 * acc / fwd.shape[1]
-        return grad
+        # Van Loan: the upper-right block of expm([[G_k, R_j], [0, G_k]] dt)
+        # is the Frechet derivative of the step expm(G_k dt) along R_j dt
+        d = self.gen0.shape[0]
+        blocks = np.zeros(amps.shape + (2 * d, 2 * d))
+        blocks[..., :d, :d] = blocks[..., d:, d:] = _kernels.generator(
+            self.gen0, self.gens, amps)[:, None]
+        blocks[..., :d, d:] = self.gens
+        blocks *= self.grid.dt
+        dsteps = expm(blocks)[..., :d, d:]
+        return -2.0 * np.einsum("kwa,kjab,kwb->kj", chi[1:], dsteps,
+                                fwd[:-1]) / fwd.shape[1]
 
 
 def _engine(problem: ControlProblem):

@@ -227,7 +227,8 @@ def _landau_zener(config, bundle):
                  if formula >= _TINY else None,
                  "norm_drift": traj.max_norm_drift()}
         if system["with_counterdiabatic"]:
-            entry["cd_max_infidelity"] = _lz_cd_infidelity(grid, gap, rate)
+            entry["cd_max_infidelity"] = _lz_cd_infidelity(h, fields, gap,
+                                                           rate)
         results.append(entry)
         prob_rows.append((rate, p_dia))
     bundle.summary["results"] = results
@@ -236,9 +237,9 @@ def _landau_zener(config, bundle):
     bundle.series["probability_vs_sweep_rate"] = prob_rows
 
 
-def _lz_cd_infidelity(grid, gap, rate) -> float:
+def _lz_cd_infidelity(sweep, fields, gap, rate) -> float:
     """Worst infidelity to the adiabatic state with counterdiabatic driving."""
-    sweep, (detuning, rabi) = landau_zener(grid, gap, rate)
+    (detuning, rabi), grid = fields, fields[0].grid
     # the sweep's fields are half its detuning and Rabi frequency
     ucd = counterdiabatic_tls(
         2 * rabi, 2 * detuning, rabi_dot=np.zeros(grid.nt - 1),

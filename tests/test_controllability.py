@@ -215,9 +215,9 @@ def edge_groups(draw):
 
 @PROPERTY
 @given(case=edge_groups())
-# the first choice of group 0 fails: its edge is popped, group 1 skipped
+# the bound pops the first edge of group 0; the second spans with group 1
 @example(case=(3, [[(0, 1), (1, 2)], [(0, 1)]]))
-# nothing spans: every edge is popped and every group skipped
+# nothing spans: the bound ends the search before any edge is chosen
 @example(case=(3, [[(0, 1)], [(0, 1)]]))
 def test_spanning_selection_matches_brute_force(case):
     n, pairs = case
@@ -230,7 +230,44 @@ def test_spanning_selection_matches_brute_force(case):
         for pick in itertools.product(*[(None,) + g for g in groups]))
     found = _spanning_selection(n, groups)
     assert (found is not None) == any_spans
+    # the witness is the first spanning prefix in depth-first order
+    first = next((list(pick[:m]) for pick in itertools.product(*groups)
+                  for m in range(len(pick) + 1) if _spans(n, pick[:m])), None)
+    assert found == first
     if found is not None:
         assert _spans(n, found)
         used = [e.control_index for e in found]
         assert len(set(used)) == len(used)  # at most one edge per group
+
+
+def two_leaf_system(levels):
+    """A harmonic core of ``levels - 2`` states, coupled all-to-all by two
+    controls, and two leaves whose only edges, from core states 0 and 1,
+    fall in one (control, frequency) group: the whole graph is connected,
+    but no selection of one edge per group reaches both leaves."""
+    core_n = levels - 2
+    energies = np.r_[np.arange(core_n), core_n + 1.5, core_n + 2.5]
+    all_to_all = np.zeros((levels, levels), dtype=complex)
+    all_to_all[:core_n, :core_n] = 1.0 - np.eye(core_n)
+    leaves = all_to_all.copy()
+    leaves[0, core_n] = leaves[core_n, 0] = 1.0
+    leaves[1, core_n + 1] = leaves[core_n + 1, 1] = 1.0
+    return ControlledHamiltonian(
+        Operator(np.diag(energies).astype(complex)),
+        [(Operator(leaves), 0), (Operator(all_to_all), 1)])
+
+
+def test_spanning_search_is_bounded(monkeypatch):
+    # without the bound and with a skip branch per group the search made
+    # 2,459,679 calls on this graph
+    import qoctl.controllability as ctrl
+    calls = []
+
+    def counting(n_nodes, edges):
+        calls.append(n_nodes)
+        return _spans(n_nodes, edges)
+
+    monkeypatch.setattr(ctrl, "_spans", counting)
+    result = graph_controllability(build_graph(two_leaf_system(8)))
+    assert result.reason == "only_coupled_spanning"
+    assert len(calls) <= 2000

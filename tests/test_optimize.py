@@ -531,28 +531,42 @@ class TestGrape:
         settings = KrotovSettings(max_iters=6, grape_step=30.0)
         j_ref, amps_ref, trials = recomputing_grape(problem, fields, settings)
         assert trials > settings.max_iters  # some trials were rejected
-        # the GKLS kernels import scipy.linalg.expm when they step
+        # the GKLS kernels and gradient import scipy.linalg.expm when called
         import scipy.linalg
-        eigh, expm, counts = np.linalg.eigh, scipy.linalg.expm, {}
+        eigh, expm, calls = np.linalg.eigh, scipy.linalg.expm, {}
 
-        def counting(name, func):
+        def recording(name, func):
+            # the stack shape of every call, sorted by matrix size
             def wrapper(a):
                 shape = np.shape(a)
-                counts[name] = counts.get(name, 0) + int(np.prod(shape[:-2]))
+                calls.setdefault((name, shape[-1]), []).append(shape)
                 return func(a)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
-        monkeypatch.setattr(scipy.linalg, "expm", counting("expm", expm))
+        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
+        monkeypatch.setattr(scipy.linalg, "expm", recording("expm", expm))
         rec = grape_concurrent(problem, fields, settings)
         assert len(rec.iterations) == len(j_ref)
         assert np.max(np.abs(rec.j_history - j_ref)) <= 1e-12 * j_ref[0]
         amps = np.stack([f.samples for f in rec.final_fields], axis=1)
         assert np.max(np.abs(amps - amps_ref)) \
             <= 1e-12 * np.max(np.abs(amps_ref))
-        # the guess, then one pass per line-search trial
-        exps = "expm" if kind == "open" else "eigh"
-        assert counts == {exps: (problem.grid.nt - 1) * (1 + trials)}
+        # the guess, then one pass per line-search trial, counted by matrix
+        n_steps = problem.grid.nt - 1
+        if kind == "open":
+            d = _engine(problem).gen0.shape[0]
+            stacks = calls.pop(("expm", d))
+            # every line search accepts a trial, so each of the max_iters
+            # gradients is one call of (nt-1) * M Van Loan blocks, 2d x 2d
+            assert rec.converged_reason == "max_iters"
+            n_ctrl = problem.hamiltonian.n_controls
+            assert calls.pop(("expm", 2 * d)) \
+                == [(n_steps, n_ctrl, 2 * d, 2 * d)] * settings.max_iters
+        else:
+            stacks = calls.pop(("eigh", problem.hamiltonian.dim))
+        assert sum(int(np.prod(s[:-2])) for s in stacks) \
+            == n_steps * (1 + trials)
+        assert calls == {}
 
     def test_guess_meeting_threshold_is_returned(self):
         problem = tls_transfer_problem(nt=201)
