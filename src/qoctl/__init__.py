@@ -21,8 +21,8 @@ thread count before numpy starts.
 A run always loads numpy, and scipy only where it is called.
 ``scipy.linalg`` is imported by the GKLS steps (``expm``, in
 ``qoctl._kernels``: the ``qubit_reset`` and ``stirap`` scenarios) and by
-the GKLS GRAPE gradient (``expm`` too); closed-system runs step with
-numpy's ``eigh`` alone.  ``scipy.optimize`` is imported by the simplex
+the GKLS GRAPE gradient (``expm`` too); closed-system runs use numpy
+alone.  ``scipy.optimize`` is imported by the simplex
 search of :func:`qoctl.optimize.gradient_free_search` (the ``gate_opt``
 scenario with ``budget > 0``) and by
 :func:`qoctl.adiabatic.dressed_frame`.

@@ -3,8 +3,9 @@
 Every caller (dynamics, optimizers, scenarios) goes through these entry
 points; ensembles and propagator columns are passed as ``(W, N)`` blocks
 rather than member by member.  The optimizers build one step stack per
-field (``step_stack_ket``: one batched ``eigh`` of a given stack of step
-Hamiltonians, whose eigenpairs the GRAPE gradient reuses;
+field (``step_stack_ket``: ``cos(H dt) - 1j sin(H dt)`` of a given stack
+of step Hamiltonians from Taylor series in real arithmetic, each step
+scaled by its own norm, a complex stack through its real realification;
 ``step_stack_dm``: one stacked ``expm`` call) and take states forward and
 co-states backward through it with ``propagate_steps``.
 ``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a

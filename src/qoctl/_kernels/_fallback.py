@@ -1,16 +1,17 @@
 """Piecewise-constant propagation kernels in numpy.
 
 A step stack holds the ``(nt-1, N, N)`` step operators of one field:
-``step_stack_ket`` exponentiates a given stack of step Hamiltonians with
-one batched ``eigh`` and also returns the eigenpairs, ``step_stack_dm``
-exponentiates the GKLS generators of ``amps`` in one stacked ``expm``
-call.  ``propagate_steps`` steps states forward through a stack and
-co-states backward through its adjoints.  ``propagate_pwc_ket`` and
-``propagate_pwc_dm`` build and apply the steps a block at a time.  The
-sequential Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm``
-differ only in how they make a step; both run one loop,
-``krotov_forward``, which updates the field while it steps and returns
-the updated field's stack.  Every generator they step, a
+``step_stack_ket`` exponentiates a given stack of step Hamiltonians as
+``cos X - 1j sin X``, ``X = H dt``, from Taylor series in real arithmetic
+(``_cos_sin``); ``step_stack_dm`` exponentiates the GKLS generators of
+``amps`` in one stacked ``expm`` call.  ``propagate_steps`` steps states
+forward through a stack and co-states backward through its adjoints.
+``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
+block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
+``krotov_forward_dm`` differ only in how they make a step, one at a time
+(an ``eigh`` for kets, an ``expm`` for GKLS generators); both run one
+loop, ``krotov_forward``, which updates the field while it steps and
+returns the updated field's stack.  Every generator they step, a
 Hamiltonian ``H0 + sum_j u_j H_j`` or a GKLS one, comes from ``generator``.
 
 Conventions shared by the entry points:
@@ -36,16 +37,28 @@ Conventions shared by the entry points:
   steps of it make one block.
 """
 
+import math
+
 import numpy as np
 
 BACKEND = "python"
 
-# propagate_pwc_* build step operators a block at a time: one batched eigh
-# (kets) or one generator assembly (GKLS) per block amortizes the Python
-# overhead per step.  A block holds at most BLOCK steps, and at most as many
-# elements as BLOCK 4x4 matrices, so its memory grows with neither the grid
-# nor the dimension.
+# propagate_pwc_* build step operators a block at a time: one series over a
+# stack (kets) or one generator assembly (GKLS) per block amortizes the
+# Python overhead per step.  A block holds at most BLOCK steps, and at most
+# as many elements as BLOCK 4x4 matrices, so its memory grows with neither
+# the grid nor the dimension.
 BLOCK = 1024
+
+# cos X and sin X / X as polynomials of degree DEGREE in Y = X @ X, for
+# ||X||_F <= 1: the first terms left out, 1/18! and 1/19!, are below the
+# float64 epsilon 2^-52.  Each polynomial is evaluated as A(Y) + Y^4 B(Y);
+# the rows of SERIES are the coefficients of A and B for cos, then for
+# sin / X, over the powers I, Y, Y^2, Y^3, Y^4.
+DEGREE = 8
+_COS = [(-1) ** k / math.factorial(2 * k) for k in range(DEGREE + 1)]
+_SIN = [(-1) ** k / math.factorial(2 * k + 1) for k in range(DEGREE + 1)]
+SERIES = np.array([_COS[:4] + [0.0], _COS[4:], _SIN[:4] + [0.0], _SIN[4:]])
 
 
 def block_rows(dim, n_members=1):
@@ -56,14 +69,70 @@ def block_rows(dim, n_members=1):
 
 
 def step_stack_ket(hams, dt):
-    """Step unitaries ``exp(-1j * H_k * dt)`` of a Hermitian stack ``hams``
-    ``(..., N, N)``, from one batched ``eigh``, and its eigenpairs ``w``
-    ``(..., N)``, ``v`` ``(..., N, N)``.  A ``(nt-1, P, N, N)`` stack gives
-    steps with a member axis."""
-    w, v = np.linalg.eigh(hams)
-    steps = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.conj(
-        np.swapaxes(v, -1, -2))
-    return steps, w, v
+    """Step unitaries ``exp(-1j * H_k * dt) = cos X_k - 1j sin X_k``,
+    ``X_k = H_k dt``, of a Hermitian stack ``hams`` ``(..., N, N)``.  A
+    ``(nt-1, P, N, N)`` stack gives steps with a member axis.
+
+    A real stack is a real symmetric ``X``, whose cos and sin are real.  A
+    complex one, ``X = A + 1j B``, goes through its real symmetric
+    realification ``[[A, -B], [B, A]]``: the cos and sin of that are the
+    realifications of ``cos X`` and ``sin X``, and their left block column
+    holds the real and imaginary parts.  Both triangles are read.
+    """
+    if not np.iscomplexobj(hams):
+        cos, sin = _cos_sin(np.asarray(hams, dtype=float) * dt)
+        steps = np.empty(cos.shape, dtype=complex)
+        steps.real = cos
+        np.negative(sin, out=steps.imag)
+        return steps
+    n = hams.shape[-1]
+    x = np.empty(hams.shape[:-2] + (2 * n, 2 * n))
+    x[..., :n, :n] = x[..., n:, n:] = hams.real * dt
+    x[..., n:, :n] = hams.imag * dt
+    np.negative(x[..., n:, :n], out=x[..., :n, n:])
+    cos, sin = _cos_sin(x)
+    steps = np.empty(hams.shape, dtype=complex)
+    np.add(cos[..., :n, :n], sin[..., n:, :n], out=steps.real)
+    np.subtract(cos[..., n:, :n], sin[..., :n, :n], out=steps.imag)
+    return steps
+
+
+def _cos_sin(x):
+    """``cos X`` and ``sin X`` of a stack ``x`` ``(..., n, n)`` of real
+    symmetric matrices, each from its own entries alone: scaled by the
+    least ``2^-s`` that brings ``||X||_F`` to 1 or below (exactly, as a
+    power of two), the ``DEGREE`` series in ``Y = X @ X``, then ``s``
+    double-angle steps ``cos 2X = C^2 - S^2``, ``sin 2X = 2 S C``
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Higham, Functions of
+    Matrices, ch. 12).
+    """
+    n = x.shape[-1]
+    # I, Y, Y^2, Y^3, Y^4 with the power axis first, so that the series'
+    # linear combinations are one product over every matrix's entries
+    powers = np.empty((5,) + x.shape)
+    powers[0] = np.eye(n)
+    y = np.matmul(x, x, out=powers[1])
+    # tr(X @ X) = ||X||_F^2 for symmetric X; s = ceil(e / 2) gives
+    # ||X||_F^2 < 2^e <= 4^s
+    s = np.maximum(np.frexp(np.einsum("...ii->...", y))[1] + 1, 0) // 2
+    if s.any():
+        scale = np.ldexp(1.0, -s)[..., None, None]
+        x = x * scale
+        y *= scale * scale
+    np.matmul(y, y, out=powers[2])
+    np.matmul(powers[1:3], powers[2], out=powers[3:])
+    parts = (SERIES @ powers.reshape(5, -1)).reshape((4,) + x.shape)
+    # I, Y and Y^2 are spent: their memory takes cos X, sin X / X, sin X
+    poly = np.matmul(powers[4], parts[1::2], out=powers[:2])
+    poly += parts[0::2]
+    cos, sin = poly[0], np.matmul(x, poly[1], out=powers[2])
+    for j in range(s.max(initial=0)):
+        sel = np.nonzero(s > j)
+        c, sn = cos[sel], sin[sel]
+        sin[sel] = 2.0 * (sn @ c)
+        # C^2 - S^2 in one product: C and S commute
+        cos[sel] = (c + sn) @ (c - sn)
+    return cos, sin
 
 
 def step_stack_dm(gen0, gens, amps, dt):
@@ -93,9 +162,11 @@ def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
 
     Parameters
     ----------
-    drift : (N, N) complex ndarray
-    coups : (M, N, N) complex ndarray
-        One summed coupling matrix per control channel.
+    drift : (N, N) float or complex ndarray
+    coups : (M, N, N) float or complex ndarray
+        One summed coupling matrix per control channel.  Real parts give
+        real step Hamiltonians, which ``step_stack_ket`` takes without a
+        realification.
     amps : (nt-1, M) float ndarray
     dt : positive float
     psi0 : (N,) or (W, N) complex ndarray
@@ -108,7 +179,7 @@ def propagate_pwc_ket(drift, coups, amps, dt, psi0, direction):
     (nt, N) or (nt, W, N) complex ndarray, indexed by state-grid point.
     """
     return _propagate(
-        lambda block: step_stack_ket(generator(drift, coups, block), dt)[0],
+        lambda block: step_stack_ket(generator(drift, coups, block), dt),
         amps, psi0, direction, complex)
 
 
@@ -150,12 +221,15 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     states : (nt, W, N) complex ndarray of forward-propagated states.
     steps : (nt-1, N, N) complex ndarray
         The step unitaries ``exp(-1j * H_k * dt)`` of the updated field,
-        each made by ``step_stack_ket``.
+        each from the ``eigh`` of its step Hamiltonian.
     """
+    def step_of(row):
+        # one eigh costs less than the series for a single small matrix
+        w, v = np.linalg.eigh(generator(drift, coups, row))
+        return (v * np.exp(-1j * dt * w)) @ np.conj(v.T)
+
     # Im <chi|C_j|psi> = Re <chi|-1j C_j|psi>
-    return krotov_forward(
-        lambda row: step_stack_ket(generator(drift, coups, row), dt)[0],
-        -1j * coups, amps, chi, psi0, gain)
+    return krotov_forward(step_of, -1j * coups, amps, chi, psi0, gain)
 
 
 def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain):

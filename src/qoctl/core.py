@@ -368,9 +368,14 @@ class ControlledHamiltonian:
     ``couplings`` maps each coupling operator to a control index; several
     operators may share an index (they enter with the same amplitude).
     Indices must be contiguous from 0.  The drift and every coupling must
-    be finite and Hermitian: the propagators diagonalize with ``eigh``,
-    which reads one triangle only.  ``coupling_stack``, built once, is the
-    read-only ``(M, N, N)`` stack of each control's summed couplings.
+    be finite and Hermitian: the ket steps are series in ``H dt`` that read
+    both triangles, and the GRAPE gradient diagonalizes with ``eigh``,
+    which reads one.  ``drift_matrix`` and ``coupling_stack``, built once,
+    are the read-only ``(N, N)`` drift and ``(M, N, N)`` stack of each
+    control's summed couplings that the propagators take.  They are
+    float64 when the drift and every coupling have zero imaginary part,
+    so that the step Hamiltonians of a real model stay real, and complex
+    otherwise.
     """
 
     drift: Operator
@@ -397,10 +402,16 @@ class ControlledHamiltonian:
         if indices and indices != list(range(len(indices))):
             raise ValueError(f"control indices must be contiguous from 0, "
                              f"got {indices}")
-        stack = np.zeros((len(indices), drift.dim, drift.dim), dtype=complex)
+        real = not any(np.any(op.matrix.imag)
+                       for op in [drift] + [op for op, _ in coups])
+        dtype = float if real else complex
+        stack = np.zeros((len(indices), drift.dim, drift.dim), dtype=dtype)
         for op, idx in coups:
-            stack[idx] += op.matrix
-        stack.setflags(write=False)
+            stack[idx] += op.matrix.real if real else op.matrix
+        matrix = drift.matrix.real.copy() if real else drift.matrix
+        for array in (matrix, stack):
+            array.setflags(write=False)
+        object.__setattr__(self, "drift_matrix", matrix)
         object.__setattr__(self, "coupling_stack", stack)
 
     @property

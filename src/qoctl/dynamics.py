@@ -182,9 +182,10 @@ def step_hamiltonians(h: ControlledHamiltonian,
                       controls: Sequence[ControlField],
                       grid: TimeGrid) -> np.ndarray:
     """The ``(nt-1, N, N)`` Hamiltonians ``H0 + sum_j u_j(t) H_j`` at the
-    midpoints of ``grid``, in one product.  The fields are checked as for
-    propagation: one per control, each on ``grid``."""
-    return _kernels.generator(h.drift.matrix, h.coupling_stack,
+    midpoints of ``grid``, in one product: real when ``h`` is (see
+    :class:`qoctl.core.ControlledHamiltonian`).  The fields are checked as
+    for propagation: one per control, each on ``grid``."""
+    return _kernels.generator(h.drift_matrix, h.coupling_stack,
                               _sample_matrix(controls, grid, h.n_controls))
 
 
@@ -212,7 +213,7 @@ def propagate_ket(h: ControlledHamiltonian, controls: Sequence[ControlField],
     if psi0.dim != h.dim:
         raise DimensionMismatchError(f"state dim {psi0.dim} != {h.dim}")
     amps = _sample_matrix(controls, grid, h.n_controls)
-    out = _kernels.propagate_pwc_ket(h.drift.matrix, h.coupling_stack,
+    out = _kernels.propagate_pwc_ket(h.drift_matrix, h.coupling_stack,
                                      amps, grid.dt, psi0.ket,
                                      _direction_sign(direction))
     return Trajectory(grid, "ket", out)
@@ -330,15 +331,16 @@ def propagate_operator_sequence(hams, grid: TimeGrid, psi0: QuantumState,
     :func:`qoctl.frames.rotating_frame` and
     :func:`qoctl.adiabatic.counterdiabatic_generic` return it.  Its steps
     come from the kernel :func:`propagate_ket` builds its own with, so on
-    ``step_hamiltonians(h, controls, grid)`` the two agree bitwise.
+    ``step_hamiltonians(h, controls, grid)`` the two agree bitwise; a real
+    ``hams`` steps in real arithmetic, as a real model does there.
     """
     if not psi0.is_ket:
         raise ValueError("propagate_operator_sequence needs a ket")
     sign = _direction_sign(direction)
-    hams = np.asarray(hams, dtype=complex)
+    hams = np.asarray(hams)
     if hams.shape[0] != grid.nt - 1:
         raise ValueError(f"need {grid.nt - 1} matrices, got {hams.shape[0]}")
-    steps = _kernels.step_stack_ket(hams, grid.dt)[0]
+    steps = _kernels.step_stack_ket(hams, grid.dt)
     return Trajectory(grid, "ket",
                       _kernels.propagate_steps(steps, psi0.ket, sign))
 

@@ -14,9 +14,11 @@ kets, and for the GKLS generator one Van Loan ``expm`` of ``(nt-1) M``
 blocks of ``2d x 2d`` reals, ``4M`` times the step stack's memory -- and
 applies one shaped update per iteration with a backtracking line search.
 
-Each field is exponentiated once: a forward pass returns its step stack
-(for kets with the step eigenpairs the gradient needs), and every co-state
-comes from the adjoints of the stack of the field's own forward pass.
+Each field is exponentiated once: a forward pass returns its step stack,
+and every co-state comes from the adjoints of the stack of the field's own
+forward pass.  The ket gradient diagonalizes the step Hamiltonians of the
+field it differentiates, once per gradient, so a rejected line-search
+trial costs no eigendecomposition.
 
 Co-state boundary conditions per cost kind (ensemble of W members):
 
@@ -204,18 +206,17 @@ class _KetEngine:
     def __init__(self, problem: ControlProblem):
         self.problem = problem
         h = problem.hamiltonian
-        self.drift = h.drift.matrix
+        self.drift = h.drift_matrix
         self.coups = h.coupling_stack
         self.psi0 = np.stack([s.ket for s in problem.initial_states])
         self.grid = problem.grid
         self.tgt = np.stack([t.ket for t in problem.targets()])
 
     def forward(self, amps):
-        """States of the field ``amps``, its step unitaries and the
-        eigenpairs ``(w, v)`` of its step Hamiltonians."""
-        steps, w, v = _kernels.step_stack_ket(
+        """States of the field ``amps`` and its step unitaries."""
+        steps = _kernels.step_stack_ket(
             _kernels.generator(self.drift, self.coups, amps), self.grid.dt)
-        return _kernels.propagate_steps(steps, self.psi0, 1), steps, (w, v)
+        return _kernels.propagate_steps(steps, self.psi0, 1), steps
 
     def cost_value(self, finals) -> float:
         overlaps = np.einsum("wi,wi->w", self.tgt.conj(), finals)
@@ -234,16 +235,18 @@ class _KetEngine:
                                            chi, self.psi0, self.grid.dt,
                                            gain)
 
-    def gradient(self, amps, fwd, steps, eig):
+    def gradient(self, amps, fwd, steps):
         """Exact discrete gradient of the cost w.r.t. every sample, from
-        what ``forward(amps)`` returned."""
+        what ``forward(amps)`` returned and one batched ``eigh`` of the
+        field's step Hamiltonians (real for a real model)."""
         chi = _kernels.propagate_steps(steps, self.chi_boundary(fwd[-1]), -1)
         # In the eigenbasis of a step Hamiltonian the Frechet derivative of
         # exp(-i H dt) along C_j is ratio * C_j.  The divided difference
         # (e^{-i dt w_a} - e^{-i dt w_b}) / (w_a - w_b) is formed as
         # -i dt h_a h_b sin(x)/x, h = e^{-i dt w/2}, x = dt (w_a - w_b)/2:
         # exact at any splitting, where the quotient cancels as it shrinks.
-        w, v = eig
+        w, v = np.linalg.eigh(
+            _kernels.generator(self.drift, self.coups, amps))
         dt = self.grid.dt
         h = np.exp(-0.5j * dt * w)
         ratio = -1j * dt * h[:, :, None] * h[:, None, :] * np.sinc(
@@ -274,10 +277,10 @@ class _DensityEngine:
         self.rho0, self.tgt = np.split(coords, 2)
 
     def forward(self, amps):
-        """States and step operators of the field ``amps``; no eigenpairs."""
+        """States and step operators of the field ``amps``."""
         steps = _kernels.step_stack_dm(self.gen0, self.gens, amps,
                                        self.grid.dt)
-        return _kernels.propagate_steps(steps, self.rho0, 1), steps, None
+        return _kernels.propagate_steps(steps, self.rho0, 1), steps
 
     def cost_value(self, finals) -> float:
         diff = finals - self.tgt
@@ -291,7 +294,7 @@ class _DensityEngine:
         return _kernels.krotov_forward_dm(self.gen0, self.gens, amps, chi,
                                           self.rho0, self.grid.dt, gain)
 
-    def gradient(self, amps, fwd, steps, eig):
+    def gradient(self, amps, fwd, steps):
         # deferred: scipy.linalg is over half a start-up; only this
         # gradient and the GKLS steps use it
         from scipy.linalg import expm
@@ -336,7 +339,7 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     tf_span = problem.grid.tf - problem.grid.t0
     lam = settings.lambda_
 
-    fwd, steps = engine.forward(amps)[:2]
+    fwd, steps = engine.forward(amps)
     j_tf = engine.cost_value(fwd[-1])
     if not np.isfinite(j_tf):
         raise FloatingPointError("non-finite functional for the guess field")
@@ -417,7 +420,7 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
     amps = _sample_matrix(guess, problem.grid,
                           problem.hamiltonian.n_controls)
     shape = settings.shape_for(problem.grid)
-    fwd, steps, eig = engine.forward(amps)
+    fwd, steps = engine.forward(amps)
     j_tf = engine.cost_value(fwd[-1])
     if not np.isfinite(j_tf):
         raise FloatingPointError("non-finite functional for the guess field")
@@ -429,16 +432,16 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
     reason = "max_iters"
     for it in range(1, settings.max_iters + 1):
         t_start = time.perf_counter()
-        grad = engine.gradient(amps, fwd, steps, eig)
-        fwd = steps = eig = None  # one step stack alive at a time
+        grad = engine.gradient(amps, fwd, steps)
+        fwd = steps = None  # one step stack alive at a time
         step = settings.grape_step
         for _ in range(25):
             trial = amps - step * shape[:, None] * grad
-            fwd, steps, eig = engine.forward(trial)
+            fwd, steps = engine.forward(trial)
             j_trial = engine.cost_value(fwd[-1])
             if j_trial < j_tf:
                 break
-            fwd = steps = eig = None
+            fwd = steps = None
             step *= 0.5
         if fwd is None:
             reason = "dj_threshold"

@@ -300,10 +300,11 @@ def _bichromatic(config, bundle):
 
     psi0 = QuantumState.from_ket(np.array([c1, c2, 0.0], dtype=complex)
                                  / np.hypot(c1, c2))
-    drift = Operator(np.diag([0.0, splitting, omega_f]).astype(complex))
-    c1f = Operator([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-    c2f = Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-    coups = np.stack([c1f.matrix, c2f.matrix])
+    # both couplings carry the drive: one control
+    h = ControlledHamiltonian(
+        Operator(np.diag([0.0, splitting, omega_f])),
+        [(Operator([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), 0),
+         (Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]]), 0)])
     mid = grid.midpoints[:, None]
     envelope = np.sin(np.pi * (mid - grid.t0) / (grid.tf - grid.t0)) ** 2
     omega1, omega2 = omega_f, omega_f - splitting
@@ -319,10 +320,8 @@ def _bichromatic(config, bundle):
         t = mid[k0:k0 + rows]
         drive = rabi_peak * envelope[k0:k0 + rows] * (
             np.cos(omega1 * t) + np.cos(omega2 * t + phases))
-        # both controls carry the drive
         steps = _kernels.step_stack_ket(_kernels.generator(
-            drift.matrix, coups, np.stack([drive, drive], axis=-1)),
-            grid.dt)[0]
+            h.drift_matrix, h.coupling_stack, drive[..., None]), grid.dt)
         block = _kernels.propagate_steps(steps, state, 1)
         worst_drift = max(worst_drift, np.abs(
             np.linalg.norm(block[1:], axis=-1) - 1.0).max())
@@ -457,7 +456,7 @@ def _realized_gate(problem: ControlProblem, fields) -> Operator:
     """Final-time propagator: the basis columns stepped as one block."""
     h, grid = problem.hamiltonian, problem.grid
     finals = _kernels.propagate_pwc_ket(
-        h.drift.matrix, h.coupling_stack,
+        h.drift_matrix, h.coupling_stack,
         _sample_matrix(fields, grid, h.n_controls), grid.dt,
         np.eye(h.dim, dtype=complex), 1)[-1]
     return Operator(finals.T)

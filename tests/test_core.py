@@ -213,7 +213,8 @@ class TestControlledHamiltonian:
             ControlledHamiltonian(core.identity(3), [(core.sigma_x(), 0)])
 
     def test_non_hermitian_drift_rejected(self):
-        # eigh reads one triangle: [[0, 1], [0, 0]] would step as sigma_x
+        # the ket series would exponentiate [[0, 1], [0, 0]] into a
+        # non-unitary step, and the gradient's eigh read it as sigma_x
         with pytest.raises(ValueError, match="Hermitian"):
             ControlledHamiltonian(Operator([[0, 1], [0, 0]]),
                                   [(core.sigma_x(), 0)])
@@ -256,6 +257,17 @@ class TestControlledHamiltonian:
         empty = ControlledHamiltonian(core.sigma_z(), []).coupling_stack
         assert empty.shape == (0, 2, 2)
         assert not empty.flags.writeable
+
+    def test_real_model_keeps_real_arrays(self):
+        # zero imaginary parts everywhere: the step Hamiltonians stay real
+        real = ControlledHamiltonian(core.sigma_z(), [(core.sigma_x(), 0)])
+        assert real.drift_matrix.dtype == np.float64
+        assert real.coupling_stack.dtype == np.float64
+        assert not real.drift_matrix.flags.writeable
+        mixed = ControlledHamiltonian(core.sigma_z(), [(core.sigma_y(), 0)])
+        assert mixed.drift_matrix.dtype == mixed.coupling_stack.dtype \
+            == np.complex128
+        assert np.array_equal(mixed.drift_matrix, core.sigma_z().matrix)
 
     def test_liouvillian_dim_check(self):
         h = ControlledHamiltonian(core.sigma_z(), [])

@@ -117,18 +117,24 @@ class TestKetPropagation:
     def test_operator_sequence_is_the_ket_path(self, rng, dim, direction):
         # a given Hamiltonian stack is stepped by the kernel propagate_ket
         # builds its own steps with: the same numbers, over several blocks
+        # and with steps that need double-angle steps, and for a real model
+        # in real arithmetic on both paths (its realification would scale
+        # some steps by other powers of two)
         nt = 2 * _kernels.block_rows(dim) + 6
         grid = TimeGrid(0.0, 0.01 * (nt - 1), nt)
-        h = ControlledHamiltonian(random_hermitian(rng, dim),
-                                  [(random_hermitian(rng, dim), 0),
-                                   (random_hermitian(rng, dim), 1)])
-        fields = [ControlField(grid, rng.normal(size=nt - 1))
-                  for _ in range(2)]
-        psi0 = random_ket(rng, dim)
-        ref = propagate_ket(h, fields, grid, psi0, direction)
-        got = propagate_operator_sequence(
-            step_hamiltonians(h, fields, grid), grid, psi0, direction)
-        assert np.array_equal(got.array, ref.array)
+        for dtype in (complex, float):
+            ops = [random_hermitian(rng, dim) for _ in range(3)]
+            if dtype is float:
+                ops = [Operator(op.matrix.real) for op in ops]
+            h = ControlledHamiltonian(ops[0], [(ops[1], 0), (ops[2], 1)])
+            assert h.coupling_stack.dtype == dtype
+            fields = [ControlField(grid, 100.0 * rng.normal(size=nt - 1))
+                      for _ in range(2)]
+            psi0 = random_ket(rng, dim)
+            ref = propagate_ket(h, fields, grid, psi0, direction)
+            got = propagate_operator_sequence(
+                step_hamiltonians(h, fields, grid), grid, psi0, direction)
+            assert np.array_equal(got.array, ref.array)
 
     def test_control_count_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 11)

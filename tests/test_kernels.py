@@ -1,8 +1,8 @@
 """The block kernels against a plain per-step ``scipy.linalg.expm`` loop.
 
 The references below step one member at a time through the textbook
-exponential of every step generator, so they check the batched
-eigendecomposition, the block layout of ensembles, the in-place field
+exponential of every step generator, so they check the batched cos/sin
+series of the ket steps, the block layout of ensembles, the in-place field
 update of the Krotov passes and the step stacks those passes return at
 once.
 """
@@ -82,6 +82,12 @@ def hamiltonian_data(rng):
     return herm[0].copy(), herm[1:].copy()
 
 
+def real_and_complex(hamiltonian_data):
+    """The Hermitian drift and couplings, then their real symmetric
+    parts: a real model."""
+    return [hamiltonian_data, tuple(np.real(a) for a in hamiltonian_data)]
+
+
 @pytest.fixture
 def generator_data(rng):
     n, m = 16, 2  # vectorized two-qubit generator
@@ -90,7 +96,7 @@ def generator_data(rng):
 
 
 class TestKetPropagation:
-    # more steps than one eigh block, so block edges are crossed both ways
+    # more steps than one block, so block edges are crossed both ways
     N_STEPS = 2 * _kernels.block_rows(3) + 5  # hamiltonian_data is 3x3
 
     @pytest.mark.parametrize("n_ens", [None, 1, 3])
@@ -215,16 +221,16 @@ class TestStepStack:
     ``expm`` of the step generator."""
 
     def test_ket(self, hamiltonian_data, rng):
-        drift, coups = hamiltonian_data
         n_mid, dt = 30, 0.05
-        amps = rng.normal(size=(n_mid, coups.shape[0]))
-        steps, w, v = _kernels.step_stack_ket(
-            _kernels.generator(drift, coups, amps), dt)
-        assert steps.shape == v.shape == (n_mid,) + drift.shape
-        for k in range(n_mid):
-            h = drift + np.tensordot(amps[k], coups, 1)
-            assert close(steps[k], expm(-1j * dt * h))
-            assert close((v[k] * w[k]) @ v[k].conj().T, h)
+        amps = rng.normal(size=(n_mid, hamiltonian_data[1].shape[0]))
+        # a real model's symmetric parts step without a realification
+        for drift, coups in real_and_complex(hamiltonian_data):
+            steps = _kernels.step_stack_ket(
+                _kernels.generator(drift, coups, amps), dt)
+            assert steps.shape == (n_mid,) + drift.shape
+            for k in range(n_mid):
+                h = drift + np.tensordot(amps[k], coups, 1)
+                assert close(steps[k], expm(-1j * dt * h))
 
     def test_density(self, generator_data, rng):
         gen0, gens = generator_data
@@ -309,7 +315,7 @@ class TestMemberAxis:
         n = drift.shape[0]
         n_mid = 2 * _kernels.block_rows(n) + 5
         stacks = [_kernels.step_stack_ket(_kernels.generator(
-            drift, coups, rng.normal(size=(n_mid, coups.shape[0]))), 0.05)[0]
+            drift, coups, rng.normal(size=(n_mid, coups.shape[0]))), 0.05)
             for _ in range(n_members)]
         state = random_block(rng, (n_members, 1, n))
         got = _kernels.propagate_steps(np.stack(stacks, axis=1), state,
@@ -319,18 +325,38 @@ class TestMemberAxis:
             ref = _kernels.propagate_steps(steps, state[p], direction)
             assert np.array_equal(got[:, p], ref)
 
-    def test_step_stack_ket(self, hamiltonian_data, rng):
-        drift, coups = hamiltonian_data
-        rows, n_members, n = 40, 4, drift.shape[0]
-        amps = rng.normal(size=(rows, n_members, coups.shape[0]))
+    @staticmethod
+    def check_step_stack_ket(drift, coups, amps, dt):
+        """Each member's steps of a ``(rows, P)`` stack against its solo
+        run, bitwise, and against ``expm``."""
+        rows, n_members = amps.shape[:2]
         got = _kernels.step_stack_ket(
-            _kernels.generator(drift, coups, amps), 0.05)
-        assert got[0].shape == (rows, n_members, n, n)
+            _kernels.generator(drift, coups, amps), dt)
+        assert got.shape == (rows, n_members) + drift.shape
         for p in range(n_members):
             ref = _kernels.step_stack_ket(
-                _kernels.generator(drift, coups, amps[:, p].copy()), 0.05)
-            for got_part, ref_part in zip(got, ref):
-                assert np.array_equal(got_part[:, p], ref_part)
+                _kernels.generator(drift, coups, amps[:, p].copy()), dt)
+            assert np.array_equal(got[:, p], ref)
+            for k in range(rows):
+                h = drift + np.tensordot(amps[k, p], coups, 1)
+                assert close(got[k, p], expm(-1j * dt * h))
+
+    def test_step_stack_ket(self, hamiltonian_data, rng):
+        amps = rng.normal(size=(40, 4, hamiltonian_data[1].shape[0]))
+        for drift, coups in real_and_complex(hamiltonian_data):
+            self.check_step_stack_ket(drift, coups, amps, 0.05)
+
+    def test_large_member_next_to_small_ones(self, hamiltonian_data, rng):
+        # A member whose ||H dt|| needs double-angle steps leaves its
+        # neighbours' bits alone: each step is scaled by its own norm.
+        amps = rng.normal(size=(12, 5, hamiltonian_data[1].shape[0]))
+        amps[:, 2] *= 400.0
+        amps[3, 4] *= 400.0
+        for drift, coups in real_and_complex(hamiltonian_data):
+            norms = np.linalg.norm(
+                0.05 * _kernels.generator(drift, coups, amps), axis=(-2, -1))
+            assert norms[:, 2].min() > 8.0 > 1.0 > norms[:, :2].max()
+            self.check_step_stack_ket(drift, coups, amps, 0.05)
 
 
 @pytest.mark.parametrize("name, state", [
@@ -354,7 +380,7 @@ class TestProperties:
     @given(models())
     def test_ket_steps_unitary(self, model):
         steps = _kernels.step_stack_ket(_kernels.generator(
-            *model.parts, model.amps), model.dt)[0]
+            *model.parts, model.amps), model.dt)
         eye = np.eye(steps.shape[-1])
         assert np.max(np.abs(steps @ np.conj(np.swapaxes(steps, 1, 2))
                              - eye)) <= 1e-12
@@ -363,7 +389,7 @@ class TestProperties:
     @given(models(), st.integers(1, 3))
     def test_forward_backward_round_trip(self, model, n_ens):
         steps = _kernels.step_stack_ket(_kernels.generator(
-            *model.parts, model.amps), model.dt)[0]
+            *model.parts, model.amps), model.dt)
         rng = np.random.default_rng(n_ens)
         block = random_block(rng, (n_ens, steps.shape[-1]))
         block /= np.linalg.norm(block, axis=1, keepdims=True)

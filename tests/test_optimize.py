@@ -387,7 +387,7 @@ def test_open_cost_is_hilbert_schmidt_distance():
 
 def recomputing_grape(problem, guess, settings):
     """GRAPE without reuse: every gradient re-propagates its field forward
-    and backward and re-diagonalizes (or re-exponentiates) every step.
+    and backward and re-exponentiates every step.
     Returns the cost history, the final amplitudes and the number of
     line-search trials."""
     engine = _engine(problem)
@@ -525,45 +525,52 @@ class TestGrape:
 
     @pytest.mark.parametrize("kind", ["closed", "open"])
     def test_reuses_line_search_trial(self, kind, monkeypatch):
-        # each field is propagated and diagonalized (or exponentiated) once:
-        # the accepted trial's states and steps feed the next gradient
+        # each field is exponentiated once: the accepted trial's states and
+        # steps feed the next gradient
         problem, fields = getattr(self, f"{kind}_problem")()
         settings = KrotovSettings(max_iters=6, grape_step=30.0)
         j_ref, amps_ref, trials = recomputing_grape(problem, fields, settings)
         assert trials > settings.max_iters  # some trials were rejected
         # the GKLS kernels and gradient import scipy.linalg.expm when called
         import scipy.linalg
-        eigh, expm, calls = np.linalg.eigh, scipy.linalg.expm, {}
+        calls = {}
 
         def recording(name, func):
             # the stack shape of every call, sorted by matrix size
-            def wrapper(a):
+            def wrapper(a, *args):
                 shape = np.shape(a)
                 calls.setdefault((name, shape[-1]), []).append(shape)
-                return func(a)
+                return func(a, *args)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
-        monkeypatch.setattr(scipy.linalg, "expm", recording("expm", expm))
+        for module, name in ((np.linalg, "eigh"), (scipy.linalg, "expm"),
+                             (_kernels, "step_stack_ket")):
+            monkeypatch.setattr(module, name,
+                                recording(name, getattr(module, name)))
         rec = grape_concurrent(problem, fields, settings)
         assert len(rec.iterations) == len(j_ref)
         assert np.max(np.abs(rec.j_history - j_ref)) <= 1e-12 * j_ref[0]
         amps = np.stack([f.samples for f in rec.final_fields], axis=1)
         assert np.max(np.abs(amps - amps_ref)) \
             <= 1e-12 * np.max(np.abs(amps_ref))
-        # the guess, then one pass per line-search trial, counted by matrix
+        # every line search accepts a trial, so there are max_iters
+        # gradients, each one call over the (nt-1) steps: (nt-1) * M Van
+        # Loan blocks, 2d x 2d, or one eigh of the step Hamiltonians
+        assert rec.converged_reason == "max_iters"
         n_steps = problem.grid.nt - 1
+        n_ctrl = problem.hamiltonian.n_controls
         if kind == "open":
             d = _engine(problem).gen0.shape[0]
             stacks = calls.pop(("expm", d))
-            # every line search accepts a trial, so each of the max_iters
-            # gradients is one call of (nt-1) * M Van Loan blocks, 2d x 2d
-            assert rec.converged_reason == "max_iters"
-            n_ctrl = problem.hamiltonian.n_controls
             assert calls.pop(("expm", 2 * d)) \
                 == [(n_steps, n_ctrl, 2 * d, 2 * d)] * settings.max_iters
         else:
-            stacks = calls.pop(("eigh", problem.hamiltonian.dim))
+            n = problem.hamiltonian.dim
+            stacks = calls.pop(("step_stack_ket", n))
+            # a forward pass makes no eigh
+            assert calls.pop(("eigh", n)) \
+                == [(n_steps, n, n)] * settings.max_iters
+        # the guess, then one pass per line-search trial, counted by matrix
         assert sum(int(np.prod(s[:-2])) for s in stacks) \
             == n_steps * (1 + trials)
         assert calls == {}

@@ -76,7 +76,7 @@ CONFIG_ERRORS = [
     # one midpoint, where the update shape vanishes: nothing to optimize
     {"scenario": "qubit_reset", "system": {"nt": 2}},
     {"scenario": "gate_opt", "grid": {"t0": 0, "tf": 2, "nt": 2}},
-    # a non-Hermitian drift, which the eigh-based steps would misread
+    # a non-Hermitian drift, which no ket step would read as unitary
     {"scenario": "controllability", "system": {
         "drift": {"dim": 2, "entries": [[[0.0, 0.0], [1.0, 0.0]],
                                         [[0.0, 0.0], [0.0, 0.0]]]}}},
