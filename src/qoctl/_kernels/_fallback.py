@@ -8,11 +8,15 @@ A step stack holds the ``(nt-1, N, N)`` step operators of one field:
 forward through a stack and co-states backward through its adjoints.
 ``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
 block at a time.  The sequential Krotov passes ``krotov_forward_ket`` and
-``krotov_forward_dm`` differ only in how they make a step, one at a time
-(an ``eigh`` for kets, an ``expm`` for GKLS generators); both run one
+``krotov_forward_dm`` differ only in the stack function they give one
 loop, ``krotov_forward``, which updates the field while it steps and
-returns the updated field's stack.  Every generator they step, a
-Hamiltonian ``H0 + sum_j u_j H_j`` or a GKLS one, comes from ``generator``.
+returns the updated field's stack.  A step's amplitudes are known only
+once the step before it is taken, so the loop exponentiates none of them:
+it builds one ``StepTable`` per pass, a Chebyshev interpolant of the step
+operator over a box of amplitudes whose nodes come from one stacked call
+of that function, and reads each step off it as one weighted sum.  Every
+generator they step, a Hamiltonian ``H0 + sum_j u_j H_j`` or a GKLS one,
+comes from ``generator``.
 
 Conventions shared by the entry points:
 
@@ -78,6 +82,11 @@ def step_stack_ket(hams, dt):
     realification ``[[A, -B], [B, A]]``: the cos and sin of that are the
     realifications of ``cos X`` and ``sin X``, and their left block column
     holds the real and imaginary parts.  Both triangles are read.
+
+    Accuracy domain: each double-angle step costs about an ulp, so the
+    steps are unitary to about ``||X||_F * eps``.  The worst of 800 random
+    complex 2-8 level steps: 7.5e-15 at ``||X||_F`` 10, 1.5e-13 at 1e2,
+    2.4e-12 at 1e3, 2.2e-9 at 1e6.
     """
     if not np.iscomplexobj(hams):
         cos, sin = _cos_sin(np.asarray(hams, dtype=float) * dt)
@@ -203,7 +212,11 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     For each midpoint ``k`` the field update
     ``du_j = gain[k] * mean_w Im <chi[k, w] | C_j | psi[k, w]>``
     is applied to ``amps[k]`` **before** stepping the states through the
-    exponential built from the updated amplitudes.
+    exponential built from the updated amplitudes.  The steps are read off
+    the pass's ``StepTable``, whose nodes come from ``step_stack_ket``, so
+    they share its accuracy domain: unitary to about ``||H dt||_F * eps``,
+    some 1e-12 at ``||H dt||_F`` 1e3, where one ``eigh`` per step was
+    unitary to round-off at any norm.
 
     Parameters
     ----------
@@ -220,16 +233,13 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     -------
     states : (nt, W, N) complex ndarray of forward-propagated states.
     steps : (nt-1, N, N) complex ndarray
-        The step unitaries ``exp(-1j * H_k * dt)`` of the updated field,
-        each from the ``eigh`` of its step Hamiltonian.
+        The step unitaries ``exp(-1j * H_k * dt)`` of the updated field.
     """
-    def step_of(row):
-        # one eigh costs less than the series for a single small matrix
-        w, v = np.linalg.eigh(generator(drift, coups, row))
-        return (v * np.exp(-1j * dt * w)) @ np.conj(v.T)
-
-    # Im <chi|C_j|psi> = Re <chi|-1j C_j|psi>
-    return krotov_forward(step_of, -1j * coups, amps, chi, psi0, gain)
+    # -1j H dt is skew-Hermitian: its log-norm is 0 anywhere in the box
+    return krotov_forward(
+        lambda us: step_stack_ket(generator(drift, coups, us), dt),
+        np.linalg.norm(coups, axis=(1, 2)) * dt, lambda mid, half: 0.0,
+        -1j * coups, amps, chi, psi0, gain)  # Im <.|C|.> = Re <.|-1j C|.>
 
 
 def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain):
@@ -240,39 +250,167 @@ def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain):
     the update reads ``du_j = gain[k] * mean_w Re(chi[k, w]^dag R_j
     rho[k, w])``, in the real basis of ``dynamics.reduced_gkls_parts`` the
     real product ``chi^T R_j rho``.  Returns the states and the step
-    operators ``expm(G_k * dt)`` of the updated field, shaped as for kets.
+    operators ``expm(G_k * dt)`` of the updated field, shaped as for kets,
+    read off the pass's ``StepTable``, whose nodes come from one
+    ``step_stack_dm`` call.
     """
-    # deferred: scipy.linalg is over half a start-up; only GKLS steps use it
-    from scipy.linalg import expm
-    # scaled once per pass, not per step as step_stack_dm would
-    gen0_dt, gens_dt = gen0 * dt, gens * dt
-    return krotov_forward(lambda row: expm(generator(gen0_dt, gens_dt, row)),
+    herm0, herms = (0.5 * dt * (g + np.conj(np.swapaxes(g, -1, -2)))
+                    for g in (gen0, gens))
+    herm_sizes = np.linalg.norm(herms, axis=(1, 2))
+
+    def log_norm(mid, half):
+        # ||Herm(G dt)||_F bounds the log-norm of G dt, over the whole box
+        return float(np.linalg.norm(generator(herm0, herms, mid))
+                     + half @ herm_sizes)
+
+    return krotov_forward(lambda us: step_stack_dm(gen0, gens, us, dt),
+                          np.linalg.norm(gens, axis=(1, 2)) * dt, log_norm,
                           gens, amps, chi, rho0_vec, gain)
 
 
-def krotov_forward(step_of, ops, amps, chi, state0, gain):
+def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
     """The sequential pass both Krotov variants run.
 
     For each midpoint ``k`` the update
     ``du_j = gain[k] * mean_w Re(chi[k, w]^dag ops[j] state[k, w])`` is
     added to ``amps[k]`` in place, then the ``(W, N)`` block is stepped
-    through ``step_of(amps[k])``, the step operator of the updated row.
-    Returns the ``(nt, W, N)`` states and the ``(nt-1, N, N)`` steps.
+    through the step operator of the updated row, one product of a
+    ``StepTable``'s weights with its coefficients.  The table's box holds
+    the old rows widened by a bound on each update, ``|du_kj| <=
+    |gain[k] / W| ||chi[k]^dag ops[j]|| ||state0||``; an update past it
+    (states that outgrew ``||state0||``) rebuilds the table on a box
+    widened from that step on.  ``stack_of`` exponentiates a stack of
+    amplitude rows, ``sizes[j]`` is the Frobenius norm of control ``j``'s
+    part of the step exponent and ``log_norm(mid, half)`` bounds the
+    exponent's log-norm over a box.  Returns the ``(nt, W, N)`` states and
+    the ``(nt-1, N, N)`` steps.
     """
     n_mid, n_ctrl = amps.shape
     # chi is fixed for the pass: contract it with ops for every step at
     # once, so that the update at step k is one product with the block
-    proj = (chi[:-1, None].conj() @ ops).reshape(n_mid, n_ctrl, -1)
-    rate = gain / state0.shape[0]  # the update is an ensemble mean
+    # (and with the rate: the update is an ensemble mean)
+    proj = (chi[:-1, None].conj() @ ops).reshape(n_mid, n_ctrl, -1) \
+        * (gain / state0.shape[0])[:, None, None]
+    # |du_kj| <= reach[k, j] ||state[k]|| (Cauchy-Schwarz)
+    reach = np.linalg.norm(proj, axis=2)
     dtype = np.result_type(state0, proj)
     out = np.empty((n_mid + 1,) + state0.shape, dtype=dtype)
     steps = np.empty((n_mid,) + ops.shape[1:], dtype=dtype)
+    # each step is written as reals, complex ones as interleaved pairs
+    flat = steps.reshape(n_mid, -1).view(float)
+    # a table holds at most as many nodes as the steps it serves, or one
+    # block of them: its memory grows no faster than the pass's own
+    block = block_rows(steps.shape[-1])
     out[0] = state0
+    table = None
     for k in range(n_mid):
-        amps[k] += rate[k] * (proj[k] @ out[k].ravel()).real
-        steps[k] = step_of(amps[k])
-        np.matmul(out[k], steps[k].T, out=out[k + 1])
+        row = amps[k]  # a view: updated in place
+        row += (proj[k] @ out[k].ravel()).real
+        weights = None if table is None else table.weights(row)
+        if weights is None:
+            # the first step, or one past the box: a rebuild doubles the
+            # norm, so that growing states rebuild about once per doubling
+            norm = np.linalg.norm(out[k]) * (1.0 if table is None else 2.0)
+            table = StepTable(stack_of, sizes, log_norm, amps[k:],
+                              reach[k:] * norm, max(n_mid - k, block), dtype)
+            weights = table.weights(row)
+        np.dot(weights, table.coefs, out=flat[k])
+        np.dot(out[k], steps[k].T, out=out[k + 1])
     return out, steps
+
+
+# A table takes, per control, the least degree whose interpolation error
+# bound (StepTable) is at most TABLE_TOL.
+TABLE_TOL = 2.0 ** -53
+
+
+class StepTable:
+    """Chebyshev interpolant of a step operator over a box of amplitudes.
+
+    The box is ``[min(rows - reach), max(rows + reach)]`` per control, the
+    nodes a tensor grid of first-kind Chebyshev points, one axis per
+    control, exponentiated in one ``stack_of`` call.  Their coefficients
+    come from one cosine-matrix product along each axis, so that a step
+    inside the box is ``weights(u) @ coefs``, where the weights are the
+    products of ``T_k(xi_j) = cos(k arccos xi_j)`` (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013, chs. 4 and
+    8).
+
+    The degree of control ``j`` follows from the Dyson series of
+    ``exp(X + xi Y)``, ``||Y|| <= rho = half_j * sizes[j]``: its
+    coefficients obey ``||a_k|| <= 2 e^mu I_k(rho)``, ``mu`` a bound on the
+    log-norm of ``X`` (``_degree``).  A box whose grid would hold more than
+    ``max_nodes`` nodes shrinks to the first row: one node, the step
+    itself, so that an update bound that spans a huge range (a tiny Krotov
+    step size) costs one exponential per step, not a huge grid.
+    """
+
+    def __init__(self, stack_of, sizes, log_norm, rows, reach, max_nodes,
+                 dtype):
+        lo = (rows - reach).min(axis=0)
+        hi = (rows + reach).max(axis=0)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        mu = log_norm(mid, half)
+        degrees = [_degree(h * s, mu, max_nodes)
+                   for h, s in zip(half, sizes)]
+        if math.prod(d + 1 for d in degrees) > max_nodes:
+            lo = hi = mid = rows[0]
+            half = np.zeros_like(half)
+            degrees = [0] * len(degrees)
+        # [-1, 1] -> the box; a box of zero width keeps xi at 0
+        scale = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0)
+        self.axes = list(zip(lo.tolist(), hi.tolist(), mid.tolist(),
+                             scale.tolist(),
+                             [np.arange(d + 1.0) for d in degrees]))
+        # first-kind Chebyshev points x_i = cos(pi (i + 1/2) / (n + 1))
+        angles = [np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
+                  for d in degrees]
+        shape = [d + 1 for d in degrees]
+        self.nodes = math.prod(shape)
+        grid = np.meshgrid(*[m + h * np.cos(a) for m, h, a
+                             in zip(mid, half, angles)], indexing="ij")
+        coefs = stack_of(np.reshape(grid, (len(shape), self.nodes)).T)
+        coefs = coefs.reshape(shape + [-1])
+        for axis, (d, a) in enumerate(zip(degrees, angles)):
+            # a_k = (2 - [k = 0]) / (n + 1) sum_i f(x_i) cos(k theta_i)
+            cosines = np.cos(np.arange(d + 1)[:, None] * a) * (2.0 / (d + 1))
+            cosines[0] *= 0.5
+            coefs = np.moveaxis(np.tensordot(cosines, coefs, (1, axis)),
+                                0, axis)
+        coefs = np.asarray(coefs.reshape(-1, coefs.shape[-1]), dtype=dtype)
+        self.coefs = np.ascontiguousarray(coefs).view(float)
+
+    def weights(self, u):
+        """The weights of the row ``u`` over the coefficients, or ``None``
+        where ``u`` lies outside the box."""
+        weights = None
+        for uj, (lo, hi, mid, scale, ks) in zip(u.tolist(), self.axes):
+            if uj < lo or uj > hi:
+                return None
+            # rounding may carry xi just past +-1, where arccos is undefined
+            xi = min(1.0, max(-1.0, (uj - mid) * scale))
+            t = np.cos(ks * math.acos(xi))
+            weights = t if weights is None \
+                else np.multiply.outer(weights, t).ravel()
+        return weights
+
+
+def _degree(rho, mu, cap):
+    """The least degree ``n`` whose interpolation error bound
+    ``2 sum_{k>n} 2 e^mu I_k(rho) <= 8 e^mu U_{n+1}(rho)`` (for
+    ``n + 2 >= rho``) is at most ``TABLE_TOL``, with
+    ``U_k(x) = (x/2)^k / k! e^{x^2 / (4 (k+1))} >= I_k(x)``, whose ratios
+    are at most ``x / (2 (k+1))``.  Evaluated in logarithms, so that no
+    finite ``mu`` overflows; at least ``cap`` when no degree below it will
+    do."""
+    if not (0.0 < rho < math.inf and math.isfinite(mu)):
+        return 0
+    bound = math.log(TABLE_TOL / 8.0) - mu
+    n = max(0, math.ceil(rho) - 2)
+    while n < cap and ((n + 1) * math.log(0.5 * rho) - math.lgamma(n + 2)
+                       + rho * rho / (4.0 * (n + 2))) > bound:
+        n += 1
+    return n
 
 
 def _propagate(steps_of, amps, state0, direction, dtype):

@@ -3,8 +3,8 @@
 The references below step one member at a time through the textbook
 exponential of every step generator, so they check the batched cos/sin
 series of the ket steps, the block layout of ensembles, the in-place field
-update of the Krotov passes and the step stacks those passes return at
-once.
+update of the Krotov passes, the Chebyshev tables they read their steps
+from and the step stacks those passes return at once.
 """
 
 import inspect
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qoctl import _kernels
+from qoctl._kernels import _fallback
 from qoctl.core import Liouvillian
 from qoctl.dynamics import (ControlField, TimeGrid, gkls_generator_parts,
                             propagate_density, reduced_gkls_parts,
@@ -214,6 +215,170 @@ class TestKrotovForward:
         assert close(got @ basis.T, ref, 1e-10)
         assert close(basis @ steps @ basis.conj().T,
                      ref_steps @ basis @ basis.conj().T, 1e-10)
+
+
+def hermitian_parts(rng, n, m, real=False):
+    """A Hermitian ``(n, n)`` drift and ``m`` couplings (real symmetric
+    ones for ``real``)."""
+    mats = rng.normal(size=(1 + m, n, n)) if real \
+        else random_block(rng, (1 + m, n, n))
+    herm = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
+    return herm[0].copy(), herm[1:].copy()
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every ``StepTable`` the Krotov passes build, in order."""
+    built = []
+
+    class Recorded(_fallback.StepTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(_fallback, "StepTable", Recorded)
+    return built
+
+
+def ket_pass(drift, coups, amps, chi, psi0, dt, gain):
+    """A ket pass against ``reference_krotov`` at ``RTOL``: amplitudes,
+    states and steps."""
+    amps_ref = amps.copy()
+    got, steps = _kernels.krotov_forward_ket(drift, coups, amps, chi, psi0,
+                                             dt, gain)
+    ref, ref_steps = reference_krotov(drift, coups, coups, amps_ref, chi,
+                                      psi0, -1j * dt, gain)
+    assert close(amps, amps_ref)
+    assert close(got, ref)
+    assert close(steps, ref_steps)
+    return steps
+
+
+class TestStepTable:
+    """The Chebyshev tables of the Krotov passes: one table of fewer nodes
+    than steps per pass, read at every step to round-off of the per-step
+    ``expm`` of ``reference_krotov``."""
+
+    @pytest.mark.parametrize("n_ctrl, real", [(1, True), (2, False),
+                                              (3, False)])
+    def test_controls(self, rng, tables, n_ctrl, real):
+        # at least 6 + 1 nodes per control: 343 for three
+        drift, coups = hermitian_parts(rng, 3, n_ctrl, real)
+        n_mid, n_ens = 400, 2
+        amps = rng.uniform(-1.0, 1.0, size=(n_mid, n_ctrl))
+        psi0 = random_block(rng, (n_ens, 3))
+        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+        chi = random_block(rng, (n_mid + 1, n_ens, 3))
+        ket_pass(drift, coups, amps, chi, psi0, 0.002,
+                 rng.uniform(0, 0.1, size=n_mid))
+        assert len(tables) == 1
+        assert 2 ** n_ctrl <= tables[0].nodes < n_mid
+
+    def test_box_edges(self, rng, tables, hamiltonian_data):
+        # The first and last rows hold each control's extremes and take no
+        # update, while no other row can reach them: the box is exactly
+        # [-1, 1], and those rows sit on its edges, xi = +-1.
+        drift, coups = hamiltonian_data
+        n_mid, n_ens = 120, 2
+        amps = rng.uniform(-0.5, 0.5, size=(n_mid, 2))
+        amps[0], amps[-1] = [-1.0, 1.0], [1.0, -1.0]
+        psi0 = random_block(rng, (n_ens, 3))
+        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+        chi = random_block(rng, (n_mid + 1, n_ens, 3))
+        gain = np.full(n_mid, 0.01)
+        gain[[0, -1]] = 0.0
+        ket_pass(drift, coups, amps, chi, psi0, 0.01, gain)
+        assert len(tables) == 1
+        assert [axis[:2] for axis in tables[0].axes] == [(-1.0, 1.0)] * 2
+        assert tables[0].nodes < n_mid
+
+    def test_widening(self, rng, tables, generator_data):
+        # A generator that grows every state by e^3 over the pass: the
+        # updates outgrow the bound taken with ||rho0||, and each one past
+        # the box rebuilds the table on a wider one.
+        gen0, gens = (0.2 * g for g in generator_data)
+        gen0 = gen0 + np.eye(gen0.shape[0])
+        n_mid, n_ens, dt = 60, 2, 0.05
+        amps = np.zeros((n_mid, gens.shape[0]))
+        rho0 = random_block(rng, (n_ens, gen0.shape[0]))
+        chi = random_block(rng, (n_mid + 1, n_ens, gen0.shape[0]))
+        gain = np.full(n_mid, 0.05)
+        amps_ref = amps.copy()
+        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho0,
+                                                dt, gain)
+        ref, ref_steps = reference_krotov(gen0, gens, 1j * gens, amps_ref,
+                                          chi, rho0, dt, gain)
+        assert np.linalg.norm(got[-1]) > 10 * np.linalg.norm(rho0)
+        assert len(tables) > 1
+        assert close(amps, amps_ref)
+        assert close(got, ref)
+        assert close(steps, ref_steps)
+
+    def test_huge_box_takes_one_node_per_step(self, rng, tables,
+                                              hamiltonian_data):
+        # A gain whose update bound spans ~1e4 in amplitude would need a
+        # grid of over 1e3 nodes per control, more than the pass's steps
+        # or one block of them: each table shrinks to one node at its
+        # step instead, the step itself.
+        drift, coups = hamiltonian_data
+        n_mid, dt = 30, 0.05
+        amps = rng.normal(size=(n_mid, 2))
+        psi0 = random_block(rng, (2, 3))
+        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+        chi = random_block(rng, (n_mid + 1, 2, 3))
+        got, steps = _kernels.krotov_forward_ket(
+            drift, coups, amps, chi, psi0, dt, np.full(n_mid, 1e3))
+        assert np.max(np.abs(amps)) > 1e2
+        assert [t.nodes for t in tables] == [1] * n_mid
+        assert close(steps, _kernels.step_stack_ket(
+            _kernels.generator(drift, coups, amps), dt))
+        assert close(got, _kernels.propagate_steps(steps, psi0, 1))
+
+    def test_ket_steps_unitary_at_large_norm(self, rng, tables):
+        # The table's nodes are step_stack_ket's, whose series stays
+        # unitary to about ||H dt||_F eps: 1e-12 at the edge of its domain
+        drift, coups = hermitian_parts(rng, 3, 1)
+        n_mid, dt = 60, 0.05
+        drift *= 1e3 / (dt * np.linalg.norm(drift))
+        amps = 0.1 * rng.normal(size=(n_mid, 1))
+        psi0 = random_block(rng, (1, 3))
+        chi = random_block(rng, (n_mid + 1, 1, 3))
+        _, steps = _kernels.krotov_forward_ket(
+            drift, coups, amps, chi, psi0 / np.linalg.norm(psi0), dt,
+            np.full(n_mid, 0.1))
+        norms = np.linalg.norm(dt * _kernels.generator(drift, coups, amps),
+                               axis=(1, 2))
+        assert np.all(np.abs(norms - 1e3) < 1.0)
+        assert len(tables) == 1 and tables[0].nodes < n_mid
+        eye = np.eye(3)
+        assert np.max(np.abs(steps @ np.conj(np.swapaxes(steps, 1, 2))
+                             - eye)) <= 1e-12
+
+    def test_density_at_large_norm(self, rng, tables):
+        # The reset model on a step with ||G dt||_1 about 1e3: the degree
+        # rule is evaluated in logarithms, so it neither overflows nor
+        # leaves the round-off of the per-step expm
+        h, jumps, rho0, target, _ = reset_model(0.15)
+        gen0, gens, _ = reduced_gkls_parts(Liouvillian(h, jumps),
+                                           [rho0.rho, target.rho])
+        dt = 1e3 / np.linalg.norm(gen0 + gens[0], 1)
+        n_mid, n_ens, d = 80, 2, gen0.shape[0]
+        amps = 1.0 + 0.01 * rng.normal(size=(n_mid, 1))
+        rho = rng.normal(size=(n_ens, d))
+        chi = rng.normal(size=(n_mid + 1, n_ens, d))
+        gain = np.full(n_mid, 1e-4)
+        amps_ref = amps.copy()
+        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho,
+                                                dt, gain)
+        ref, ref_steps = reference_krotov(gen0, gens, 1j * gens, amps_ref,
+                                          chi, rho, dt, gain)
+        norms = np.linalg.norm(dt * _kernels.generator(gen0, gens, amps),
+                               1, axis=(1, 2))
+        assert np.all(np.abs(norms - 1e3) < 50.0)
+        assert len(tables) == 1 and tables[0].nodes < n_mid
+        assert close(amps, amps_ref)
+        assert close(got, ref)
+        assert close(steps, ref_steps)
 
 
 class TestStepStack:

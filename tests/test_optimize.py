@@ -316,24 +316,46 @@ class TestKrotovStepReuse:
         assert np.max(np.abs(amps - amps_ref)) \
             <= 1e-12 * np.max(np.abs(amps_ref))
 
-    def test_one_exponential_per_step_and_pass(self, monkeypatch):
+    def test_one_exponential_call_per_pass(self, monkeypatch):
         # the GKLS kernels import scipy.linalg.expm when they step
         import scipy.linalg
-        expm, calls = scipy.linalg.expm, []
+        expm, calls, phase = scipy.linalg.expm, [], ["forward"]
 
         def counting_expm(a):
             # one call exponentiates a whole stack: count its matrices
-            calls.append(int(np.prod(np.shape(a)[:-2])))
+            calls.append((phase[0], int(np.prod(np.shape(a)[:-2]))))
             return expm(a)
 
+        def in_phase(name, kernel):
+            def wrapper(*args, **kwargs):
+                phase[0] = name
+                try:
+                    return kernel(*args, **kwargs)
+                finally:
+                    phase[0] = "forward"
+            return wrapper
+
         monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        problem, guess = qubit_reset_problem()
-        rec = krotov_ensemble(problem, guess, self.SETTINGS)
-        n_iter = len(rec.iterations) - 1
-        assert n_iter == self.SETTINGS.max_iters
-        # the guess's forward pass, then one trial per iteration: every
-        # backward pass reuses the steps of the field's forward pass
-        assert sum(calls) == (problem.grid.nt - 1) * (n_iter + 1)
+        monkeypatch.setattr(_kernels, "krotov_forward_dm", in_phase(
+            "krotov", _kernels.krotov_forward_dm))
+        monkeypatch.setattr(_kernels, "propagate_steps", in_phase(
+            "propagate", _kernels.propagate_steps))
+        per_pass = {}
+        for nt in (41, 161):
+            calls.clear()
+            problem, guess = qubit_reset_problem(nt)
+            rec = krotov_ensemble(problem, guess, self.SETTINGS)
+            n_iter = len(rec.iterations) - 1
+            assert n_iter == self.SETTINGS.max_iters
+            # one stack for the guess's forward pass, then one table per
+            # trial pass, never rebuilt on this problem; no backward pass
+            # exponentiates: each reuses the steps of the field's forward
+            # pass
+            assert calls[0] == ("forward", nt - 1)
+            assert [name for name, _ in calls[1:]] == ["krotov"] * n_iter
+            per_pass[nt] = [n for _, n in calls[1:]]
+        # the table's size is set by the field, not by its grid
+        assert max(per_pass[161]) <= max(per_pass[41]) < 40
 
 
 @pytest.mark.parametrize("kind", ["closed", "open"])
