@@ -128,9 +128,10 @@ class KrotovSettings:
 
     ``lambda_`` is the inverse step size of the sequential update; the
     optimizer doubles it on every rejected step and changes it no other
-    way.  An accepted iteration that improves the cost by less than
-    ``dj_threshold`` stops either method.  ``grape_step`` only affects the
-    concurrent method.
+    way.  ``grape_step`` is the concurrent method's first trial step.  The
+    thresholds and ``max_iters`` stop either method by the rules that
+    ``_Descent`` lists.  ``lambda_`` and ``grape_step`` must be finite
+    and > 0, ``max_iters`` an int >= 0.
     """
 
     lambda_: float = 1.0
@@ -138,6 +139,17 @@ class KrotovSettings:
     j_threshold: float = 0.0
     dj_threshold: float = 0.0
     grape_step: float = 1.0
+
+    def __post_init__(self):
+        for name in ("lambda_", "grape_step"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value!r}")
+        if not isinstance(self.max_iters, int) \
+                or isinstance(self.max_iters, bool) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an int >= 0, "
+                             f"got {self.max_iters!r}")
 
     def shape_for(self, grid: TimeGrid) -> np.ndarray:
         """Update shape on ``grid``: a flat top with 5% sine-squared ramps.
@@ -317,9 +329,73 @@ def _engine(problem: ControlProblem):
         else _KetEngine(problem)
 
 
-def _fields(problem: ControlProblem, amps: np.ndarray) -> list:
-    return [ControlField(problem.grid, amps[:, j])
-            for j in range(amps.shape[1])]
+STALL_REJECTIONS = 9  # rejected Krotov trials, in total, that stall a run
+LINE_SEARCH_HALVINGS = 25  # GRAPE trial steps, halved from grape_step
+
+
+class _Descent:
+    """The iteration both gradient methods share: the current field with
+    its forward pass (states and step stack) and cost, the record, and the
+    stops.  The first stop to fire is the ``converged_reason``:
+
+    * ``j_threshold``: the guess or an accepted field costs at most that;
+    * ``dj_threshold``: an accepted field improves the cost by less, or
+      GRAPE finds no lower cost in ``LINE_SEARCH_HALVINGS`` halvings;
+    * ``stalled``: ``STALL_REJECTIONS`` rejected Krotov trials in total;
+    * ``max_iters``: that many iterations ran, rejected ones included.
+    """
+
+    def __init__(self, problem, guess, settings, log_stream, phase):
+        self.grid, self.settings = problem.grid, settings
+        self.log_stream, self.phase = log_stream, phase
+        self.engine = _engine(problem)
+        self.amps = _sample_matrix(guess, problem.grid,
+                                   problem.hamiltonian.n_controls)
+        self.shape = settings.shape_for(problem.grid)
+        self.fwd, self.steps = self.engine.forward(self.amps)
+        self.j_tf = self.engine.cost_value(self.fwd[-1])
+        if not np.isfinite(self.j_tf):
+            raise FloatingPointError("non-finite functional for the guess "
+                                     "field")
+        self.entries, self.rejections, self.reason = [], 0, None
+        self._record(0.0)
+
+    def iterations(self):
+        """Each iteration's number, its clock started, until a stop fires."""
+        while self.reason is None:
+            self.t_start = time.perf_counter()
+            yield len(self.entries)
+
+    def _record(self, running: float, improvement: float = np.inf):
+        wall = (time.perf_counter() - self.t_start) * 1e3 \
+            if self.entries else 0.0
+        entry = IterationEntry(len(self.entries), self.j_tf, running, wall,
+                               self.phase)
+        self.entries.append(entry)
+        _log(self.log_stream, entry)
+        if self.j_tf <= self.settings.j_threshold:
+            self.reason = "j_threshold"
+        elif improvement < self.settings.dj_threshold:
+            self.reason = "dj_threshold"
+        elif self.rejections == STALL_REJECTIONS:
+            self.reason = "stalled"
+        elif entry.index >= self.settings.max_iters:
+            self.reason = "max_iters"
+
+    def accept(self, amps, fwd, steps, j_tf: float, running: float = 0.0):
+        improvement = self.j_tf - j_tf
+        self.amps, self.fwd, self.steps, self.j_tf = amps, fwd, steps, j_tf
+        self._record(running, improvement)
+
+    def reject(self):
+        """Record a Krotov trial that raised the cost at the kept cost."""
+        self.rejections += 1
+        self._record(0.0)
+
+    def record(self) -> OptimizationRecord:
+        fields = [ControlField(self.grid, u) for u in self.amps.T]
+        return OptimizationRecord(self.entries, fields, self.reason,
+                                  self.phase)
 
 
 def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
@@ -331,77 +407,33 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     ensemble; gate costs propagate the ``N`` logical states (2N
     propagations per iteration), open-system costs the density matrices.
     """
-    engine = _engine(problem)
-    amps = _sample_matrix(guess, problem.grid,
-                          problem.hamiltonian.n_controls)
-    shape = settings.shape_for(problem.grid)
-    dt = problem.grid.dt
-    tf_span = problem.grid.tf - problem.grid.t0
-    lam = settings.lambda_
-
-    fwd, steps = engine.forward(amps)
-    j_tf = engine.cost_value(fwd[-1])
-    if not np.isfinite(j_tf):
-        raise FloatingPointError("non-finite functional for the guess field")
-    entries = [IterationEntry(0, j_tf, 0.0, 0.0)]
-    _log(log_stream, entries[0])
-    reason = "max_iters"
-    rejects = 0
-    # Co-states of the current field, from the adjoints of the steps its
-    # forward pass built (the guess's pass, then each accepted sweep); a
-    # rejected trial leaves both the field and its co-states as they were.
-    chi = None
-    if j_tf <= settings.j_threshold:
-        reason = "j_threshold"
-    else:
-        for it in range(1, settings.max_iters + 1):
-            t_start = time.perf_counter()
-            if chi is None:
-                chi = _kernels.propagate_steps(
-                    steps, engine.chi_boundary(fwd[-1]), -1)
-                steps = None  # one step stack alive at a time
-            old = amps.copy()
-            trial, steps = engine.krotov_forward(amps, chi, shape / lam)
-            j_new = engine.cost_value(trial[-1])
-            if not np.isfinite(j_new):
-                raise FloatingPointError(f"non-finite functional at "
-                                         f"iteration {it}")
-            if j_new > j_tf:
-                # Discrete step overshot the monotonicity bound: reject,
-                # halve the step (double lambda) and retry.  The record
-                # stays non-increasing because the field is unchanged.
-                amps[:] = old
-                steps = None
-                lam *= 2.0
-                rejects += 1
-                entry = IterationEntry(
-                    it, j_tf, 0.0, (time.perf_counter() - t_start) * 1e3)
-                entries.append(entry)
-                _log(log_stream, entry)
-                if rejects > 8:
-                    reason = "stalled"
-                    break
-                continue
-            fwd, chi = trial, None
-            # the update is zero where the shape is, so those samples
-            # add nothing to the running cost
-            active = shape > 0
-            penalty = (amps - old)[active] ** 2 / shape[active, None]
-            running = float(lam * np.sum(penalty) * dt / tf_span)
-            wall = (time.perf_counter() - t_start) * 1e3
-            entry = IterationEntry(it, j_new, running, wall)
-            entries.append(entry)
-            _log(log_stream, entry)
-            improvement = j_tf - j_new
-            j_tf = j_new
-            if j_tf <= settings.j_threshold:
-                reason = "j_threshold"
-                break
-            if improvement < settings.dj_threshold:
-                reason = "dj_threshold"
-                break
-    return OptimizationRecord(entries, _fields(problem, amps), reason,
-                              method="krotov")
+    descent = _Descent(problem, guess, settings, log_stream, "krotov")
+    engine, shape, lam = descent.engine, descent.shape, settings.lambda_
+    dt, span = problem.grid.dt, problem.grid.tf - problem.grid.t0
+    # the update, and so the running cost, is zero where the shape is
+    active = shape > 0
+    for it in descent.iterations():
+        if descent.steps is not None:
+            # a new current field: co-states from the adjoints of its steps
+            chi = _kernels.propagate_steps(
+                descent.steps, engine.chi_boundary(descent.fwd[-1]), -1)
+            descent.steps = None  # one step stack alive at a time
+        amps = descent.amps.copy()
+        fwd, steps = engine.krotov_forward(amps, chi, shape / lam)
+        j_new = engine.cost_value(fwd[-1])
+        if not np.isfinite(j_new):
+            raise FloatingPointError(f"non-finite functional at "
+                                     f"iteration {it}")
+        if j_new > descent.j_tf:
+            # the step overshot the monotonicity bound: halve it, same field
+            lam *= 2.0
+            descent.reject()
+        else:
+            penalty = (amps - descent.amps)[active] ** 2 / shape[active, None]
+            descent.accept(amps, fwd, steps, j_new,
+                           float(lam * np.sum(penalty) * dt / span))
+        fwd = steps = None  # a rejected trial's, or held by the descent
+    return descent.record()
 
 
 def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
@@ -411,55 +443,29 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
 
     The whole gradient is computed with frozen fields, then applied at
     once through the update shape; the step is halved until the cost
-    decreases, at most 25 times.  The accepted trial's states and step
-    stack feed the next gradient.  A guess that already meets
-    ``j_threshold`` is returned unchanged.  Fast near an optimum; no
-    monotonicity guarantee.
+    decreases, which a non-finite cost does not.  The accepted trial's
+    states and step stack feed the next gradient.  Fast near an optimum;
+    no monotonicity guarantee.
     """
-    engine = _engine(problem)
-    amps = _sample_matrix(guess, problem.grid,
-                          problem.hamiltonian.n_controls)
-    shape = settings.shape_for(problem.grid)
-    fwd, steps = engine.forward(amps)
-    j_tf = engine.cost_value(fwd[-1])
-    if not np.isfinite(j_tf):
-        raise FloatingPointError("non-finite functional for the guess field")
-    entries = [IterationEntry(0, j_tf, 0.0, 0.0, phase="grape")]
-    _log(log_stream, entries[0])
-    if j_tf <= settings.j_threshold:
-        return OptimizationRecord(entries, _fields(problem, amps),
-                                  "j_threshold", method="grape")
-    reason = "max_iters"
-    for it in range(1, settings.max_iters + 1):
-        t_start = time.perf_counter()
-        grad = engine.gradient(amps, fwd, steps)
-        fwd = steps = None  # one step stack alive at a time
+    descent = _Descent(problem, guess, settings, log_stream, "grape")
+    engine, shape = descent.engine, descent.shape
+    for _ in descent.iterations():
+        grad = engine.gradient(descent.amps, descent.fwd, descent.steps)
+        descent.fwd = descent.steps = None  # one step stack alive at a time
         step = settings.grape_step
-        for _ in range(25):
-            trial = amps - step * shape[:, None] * grad
+        for _ in range(LINE_SEARCH_HALVINGS):
+            trial = descent.amps - step * shape[:, None] * grad
             fwd, steps = engine.forward(trial)
             j_trial = engine.cost_value(fwd[-1])
-            if j_trial < j_tf:
+            if j_trial < descent.j_tf:
+                descent.accept(trial, fwd, steps, j_trial)
                 break
             fwd = steps = None
             step *= 0.5
-        if fwd is None:
-            reason = "dj_threshold"
-            break
-        improvement = j_tf - j_trial
-        amps, j_tf = trial, j_trial
-        wall = (time.perf_counter() - t_start) * 1e3
-        entry = IterationEntry(it, j_tf, 0.0, wall, phase="grape")
-        entries.append(entry)
-        _log(log_stream, entry)
-        if j_tf <= settings.j_threshold:
-            reason = "j_threshold"
-            break
-        if improvement < settings.dj_threshold:
-            reason = "dj_threshold"
-            break
-    return OptimizationRecord(entries, _fields(problem, amps), reason,
-                              method="grape")
+        else:
+            descent.reason = "dj_threshold"  # no lower cost: see _Descent
+        fwd = steps = None  # held by the descent
+    return descent.record()
 
 
 def grape_gradient(problem: ControlProblem,
@@ -592,14 +598,14 @@ def hybrid_optimize(problem: ControlProblem,
     """Gradient-free pre-optimization feeding the sequential method.
 
     With a zero budget (or an empty parametrization) it reduces to plain
-    Krotov from the baseline guess; with ``max_iters == 0`` it returns the
+    Krotov from the baseline guess; with ``max_iters`` 0 it returns the
     gradient-free result; with both disabled it returns the guess.  The
     record is the two phases' records in turn, each entry's ``index``
     counting within its phase, as the log stream does.
     """
     pre = gradient_free_search(problem, parametrization, budget,
                                log_stream=log_stream)
-    if settings.max_iters <= 0:
+    if settings.max_iters == 0:
         return pre
     polish = krotov_ensemble(problem, pre.final_fields, settings,
                              log_stream=log_stream)

@@ -641,6 +641,79 @@ class TestGrape:
                               free.j_history[:n_accepted + 1])
 
 
+class TestStopReasons:
+    """Every ``converged_reason`` of the gradient methods, mostly on the
+    two-qubit gate.  The zero field is a stationary point of the gate
+    cost: Krotov gains almost nothing from it, and its ninth rejected trial
+    in total (iterations 7-9 and 11-16; the 10th is accepted) stalls the
+    run; GRAPE's line search finds no lower cost in its 25 halvings.  A
+    rejected trial is no improvement below ``dj_threshold``: the reset run
+    stops on that only after three rejections and seven accepted sweeps."""
+
+    @pytest.mark.parametrize(
+        "optimizer,guess,settings,reason,n_entries,n_rejected", [
+            (krotov_ensemble, "zero", dict(lambda_=0.25, max_iters=15),
+             "max_iters", 16, 8),
+            # the ninth rejection falls on the last allowed iteration
+            (krotov_ensemble, "zero", dict(lambda_=0.25, max_iters=16),
+             "stalled", 17, 9),
+            (krotov_ensemble, "zero", dict(lambda_=0.25, max_iters=40),
+             "stalled", 17, 9),
+            (krotov_ensemble, "ramps", dict(lambda_=0.25, dj_threshold=1e-4),
+             "dj_threshold", 29, 0),
+            (krotov_ensemble, "ramps", dict(lambda_=0.25, j_threshold=1e-2),
+             "j_threshold", 16, 0),
+            (krotov_ensemble, "reset", dict(lambda_=0.05, max_iters=20,
+                                            dj_threshold=1e-4),
+             "dj_threshold", 11, 3),
+            (grape_concurrent, "zero", {}, "dj_threshold", 1, 0),
+            (krotov_ensemble, "ramps", dict(max_iters=0), "max_iters", 1, 0),
+            (grape_concurrent, "ramps", dict(max_iters=0), "max_iters", 1,
+             0),
+        ], ids=["krotov-max_iters", "krotov-stalled-last", "krotov-stalled",
+                "krotov-dj_threshold", "krotov-j_threshold",
+                "krotov-dj_threshold-after-rejections",
+                "grape-no_lower_cost", "krotov-no_iterations",
+                "grape-no_iterations"])
+    def test_reason_and_log(self, optimizer, guess, settings, reason,
+                            n_entries, n_rejected):
+        problem = two_qubit_gate_problem(nt=41)
+        if guess == "reset":
+            problem, fields = qubit_reset_problem()
+        elif guess == "zero":
+            fields = [ControlField.constant(problem.grid, 0.0)] * 2
+        else:
+            fields = [shapes.sin2_ramp(problem.grid, 0.5, 0.1),
+                      shapes.sin2_ramp(problem.grid, -0.3, 0.1)]
+        stream = io.StringIO()
+        rec = optimizer(problem, fields, KrotovSettings(**settings),
+                        log_stream=stream)
+        assert rec.converged_reason == reason
+        assert len(rec.iterations) == n_entries
+        rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert [(r["iter"], r["J_tf"], r["running_cost"], r["phase"])
+                for r in rows] == [(e.index, e.j_tf, e.running_cost, e.phase)
+                                   for e in rec.iterations]
+        # a rejected trial is recorded at the unchanged cost with no
+        # running cost
+        rejected = [cur.j_tf == prev.j_tf and cur.running_cost == 0.0
+                    for prev, cur in zip(rec.iterations, rec.iterations[1:])]
+        assert sum(rejected) == n_rejected
+        if reason == "stalled":
+            assert rejected[-1]
+        assert rec.monotonic()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lambda_", 0.0), ("lambda_", -1.0), ("lambda_", np.inf),
+    ("lambda_", np.nan), ("grape_step", 0.0), ("grape_step", np.inf),
+    ("max_iters", -1), ("max_iters", 2.5), ("max_iters", True),
+])
+def test_settings_reject_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        KrotovSettings(**{field: value})
+
+
 @pytest.mark.parametrize("kind", CostSpec._KINDS)
 @pytest.mark.parametrize("dynamics", ["closed", "open"])
 def test_gradient_methods_accept_every_cost_kind(kind, dynamics):
