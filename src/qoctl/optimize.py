@@ -406,6 +406,8 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     The per-midpoint update averages ``Im <chi_w|dH/du|psi_w>`` over the
     ensemble; gate costs propagate the ``N`` logical states (2N
     propagations per iteration), open-system costs the density matrices.
+    A pass that leaves the floats raises ``FloatingPointError`` naming the
+    ``lambda`` it ran at.
     """
     descent = _Descent(problem, guess, settings, log_stream, "krotov")
     engine, shape, lam = descent.engine, descent.shape, settings.lambda_
@@ -419,11 +421,16 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
                 descent.steps, engine.chi_boundary(descent.fwd[-1]), -1)
             descent.steps = None  # one step stack alive at a time
         amps = descent.amps.copy()
-        fwd, steps = engine.krotov_forward(amps, chi, shape / lam)
-        j_new = engine.cost_value(fwd[-1])
-        if not np.isfinite(j_new):
-            raise FloatingPointError(f"non-finite functional at "
-                                     f"iteration {it}")
+        try:
+            fwd, steps = engine.krotov_forward(amps, chi, shape / lam)
+            j_new = engine.cost_value(fwd[-1])
+            if not np.isfinite(j_new):
+                raise FloatingPointError(f"non-finite functional at "
+                                         f"iteration {it}")
+        except FloatingPointError as exc:
+            # a tiny lambda makes a huge update: name it with the symptom
+            raise FloatingPointError(f"{exc} (Krotov step size "
+                                     f"lambda {lam!r})") from exc
         if j_new > descent.j_tf:
             # the step overshot the monotonicity bound: halve it, same field
             lam *= 2.0
@@ -443,16 +450,17 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
 
     The whole gradient is computed with frozen fields, then applied at
     once through the update shape; the step is halved until the cost
-    decreases, which a non-finite cost does not.  The accepted trial's
-    states and step stack feed the next gradient.  Fast near an optimum;
-    no monotonicity guarantee.
+    decreases, which a non-finite cost does not.  A line search whose
+    every trial cost is non-finite raises ``FloatingPointError`` naming
+    ``grape_step``.  The accepted trial's states and step stack feed the
+    next gradient.  Fast near an optimum; no monotonicity guarantee.
     """
     descent = _Descent(problem, guess, settings, log_stream, "grape")
     engine, shape = descent.engine, descent.shape
-    for _ in descent.iterations():
+    for it in descent.iterations():
         grad = engine.gradient(descent.amps, descent.fwd, descent.steps)
         descent.fwd = descent.steps = None  # one step stack alive at a time
-        step = settings.grape_step
+        step, finite = settings.grape_step, False
         for _ in range(LINE_SEARCH_HALVINGS):
             trial = descent.amps - step * shape[:, None] * grad
             fwd, steps = engine.forward(trial)
@@ -460,9 +468,15 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
             if j_trial < descent.j_tf:
                 descent.accept(trial, fwd, steps, j_trial)
                 break
+            finite = finite or np.isfinite(j_trial)
             fwd = steps = None
             step *= 0.5
         else:
+            if not finite:
+                raise FloatingPointError(
+                    f"non-finite cost in all {LINE_SEARCH_HALVINGS} "
+                    f"line-search trials at iteration {it} from grape_step "
+                    f"{settings.grape_step!r}")
             descent.reason = "dj_threshold"  # no lower cost: see _Descent
         fwd = steps = None  # held by the descent
     return descent.record()

@@ -467,25 +467,138 @@ class TestPropagateAdjoint:
         self.check_density(generator_data, rng, 1, n_ens)
 
 
+def per_step(steps, state, direction):
+    """``propagate_steps`` as one product per step, ``state @ S^T`` forward
+    and ``state @ conj(S)`` backward: the loop that blocks narrower than
+    their states keep, and the reference of the chunked one."""
+    n_mid = len(steps)
+    out = np.empty((n_mid + 1,) + state.shape,
+                   dtype=np.result_type(steps, state))
+    if direction > 0:
+        mats = np.swapaxes(steps, -1, -2)
+        out[0] = state
+        for k in range(n_mid):
+            np.matmul(out[k], mats[k], out=out[k + 1])
+    else:
+        mats = np.conj(steps)
+        out[-1] = state
+        for k in range(n_mid - 1, -1, -1):
+            np.matmul(out[k + 1], mats[k], out=out[k])
+    return out
+
+
+class TestChunkedSteps:
+    """``propagate_steps`` on blocks of ``W >= N`` states, which take a
+    block's ``n`` steps in chunks of ``isqrt(n)`` running products,
+    against the per-step loop at ``RTOL``; narrower blocks keep that loop,
+    bitwise."""
+
+    # around one chunk of the gate grid (isqrt(400) = 20), around that
+    # square, and across the boundaries of block_rows(4) = 1024
+    KET_STEPS = [1, 2, 19, 20, 21, 399, 400, 401, 1024 + 37, 2 * 1024 + 1]
+    # around a chunk of 4 and across block_rows(8) = 256
+    GKLS_STEPS = [1, 2, 15, 16, 17, 256 + 17, 2 * 256 + 1]
+
+    @pytest.mark.parametrize("n_mid", KET_STEPS)
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_ket(self, rng, direction, n_mid):
+        n = 4
+        for real in (False, True):
+            drift, coups = hermitian_parts(rng, n, 2, real)
+            steps = _kernels.step_stack_ket(_kernels.generator(
+                drift, coups, rng.normal(size=(n_mid, 2))), 0.05)
+            for width in (n, n + 2):
+                state = random_block(rng, (width, n))
+                assert close(_kernels.propagate_steps(steps, state,
+                                                      direction),
+                             per_step(steps, state, direction))
+            for shape in ((n,), (n - 1, n)):
+                state = random_block(rng, shape)
+                assert np.array_equal(
+                    _kernels.propagate_steps(steps, state, direction),
+                    per_step(steps, state, direction))
+
+    @pytest.mark.parametrize("n_mid", GKLS_STEPS)
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_density(self, rng, direction, n_mid):
+        # the reset model's GKLS steps in its real 8-dimensional basis:
+        # real, and not unitary
+        h, jumps, rho0, target, _ = reset_model(0.15)
+        gen0, gens, _ = reduced_gkls_parts(Liouvillian(h, jumps),
+                                           [rho0.rho, target.rho])
+        steps = _kernels.step_stack_dm(gen0, gens,
+                                       rng.normal(size=(n_mid, 1)), 0.5)
+        d = steps.shape[-1]
+        for width in (d, d + 3):
+            state = rng.normal(size=(width, d))
+            got = _kernels.propagate_steps(steps, state, direction)
+            assert got.dtype == np.float64
+            assert close(got, per_step(steps, state, direction))
+        for shape in ((d,), (2, d)):
+            state = rng.normal(size=shape)
+            assert np.array_equal(
+                _kernels.propagate_steps(steps, state, direction),
+                per_step(steps, state, direction))
+
+    def test_member_block_of_single_kets(self, hamiltonian_data, rng):
+        # the bichromatic shape: 16 members of one 3-level ket each
+        drift, coups = hamiltonian_data
+        steps = _kernels.step_stack_ket(_kernels.generator(
+            drift, coups, rng.normal(size=(113, 16, coups.shape[0]))), 0.05)
+        state = random_block(rng, (16, 1, drift.shape[0]))
+        for direction in (1, -1):
+            assert np.array_equal(
+                _kernels.propagate_steps(steps, state, direction),
+                per_step(steps, state, direction))
+
+    @pytest.mark.parametrize("width, most", [(4, 2 * 20 + 2), (1, 400)])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_products_per_pass(self, rng, monkeypatch, direction, width,
+                               most):
+        # 400 steps of a gate's basis make about 2 sqrt(400) products, not
+        # one per step; a single ket makes one per step
+        drift, coups = hermitian_parts(rng, 4, 2)
+        steps = _kernels.step_stack_ket(_kernels.generator(
+            drift, coups, rng.normal(size=(400, 2))), 0.05)
+        state = random_block(rng, (width, 4))
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        _kernels.propagate_steps(steps, state, direction)
+        assert len(calls) <= most
+        assert len(calls) > most // 2
+
+
 class TestMemberAxis:
     """Stacks with a member axis: P independent trajectories, each with its
-    own steps, stepped as one ``(P, 1, N)`` block, bitwise equal to P
+    own steps, stepped as one ``(P, W, N)`` block, bitwise equal to P
     separate runs."""
 
-    @pytest.mark.parametrize("n_members", [1, 5])
+    @pytest.mark.parametrize("n_members, width", [
+        pytest.param(1, 1, id="1"), pytest.param(5, 1, id="5"),
+        pytest.param(5, 3, id="5-chunked")])
     @pytest.mark.parametrize("direction", [1, -1])
     def test_propagate_steps(self, hamiltonian_data, rng, direction,
-                             n_members):
+                             n_members, width):
         drift, coups = hamiltonian_data
         n = drift.shape[0]
-        n_mid = 2 * _kernels.block_rows(n) + 5
+        # W = N takes chunks of the block's steps: a member run keeps its
+        # solo runs' chunks where it keeps their blocks, within
+        # block_rows(N, P) steps
+        n_mid = 2 * _kernels.block_rows(n) + 5 if width < n \
+            else _kernels.block_rows(n, n_members) - 3
         stacks = [_kernels.step_stack_ket(_kernels.generator(
             drift, coups, rng.normal(size=(n_mid, coups.shape[0]))), 0.05)
             for _ in range(n_members)]
-        state = random_block(rng, (n_members, 1, n))
+        state = random_block(rng, (n_members, width, n))
         got = _kernels.propagate_steps(np.stack(stacks, axis=1), state,
                                        direction)
-        assert got.shape == (n_mid + 1, n_members, 1, n)
+        assert got.shape == (n_mid + 1, n_members, width, n)
         for p, steps in enumerate(stacks):
             ref = _kernels.propagate_steps(steps, state[p], direction)
             assert np.array_equal(got[:, p], ref)

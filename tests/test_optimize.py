@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import time
@@ -641,18 +642,17 @@ class TestGrape:
                               free.j_history[:n_accepted + 1])
 
 
+@functools.cache
 def zero_field_stall():
     """The iteration of the ninth rejected Krotov trial from the zero gate
     field (lambda 0.25), read off a run that nothing else stops.  At the
     zero field J moves by about 1e-13, so round-off decides which trials
     are rejected, and the iteration is not pinned."""
-    if not hasattr(zero_field_stall, "value"):
-        problem = two_qubit_gate_problem(nt=41)
-        rec = krotov_ensemble(
-            problem, [ControlField.constant(problem.grid, 0.0)] * 2,
-            KrotovSettings(lambda_=0.25, max_iters=40))
-        zero_field_stall.value = rec.iterations[-1].index
-    return zero_field_stall.value
+    problem = two_qubit_gate_problem(nt=41)
+    rec = krotov_ensemble(problem,
+                          [ControlField.constant(problem.grid, 0.0)] * 2,
+                          KrotovSettings(lambda_=0.25, max_iters=40))
+    return rec.iterations[-1].index
 
 
 class TestStopReasons:
@@ -734,6 +734,29 @@ class TestStopReasons:
 def test_settings_reject_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
         KrotovSettings(**{field: value})
+
+
+def test_grape_overflow_names_grape_step():
+    # every trial cost of the first line search is non-finite: 25 halvings
+    # of 1e300 reach only 6e292, and that is no converged field
+    problem = tls_transfer_problem(nt=101)
+    guess = [ControlField.constant(problem.grid, 0.1)]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match=r"^non-finite cost in all 25 line-search trials at "
+                  r"iteration 1 from grape_step 1e\+300$"):
+        grape_concurrent(problem, guess, KrotovSettings(grape_step=1e300))
+
+
+def test_tiny_lambda_is_named():
+    # the update gain shape / lambda overflows on the first sweep
+    problem = tls_transfer_problem(nt=101)
+    guess = [ControlField.constant(problem.grid, 0.1)]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match=r"^non-finite functional at iteration 1 \(Krotov step "
+                  r"size lambda 1e-300\)$"):
+        krotov_ensemble(problem, guess, KrotovSettings(lambda_=1e-300))
 
 
 @pytest.mark.parametrize("kind", CostSpec._KINDS)

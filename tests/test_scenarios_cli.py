@@ -550,6 +550,19 @@ class TestCliProcess:
         assert error["type"] == "numerics"
         assert cause in error["message"]
 
+    def test_tiny_lambda_is_named(self, tmp_path, capsys):
+        # the first Krotov sweep's update overflows; the error says at
+        # which lambda
+        from qoctl import cli
+        cfg = write_config(tmp_path, {
+            "scenario": "gate_opt",
+            "optimizer": {"lambda": 1e-300, "budget": 0, "max_iters": 3}})
+        assert cli.main(["run", str(cfg)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "numerics", "message":
+                         "numerics aborted: overflow encountered in multiply"
+                         " (Krotov step size lambda 1e-300)"}
+
     def test_outputs_need_out_dir(self, tmp_path, no_numerics, capsys):
         from qoctl import cli
         cfg = write_config(tmp_path, {"scenario": "rabi",
