@@ -12,7 +12,10 @@ The concurrent method (GRAPE) computes the exact discrete gradient -- the
 Frechet derivative of each step exponential: an eigenbasis formula for
 kets, and for the GKLS generator one Van Loan ``expm`` of ``(nt-1) M``
 blocks of ``2d x 2d`` reals, ``4M`` times the step stack's memory -- and
-applies one shaped update per iteration with a backtracking line search.
+takes one limited-memory BFGS step per iteration in the update shape's
+metric, its length found by Armijo backtracking.  Its cost falls at every
+iteration; it stops like Krotov, or when no halving of the step is an
+Armijo point.
 
 Each field is exponentiated once: a forward pass returns its step stack,
 and every co-state comes from the adjoints of the stack of the field's own
@@ -128,10 +131,12 @@ class KrotovSettings:
 
     ``lambda_`` is the inverse step size of the sequential update; the
     optimizer doubles it on every rejected step and changes it no other
-    way.  ``grape_step`` is the concurrent method's first trial step.  The
-    thresholds and ``max_iters`` stop either method by the rules that
-    ``_Descent`` lists.  ``lambda_`` and ``grape_step`` must be finite
-    and > 0, ``max_iters`` an int >= 0.
+    way.  ``grape_step`` scales the concurrent method's L-BFGS directions
+    until it keeps a curvature pair: its first trial is the guess minus
+    ``grape_step`` times the shaped gradient.  The thresholds and
+    ``max_iters`` stop either method by the rules that ``_Descent`` lists.
+    ``lambda_`` and ``grape_step`` must be finite and > 0, ``max_iters`` an
+    int >= 0.
     """
 
     lambda_: float = 1.0
@@ -330,7 +335,9 @@ def _engine(problem: ControlProblem):
 
 
 STALL_REJECTIONS = 9  # rejected Krotov trials, in total, that stall a run
-LINE_SEARCH_HALVINGS = 25  # GRAPE trial steps, halved from grape_step
+LINE_SEARCH_HALVINGS = 25  # GRAPE trial steps, halved from the unit step
+LBFGS_MEMORY = 10  # field and gradient change pairs the GRAPE step keeps
+ARMIJO_C1 = 1e-4  # share of the first-order decrease a GRAPE trial must make
 
 
 class _Descent:
@@ -340,7 +347,7 @@ class _Descent:
 
     * ``j_threshold``: the guess or an accepted field costs at most that;
     * ``dj_threshold``: an accepted field improves the cost by less, or
-      GRAPE finds no lower cost in ``LINE_SEARCH_HALVINGS`` halvings;
+      GRAPE finds no Armijo point in ``LINE_SEARCH_HALVINGS`` halvings;
     * ``stalled``: ``STALL_REJECTIONS`` rejected Krotov trials in total;
     * ``max_iters``: that many iterations ran, rejected ones included.
     """
@@ -446,26 +453,47 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
 def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
                      settings: KrotovSettings,
                      log_stream=None) -> OptimizationRecord:
-    """Concurrent gradient update with a backtracking line search.
+    """Concurrent update: limited-memory BFGS with an Armijo line search.
 
-    The whole gradient is computed with frozen fields, then applied at
-    once through the update shape; the step is halved until the cost
-    decreases, which a non-finite cost does not.  A line search whose
-    every trial cost is non-finite raises ``FloatingPointError`` naming
+    The whole gradient is computed with frozen fields.  The direction is
+    the L-BFGS two-loop recursion (Nocedal & Wright, *Numerical
+    Optimization*, Algorithm 7.4) over the last ``LBFGS_MEMORY`` pairs of
+    field and gradient changes, in the update shape's metric: its initial
+    inverse Hessian is ``gamma * diag(shape)``, so a sample where the shape
+    is 0 never moves.  ``gamma`` is ``grape_step`` until a pair is kept,
+    then ``s.y / y.(shape y)`` of the newest pair; a pair with ``s.y <= 0``
+    is skipped, and a direction that is not a descent direction restarts
+    from the shaped gradient with no pairs.  The step along it starts at 1
+    and halves until the cost falls by more than ``ARMIJO_C1`` times the
+    step's first-order decrease, which a non-finite cost never does; so
+    the cost falls at every accepted iteration.  A line search whose every
+    trial cost is non-finite raises ``FloatingPointError`` naming
     ``grape_step``.  The accepted trial's states and step stack feed the
-    next gradient.  Fast near an optimum; no monotonicity guarantee.
+    next gradient.
     """
     descent = _Descent(problem, guess, settings, log_stream, "grape")
-    engine, shape = descent.engine, descent.shape
+    engine, shape = descent.engine, descent.shape[:, None]
+    pairs, gamma, last = [], settings.grape_step, None
     for it in descent.iterations():
         grad = engine.gradient(descent.amps, descent.fwd, descent.steps)
         descent.fwd = descent.steps = None  # one step stack alive at a time
-        step, finite = settings.grape_step, False
+        if last is not None:
+            s, y = descent.amps - last[0], grad - last[1]
+            sy = np.sum(s * y)
+            if sy > 0:
+                pairs = (pairs + [(s, y, 1.0 / sy)])[-LBFGS_MEMORY:]
+                gamma = sy / np.sum(y * shape * y)
+        last = descent.amps, grad
+        direction = _lbfgs_direction(grad, pairs, gamma * shape)
+        if not np.sum(grad * direction) < 0:  # restart: shaped gradient
+            pairs, direction = [], -gamma * shape * grad
+        slope = np.sum(grad * direction)
+        step, finite = 1.0, False
         for _ in range(LINE_SEARCH_HALVINGS):
-            trial = descent.amps - step * shape[:, None] * grad
+            trial = descent.amps + step * direction
             fwd, steps = engine.forward(trial)
             j_trial = engine.cost_value(fwd[-1])
-            if j_trial < descent.j_tf:
+            if j_trial - descent.j_tf < ARMIJO_C1 * step * slope:
                 descent.accept(trial, fwd, steps, j_trial)
                 break
             finite = finite or np.isfinite(j_trial)
@@ -477,9 +505,22 @@ def grape_concurrent(problem: ControlProblem, guess: Sequence[ControlField],
                     f"non-finite cost in all {LINE_SEARCH_HALVINGS} "
                     f"line-search trials at iteration {it} from grape_step "
                     f"{settings.grape_step!r}")
-            descent.reason = "dj_threshold"  # no lower cost: see _Descent
+            descent.reason = "dj_threshold"  # no Armijo point: see _Descent
         fwd = steps = None  # held by the descent
     return descent.record()
+
+
+def _lbfgs_direction(grad, pairs, h0):
+    """``-H grad`` for the L-BFGS inverse Hessian ``H`` built from the
+    ``(s, y, 1/s.y)`` pairs, oldest first, on the diagonal ``h0``."""
+    q, alphas = grad.copy(), []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * np.sum(s * q))
+        q -= alphas[-1] * y
+    r = h0 * q
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * np.sum(y * r)) * s
+    return -r
 
 
 def grape_gradient(problem: ControlProblem,

@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-from scipy.optimize import minimize
 
 from qoctl import core, shapes
 from qoctl.adiabatic import counterdiabatic_tls, landau_zener
@@ -30,12 +29,12 @@ from qoctl.optimize import (ControlProblem, KrotovSettings, grape_gradient,
                             evaluate_cost, krotov_ensemble)
 from qoctl.scenarios import reset_model, run_scenario
 
-from conftest import random_unitary
+from conftest import (CONCURRENCE_CHECKS, boundary_shell_gates,
+                      dressed_canonical_gate, is_perfect_entangler,
+                      max_output_concurrence, random_unitary)
 
 CNOT = Operator([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 CPHASE_PI = Operator(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex))
-YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
-              dtype=complex)
 
 
 def report(number: int, description: str, passed: bool, detail: str = ""):
@@ -310,29 +309,6 @@ def test_criterion_06_stirap_ordering():
            f"counterintuitive {p_ci:.4f}, intuitive {p_iu:.4f}")
 
 
-def _product_state(x):
-    a = np.array([np.cos(x[0]), np.exp(1j * x[1]) * np.sin(x[0])])
-    b = np.array([np.cos(x[2]), np.exp(1j * x[3]) * np.sin(x[2])])
-    return np.outer(a, b).ravel()  # bit-identical to np.kron(a, b), cheaper
-
-
-def _max_output_concurrence(u, rng, n_starts=3, presample=300):
-    def neg_c(x):
-        psi = u @ _product_state(x)
-        return -abs(psi @ (YY @ psi))
-
-    xs = rng.uniform(0, 2 * np.pi, size=(presample, 4))
-    vals = np.array([neg_c(x) for x in xs])
-    order = np.argsort(vals)
-    best = -vals[order[0]]
-    for idx in order[:n_starts]:
-        res = minimize(neg_c, xs[idx], method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14,
-                                "maxiter": 4000})
-        best = max(best, -res.fun)
-    return best
-
-
 def test_criterion_07_local_equivalence(rng):
     inv_ok = np.max(np.abs(local_invariants(CNOT)
                            - local_invariants(CPHASE_PI))) <= 1e-10
@@ -340,31 +316,29 @@ def test_criterion_07_local_equivalence(rng):
     w_cnot = weyl_coordinates(CNOT).as_array()
     points_ok = np.allclose(w_id, [0, 0, 0], atol=1e-10) and \
         np.allclose(w_cnot, [np.pi / 2, 0, 0], atol=1e-10)
-    # PE membership vs the concurrence sweep oracle on 200 sampled gates.
-    # Gates within 0.03 pi of the polyhedron boundary are resampled: right
-    # on the boundary the binary membership and the 1e-6 concurrence
-    # threshold are both ill-conditioned, so the comparison is only
-    # meaningful at a finite margin.
-    checked = 0
+    # PE membership vs the exact test of Zhang et al. (no eigenphase gap
+    # of U_B^T U_B above pi) on 1000 random gates and the boundary shell,
+    # with no margin; the concurrence oracle confirms the test physically
+    # on four gates far from the boundary, two on each side.
+    gates = [(random_unitary(rng, 4), None) for _ in range(1000)] \
+        + boundary_shell_gates(rng)
     disagreements = 0
-    while checked < 200:
-        u = random_unitary(rng, 4)
-        w = weyl_coordinates(Operator(u))
-        d = pe_distance(w)
-        p = w.as_array() / np.pi
-        depth = min(p[0] + p[1] - 0.5, 0.5 - (p[0] - p[1]),
-                    0.5 - (p[1] + p[2]))
-        if (0 < d < 0.03 * np.pi) or (d == 0 and depth < 0.03):
-            continue
-        c = _max_output_concurrence(u, rng)
-        if (d == 0.0) != (c >= 1 - 1e-6):
+    for u, inside in gates:
+        exact = is_perfect_entangler(u)
+        d = pe_distance(weyl_coordinates(Operator(u)))
+        if (d == 0.0) != exact or inside not in (None, exact):
             disagreements += 1
-        checked += 1
+    for c, inside in CONCURRENCE_CHECKS:
+        u = dressed_canonical_gate(rng, np.pi * np.array(c))
+        if is_perfect_entangler(u) != inside \
+                or (max_output_concurrence(u, rng) >= 1 - 1e-6) != inside:
+            disagreements += 1
     report(7, "CNOT and CPHASE(pi) share invariants; identity at O, CNOT "
-              "at L; PE membership agrees with the concurrence oracle on "
-              "200 gates",
+              "at L; PE membership agrees with the exact test on "
+              f"{len(gates)} gates, the boundary shell included, and the "
+              "concurrence oracle agrees with it on 4",
            inv_ok and points_ok and disagreements == 0,
-           f"disagreements {disagreements}/200")
+           f"disagreements {disagreements}/{len(gates) + 4}")
 
 
 def test_criterion_08_three_state_verification(rng):

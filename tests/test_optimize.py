@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
 from scipy.linalg import expm_frechet
 
-from qoctl import _kernels, core, shapes
+from qoctl import _kernels, core, optimize, shapes
 from qoctl.core import (ControlledHamiltonian, DimensionMismatchError,
                         Operator, StateVariantError, tensor_product)
 from qoctl.dynamics import (ControlField, TimeGrid, gkls_generator_parts,
@@ -22,13 +22,21 @@ from qoctl.functionals import (CostSpec, canonical_gate, pe_distance,
 from qoctl.optimize import (ControlProblem, IterationEntry, KrotovSettings,
                             OptimizationRecord, Parametrization,
                             evaluate_cost, fields_to_csv,
-                            gradient_free_search, grape_concurrent,
-                            grape_gradient, hybrid_optimize, krotov_ensemble)
+                            gradient_free_search, grape_gradient,
+                            hybrid_optimize, krotov_ensemble)
 from qoctl.optimize import _engine
 from qoctl.scenarios import reset_model
 
 from conftest import random_density, random_ket, random_unitary
 from random_models import PROPERTY, models
+
+
+def grape_concurrent(*args, **kwargs):
+    """``optimize.grape_concurrent`` that also checks the record it returns
+    is monotonic, so every GRAPE record this module makes is checked."""
+    record = optimize.grape_concurrent(*args, **kwargs)
+    assert record.monotonic()
+    return record
 
 
 def tls_transfer_problem(nt=501, tf=3 * np.pi):
@@ -409,23 +417,42 @@ def test_open_cost_is_hilbert_schmidt_distance():
 
 
 def recomputing_grape(problem, guess, settings):
-    """GRAPE without reuse: every gradient re-propagates its field forward
-    and backward and re-exponentiates every step.
+    """GRAPE without reuse, and with the L-BFGS inverse Hessian as a dense
+    matrix: every gradient re-propagates its field forward and backward
+    and re-exponentiates every step, and the direction is ``-H g`` for the
+    ``H`` that the BFGS update (Nocedal & Wright, eq. 6.17) makes from
+    ``gamma * diag(shape)`` and the last 10 pairs with ``s.y > 0``.  The
+    step halves from 1 until the cost falls by ``1e-4 * step * g.d``.
     Returns the cost history, the final amplitudes and the number of
     line-search trials."""
     engine = _engine(problem)
     amps = np.stack([f.samples for f in guess], axis=1)
-    shape = settings.shape_for(problem.grid)
+    metric = np.repeat(settings.shape_for(problem.grid), amps.shape[1])
+    eye = np.eye(metric.size)
     j_history = [engine.cost_value(fresh_passes(engine, amps)[0][-1])]
-    trials = 0
+    gamma, pairs, trials, last = settings.grape_step, [], 0, None
     for _ in range(settings.max_iters):
-        grad = step_loop_gradient(problem, amps)
-        step = settings.grape_step
+        grad = step_loop_gradient(problem, amps).ravel()
+        if last is not None:
+            s, y = amps.ravel() - last[0], grad - last[1]
+            if s @ y > 0:
+                pairs = (pairs + [(s, y)])[-10:]
+                gamma = (s @ y) / (y @ (metric * y))
+        last = amps.ravel(), grad
+        inv_hessian = np.diag(gamma * metric)
+        for s, y in pairs:
+            rho = 1.0 / (s @ y)
+            left = eye - rho * np.outer(s, y)
+            inv_hessian = left @ inv_hessian @ left.T + rho * np.outer(s, s)
+        direction = -inv_hessian @ grad
+        if not grad @ direction < 0:
+            pairs, direction = [], -gamma * metric * grad
+        step = 1.0
         for _ in range(25):
             trials += 1
-            trial = amps - step * shape[:, None] * grad
+            trial = amps + step * direction.reshape(amps.shape)
             j_trial = engine.cost_value(fresh_passes(engine, trial)[0][-1])
-            if j_trial < j_history[-1]:
+            if j_trial - j_history[-1] < 1e-4 * step * (grad @ direction):
                 break
             step *= 0.5
         else:
@@ -529,7 +556,9 @@ class TestGrape:
     def test_same_fixed_point_as_krotov(self):
         # converge with the sequential method, then check that both methods
         # stay put: near the optimum the updates vanish with the residual
-        # (the 1e-13 cost floor is set by accumulated roundoff).
+        # (the 1e-13 cost floor is set by accumulated roundoff).  A negative
+        # j_threshold keeps the converged field, whose cost is a round-off
+        # -2e-15, from stopping either run before it iterates.
         problem = tls_transfer_problem(nt=301)
         guess = [ControlField.constant(problem.grid, 0.1)]
         rec = krotov_ensemble(problem, guess,
@@ -538,13 +567,14 @@ class TestGrape:
                                              j_threshold=1e-13))
         assert rec.final_j <= 1e-12
         settings = KrotovSettings(lambda_=10.0, max_iters=5,
-                                  grape_step=0.1)
-        again = krotov_ensemble(problem, rec.final_fields, settings)
-        gr = grape_concurrent(problem, rec.final_fields, settings)
-        u_k = again.final_fields[0].samples
-        u_g = gr.final_fields[0].samples
-        norm = np.linalg.norm(u_k - u_g) * np.sqrt(problem.grid.dt)
-        assert norm <= 1e-6
+                                  grape_step=0.1, j_threshold=-1.0)
+        converged = rec.final_fields[0].samples
+        for optimizer in (krotov_ensemble, grape_concurrent):
+            again = optimizer(problem, rec.final_fields, settings)
+            assert len(again.iterations) > 1
+            u = again.final_fields[0].samples
+            norm = np.linalg.norm(u - converged) * np.sqrt(problem.grid.dt)
+            assert norm <= 1e-6
 
     @pytest.mark.parametrize("kind", ["closed", "open"])
     def test_reuses_line_search_trial(self, kind, monkeypatch):
@@ -598,6 +628,63 @@ class TestGrape:
             == n_steps * (1 + trials)
         assert calls == {}
 
+    def gate_guess(self, problem, jitter):
+        """The guess of the benchmark's GRAPE gate problem: per control, a
+        sum of sin(pi t/T) and sin(2 pi t/T), every coefficient shifted by
+        ``jitter`` (the benchmark seeds draw it from [-0.02, 0.02])."""
+        grid = problem.grid
+        phase = np.pi * (grid.midpoints - grid.t0) / (grid.tf - grid.t0)
+        return [ControlField(grid, (a + jitter) * np.sin(phase)
+                             + (b + jitter) * np.sin(2 * phase))
+                for a, b in ((0.5, 0.2), (-0.3, 0.1))]
+
+    @pytest.mark.parametrize("jitter", [0.0, -0.02, 0.02])
+    def test_gate_guess_reaches_threshold_in_twelve_iterations(self, jitter):
+        # L-BFGS steps take 10 or 11 iterations to J <= 1e-4 here; the
+        # bound leaves one or two of headroom
+        problem = two_qubit_gate_problem()
+        settings = KrotovSettings(max_iters=12, grape_step=400.0,
+                                  j_threshold=1e-4)
+        rec = grape_concurrent(problem, self.gate_guess(problem, jitter),
+                               settings)
+        assert rec.converged_reason == "j_threshold"
+        assert rec.final_j <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["gate", "open"])
+    def test_fields_stay_put_where_the_shape_vanishes(self, kind):
+        # the L-BFGS metric is the update shape, so every direction, and
+        # with it every field change, is 0 at the pinned end samples
+        if kind == "gate":
+            problem = two_qubit_gate_problem(nt=41)
+            guess = self.gate_guess(problem, 0.0)
+            settings = KrotovSettings(max_iters=8, grape_step=400.0)
+        else:
+            problem, guess = self.open_problem()
+            settings = KrotovSettings(max_iters=8, grape_step=30.0)
+        rec = grape_concurrent(problem, guess, settings)
+        assert rec.converged_reason == "max_iters"
+        pinned = settings.shape_for(problem.grid) == 0.0
+        assert np.count_nonzero(pinned) == 2
+        for field, start in zip(rec.final_fields, guess):
+            assert np.array_equal(field.samples[pinned],
+                                  start.samples[pinned])
+            assert not np.array_equal(field.samples, start.samples)
+
+    def test_non_descent_direction_restarts(self, monkeypatch):
+        # a two-loop direction that is no descent direction (here: none at
+        # all) gives way to the shaped gradient, scaled as the pairs say;
+        # before any pair that is the first direction itself
+        problem = tls_transfer_problem(nt=201)
+        guess = [ControlField.constant(problem.grid, 0.1)]
+        settings = KrotovSettings(max_iters=5, grape_step=5.0)
+        free = grape_concurrent(problem, guess, settings)
+        monkeypatch.setattr(optimize, "_lbfgs_direction",
+                            lambda grad, pairs, h0: np.zeros_like(grad))
+        rec = grape_concurrent(problem, guess, settings)
+        assert rec.converged_reason == "max_iters"
+        assert rec.j_history[1] == free.j_history[1]
+        assert np.all(np.diff(rec.j_history) < 0)
+
     def test_guess_meeting_threshold_is_returned(self):
         problem = tls_transfer_problem(nt=201)
         guess = [ControlField.constant(problem.grid, 0.1)]
@@ -619,22 +706,25 @@ class TestGrape:
 
     @pytest.mark.parametrize("reason", ["j_threshold", "dj_threshold"])
     def test_grape_stops_after_an_accepted_iteration(self, reason):
-        # the third accepted iteration meets j_threshold, or the first one
-        # improves by less than dj_threshold; either is recorded
+        # the third accepted iteration meets j_threshold, or is the first
+        # to improve by less than dj_threshold; either is recorded.  The
+        # L-BFGS steps converge superlinearly: five reach round-off
         problem = tls_transfer_problem(nt=201)
         guess = [ControlField.constant(problem.grid, 0.1)]
         free = grape_concurrent(problem, guess,
                                 KrotovSettings(max_iters=5, grape_step=5.0))
-        assert np.all(np.diff(free.j_history) < 0)
+        improvements = -np.diff(free.j_history)
+        assert np.all(improvements > 0)
+        assert free.final_j <= 1e-12
+        n_accepted = 3
         if reason == "j_threshold":
             settings = KrotovSettings(max_iters=5, grape_step=5.0,
                                       j_threshold=free.j_history[3])
-            n_accepted = 3
         else:
-            improvement = free.j_history[0] - free.j_history[1]
+            threshold = 2.0 * improvements[2]
+            assert np.all(improvements[:2] >= threshold)
             settings = KrotovSettings(max_iters=5, grape_step=5.0,
-                                      dj_threshold=2.0 * improvement)
-            n_accepted = 1
+                                      dj_threshold=threshold)
         rec = grape_concurrent(problem, guess, settings)
         assert rec.converged_reason == reason
         assert len(rec.iterations) == n_accepted + 1
@@ -661,9 +751,12 @@ class TestStopReasons:
     cost: Krotov gains almost nothing from it, and its ninth rejected trial
     in total stalls the run at the iteration ``zero_field_stall`` reads
     (the zero-field counts below are functions of it); GRAPE's line search
-    finds no lower cost in its 25 halvings.  A rejected trial is no
+    finds no Armijo point in its 25 halvings.  A rejected trial is no
     improvement below ``dj_threshold``: the reset run stops on that only
-    after three rejections and seven accepted sweeps."""
+    after three rejections and seven accepted sweeps.  From the ramps,
+    GRAPE at grape_step 100 reaches J 2e-3 at its ninth L-BFGS step and
+    first improves by less than 1e-4 at its thirteenth; it rejects no
+    iteration."""
 
     @pytest.mark.parametrize(
         "optimizer,guess,settings,reason,n_entries,n_rejected", [
@@ -687,11 +780,19 @@ class TestStopReasons:
             (krotov_ensemble, "ramps", dict(max_iters=0), "max_iters", 1, 0),
             (grape_concurrent, "ramps", dict(max_iters=0), "max_iters", 1,
              0),
+            (grape_concurrent, "ramps", dict(grape_step=100.0, max_iters=5),
+             "max_iters", 6, 0),
+            (grape_concurrent, "ramps",
+             dict(grape_step=100.0, dj_threshold=1e-4), "dj_threshold", 14,
+             0),
+            (grape_concurrent, "ramps",
+             dict(grape_step=100.0, j_threshold=1e-2), "j_threshold", 10, 0),
         ], ids=["krotov-max_iters", "krotov-stalled-last", "krotov-stalled",
                 "krotov-dj_threshold", "krotov-j_threshold",
                 "krotov-dj_threshold-after-rejections",
                 "grape-no_lower_cost", "krotov-no_iterations",
-                "grape-no_iterations"])
+                "grape-no_iterations", "grape-max_iters", "grape-dj_threshold",
+                "grape-j_threshold"])
     def test_reason_and_log(self, optimizer, guess, settings, reason,
                             n_entries, n_rejected):
         problem = two_qubit_gate_problem(nt=41)
@@ -737,8 +838,10 @@ def test_settings_reject_invalid_values(field, value):
 
 
 def test_grape_overflow_names_grape_step():
-    # every trial cost of the first line search is non-finite: 25 halvings
-    # of 1e300 reach only 6e292, and that is no converged field
+    # the first L-BFGS direction is the shaped gradient scaled by
+    # grape_step, and every trial cost of its line search is non-finite:
+    # its 25 trials, halved from 1e300 times the shaped gradient, reach
+    # only 6e292 times it, and that is no converged field
     problem = tls_transfer_problem(nt=101)
     guess = [ControlField.constant(problem.grid, 0.1)]
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
