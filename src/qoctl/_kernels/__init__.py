@@ -9,14 +9,17 @@ scaled by its own norm, a complex stack through its real realification;
 ``step_stack_dm``: one stacked ``expm`` call) and take states forward and
 co-states backward through it with ``propagate_steps``.
 ``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
-block at a time.  A block of at least as many states as their dimension
-takes its steps in chunks of running products, about ``2 sqrt(n)`` numpy
-calls for ``n`` steps instead of one per step.  The sequential Krotov
-passes ``krotov_forward_ket`` and ``krotov_forward_dm`` differ only in the
-stack function they run one loop with: the loop exponentiates one
+block at a time.  A block of at least as many states as their dimension,
+and a block of any width whose steps are real and at most ``SMALL_REAL``
+(8) dimensional (GKLS coordinates), takes its steps in chunks of running
+products, about ``2 sqrt(n)`` numpy calls for ``n`` steps instead of one
+per step; a narrower complex block takes one per step.  The sequential
+Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm`` differ only
+in the stack function they run one loop with: the loop exponentiates one
 Chebyshev table of the step operator per pass, over a box of amplitudes
-that holds every update, reads each step off it as one weighted sum and
-returns the stack of the field it updated.  GKLS generators arrive as
+that holds every update, reads each step off it as one weighted sum (a
+fixed handful of numpy calls per step, into buffers made once per pass)
+and returns the stack of the field it updated.  GKLS generators arrive as
 real matrices in the reduced Hermitian basis of
 ``qoctl.dynamics.reduced_gkls_parts``.  ``direction=-1`` runs the adjoints
 of the forward steps, built from the same generator and ``dt``.  A stack

@@ -7,21 +7,23 @@ A step stack holds the ``(nt-1, N, N)`` step operators of one field:
 ``amps`` in one stacked ``expm`` call.  ``propagate_steps`` steps states
 forward through a stack and co-states backward through its adjoints.
 ``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
-block at a time.  All three apply steps in ``_propagate``: a block of at
-least as many states as their dimension, ``W >= N``, goes through chunks
-of ``isqrt(n)`` steps as running products, about ``2 sqrt(n)`` numpy
-calls for ``n`` steps; a narrower one, where a product of two steps costs
-more than stepping the block, takes one product per step.  The
-sequential Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm``
-differ only in the stack function they give one loop,
-``krotov_forward``, which updates the field while it steps and
+block at a time.  All three apply steps in ``_propagate``: a block goes
+through chunks of ``isqrt(n)`` steps as running products, about
+``2 sqrt(n)`` numpy calls for ``n`` steps, when it holds at least as many
+states as their dimension, ``W >= N``, or when its steps are real and of
+dimension ``N <= SMALL_REAL`` (GKLS coordinates), where a product of two
+steps costs little next to a numpy call; a narrower complex block takes
+one product per step.  The sequential Krotov passes ``krotov_forward_ket``
+and ``krotov_forward_dm`` differ only in the stack function they give one
+loop, ``krotov_forward``, which updates the field while it steps and
 returns the updated field's stack.  A step's amplitudes are known only
 once the step before it is taken, so the loop exponentiates none of them:
 it builds one ``StepTable`` per pass, a Chebyshev interpolant of the step
 operator over a box of amplitudes whose nodes come from one stacked call
-of that function, and reads each step off it as one weighted sum.  Every
-generator they step, a Hamiltonian ``H0 + sum_j u_j H_j`` or a GKLS one,
-comes from ``generator``.
+of that function, and reads each step off it as one weighted sum, five
+numpy calls a step for one control.  Every generator they step, a
+Hamiltonian ``H0 + sum_j u_j H_j`` or a GKLS one, comes from
+``generator``.
 
 Conventions shared by the entry points:
 
@@ -47,6 +49,7 @@ Conventions shared by the entry points:
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -68,6 +71,12 @@ DEGREE = 8
 _COS = [(-1) ** k / math.factorial(2 * k) for k in range(DEGREE + 1)]
 _SIN = [(-1) ** k / math.factorial(2 * k + 1) for k in range(DEGREE + 1)]
 SERIES = np.array([_COS[:4] + [0.0], _COS[4:], _SIN[:4] + [0.0], _SIN[4:]])
+
+
+# Real steps of at most this dimension take chunks in blocks of any width:
+# a product of two costs little next to the numpy call per step it saves
+# (_propagate).
+SMALL_REAL = 8
 
 
 def block_rows(dim, n_members=1):
@@ -166,9 +175,10 @@ def propagate_steps(steps, state, direction):
     exponentials.  ``state`` is ``(N,)`` or ``(W, N)``, as for the other
     entry points; with a member axis on the stack, ``(n, P, N, N)``, it is
     a ``(P, W, N)`` block and member ``p`` steps through ``steps[:, p]``.
-    A block of ``W >= N`` states takes the steps in chunks of running
-    products (``_propagate``), which agree with one product per step to
-    round-off; a narrower one takes one product per step.
+    A block of ``W >= N`` states, or any block of real steps of dimension
+    ``N <= SMALL_REAL``, takes the steps in chunks of running products
+    (``_propagate``), which agree with one product per step to round-off;
+    a narrower complex one takes one product per step.
     """
     return _propagate(lambda block: block, steps, state, direction,
                       np.result_type(steps, state))
@@ -292,6 +302,12 @@ def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
     part of the step exponent and ``log_norm(mid, half)`` bounds the
     exponent's log-norm over a box.  Returns the ``(nt, W, N)`` states and
     the ``(nt-1, N, N)`` steps.
+
+    The loop indexes no array: its views of ``proj``, the states and the
+    steps are made once per pass, the update goes into one buffer and the
+    rows are kept as floats, written back to ``amps`` at the end, so that
+    a step is five numpy calls for one control (the update, the weights'
+    two, the weighted sum and the block's product) and allocates no array.
     """
     n_mid, n_ctrl = amps.shape
     # chi is fixed for the pass: contract it with ops for every step at
@@ -310,20 +326,35 @@ def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
     # block of them: its memory grows no faster than the pass's own
     block = block_rows(steps.shape[-1])
     out[0] = state0
+    # the rows as floats, written back at the end (and before a rebuild,
+    # which reads the updated row): an update is one dot product into a
+    # buffer and a sum of floats
+    rows = amps.tolist()
+    update = np.empty(n_ctrl, dtype=dtype)
+    update_re = update.real  # a view: the rows take the real part
     table = None
-    for k in range(n_mid):
-        row = amps[k]  # a view: updated in place
-        row += (proj[k] @ out[k].ravel()).real
+    # every view the loop reads, built once: proj[k], the block at k
+    # flattened, the blocks at k and k + 1, step k as reals and transposed
+    views = zip(proj, out.reshape(n_mid + 1, -1), out, out[1:], flat,
+                np.swapaxes(steps, 1, 2))
+    # ndarray.dot is np.dot's product without its dispatch, which costs
+    # about as much again on these sizes
+    for k, (proj_k, vec, state, state_next, flat_k, step_t) in \
+            enumerate(views):
+        proj_k.dot(vec, update)
+        row = rows[k] = list(map(operator.add, rows[k], update_re.tolist()))
         weights = None if table is None else table.weights(row)
         if weights is None:
             # the first step, or one past the box: a rebuild doubles the
             # norm, so that growing states rebuild about once per doubling
-            norm = np.linalg.norm(out[k]) * (1.0 if table is None else 2.0)
+            norm = np.linalg.norm(state) * (1.0 if table is None else 2.0)
+            amps[k] = row
             table = StepTable(stack_of, sizes, log_norm, amps[k:],
                               reach[k:] * norm, max(n_mid - k, block), dtype)
-            weights = table.weights(row)
-        np.dot(weights, table.coefs, out=flat[k])
-        np.dot(out[k], steps[k].T, out=out[k + 1])
+            coefs, weights = table.coefs, table.weights(row)
+        weights.dot(coefs, flat_k)
+        state.dot(step_t, state_next)
+    amps[:] = rows
     return out, steps
 
 
@@ -367,9 +398,17 @@ class StepTable:
             degrees = [0] * len(degrees)
         # [-1, 1] -> the box; a box of zero width keeps xi at 0
         scale = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0)
-        self.axes = list(zip(lo.tolist(), hi.tolist(), mid.tolist(),
-                             scale.tolist(),
-                             [np.arange(d + 1.0) for d in degrees]))
+        # per axis, arccos xi_j, T_k(xi_j) and the weights over the axes so
+        # far, their outer product with the weights before: buffers that
+        # weights() fills
+        self.axes, size = [], 1
+        for bounds, d in zip(zip(lo.tolist(), hi.tolist(), mid.tolist(),
+                                 scale.tolist()), degrees):
+            cheb = np.empty(d + 1)
+            prod = np.empty((size, d + 1)) if self.axes else cheb
+            self.axes.append(bounds + (np.arange(d + 1.0), np.empty(()),
+                                       cheb, prod))
+            size *= d + 1
         # first-kind Chebyshev points x_i = cos(pi (i + 1/2) / (n + 1))
         angles = [np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
                   for d in degrees]
@@ -389,17 +428,25 @@ class StepTable:
         self.coefs = np.ascontiguousarray(coefs).view(float)
 
     def weights(self, u):
-        """The weights of the row ``u`` over the coefficients, or ``None``
-        where ``u`` lies outside the box."""
+        """The weights of the row ``u``, one float per control, over the
+        coefficients, or ``None`` where ``u`` lies outside the box.  They
+        are written into the table's buffers, so they hold until the next
+        call."""
         weights = None
-        for uj, (lo, hi, mid, scale, ks) in zip(u.tolist(), self.axes):
+        for uj, (lo, hi, mid, scale, ks, angle, cheb, prod) in zip(u,
+                                                                   self.axes):
             if uj < lo or uj > hi:
                 return None
             # rounding may carry xi just past +-1, where arccos is undefined
-            xi = min(1.0, max(-1.0, (uj - mid) * scale))
-            t = np.cos(ks * math.acos(xi))
-            weights = t if weights is None \
-                else np.multiply.outer(weights, t).ravel()
+            xi = (uj - mid) * scale
+            angle[()] = math.acos(xi if -1.0 < xi < 1.0
+                                  else 1.0 if xi >= 1.0 else -1.0)
+            # outputs passed by position, and a float held as an array: a
+            # ufunc takes either faster
+            np.multiply(ks, angle, cheb)
+            np.cos(cheb, cheb)
+            weights = cheb if weights is None \
+                else np.multiply.outer(weights, cheb, out=prod).ravel()
         return weights
 
 
@@ -432,14 +479,18 @@ def _propagate(steps_of, amps, state0, direction, dtype):
     chunk at once, then one product per chunk steps the chunk's first state
     through all of them, about ``2 sqrt(n)`` numpy calls where one per step
     made ``n`` (Blelloch, CMU-CS-90-190, 1990).  A product of two steps
-    costs ``N^3`` where stepping costs ``W N^2``, so a narrower block (a
-    single ket, GKLS coordinate vectors, ``(P, 1, N)`` members) keeps
-    chunks of one step, one product per step: chunking measured 0.24 ->
-    0.56 ms on ``(113 steps, P 16, N 3, W 1)`` and 1.7 -> 2.1 ms on
-    ``(1024, N 16, W 1)`` (2-vCPU host, one BLAS thread).  ``b`` depends
-    on the block's length, ``N`` and ``W`` alone, so members stepped
-    together take their solo runs' chunks wherever their blocks are the
-    same.
+    costs ``N^3`` where stepping costs ``W N^2``; but where ``N^3`` is
+    small next to the cost of a numpy call, chunks pay at any width, so
+    real steps of ``N <= SMALL_REAL`` (GKLS coordinates) take them in
+    blocks of any ``W``: 0.46 -> 0.14 ms on the reset model's co-states,
+    real ``(300 steps, N 8, W 1)``.  A narrower complex block (a single
+    ket, ``(P, 1, N)`` members) keeps chunks of one step, one product per
+    step: chunking measured 0.40 -> 1.01 ms on ``(113 steps, P 16, N 3,
+    W 1)`` and 1.7 -> 2.1 ms on ``(1024, N 16, W 1)`` (best times, 2-vCPU
+    host, one BLAS thread).  ``b`` depends on the block's length, the
+    steps' dtype, ``N`` and ``W`` alone, never on ``P``, so members
+    stepped together take their solo runs' chunks wherever their blocks
+    are the same.
     """
     n_mid = amps.shape[0]
     out = np.empty((n_mid + 1,) + np.shape(state0), dtype=dtype)
@@ -449,6 +500,7 @@ def _propagate(steps_of, amps, state0, direction, dtype):
     # a member axis sits between the step axis and the (W, N) states
     rows = block_rows(out.shape[-1], int(np.prod(out.shape[1:-2])))
     wide = out.ndim > 2 and out.shape[-2] >= out.shape[-1]
+    small = out.shape[-1] <= SMALL_REAL
     starts = range(0, n_mid, rows)
     for k0 in (starts if direction > 0 else reversed(starts)):
         block = steps_of(amps[k0:k0 + rows])
@@ -459,7 +511,8 @@ def _propagate(steps_of, amps, state0, direction, dtype):
             # the adjoint, as states are rows: state @ conj(S) = S^dag
             # state, from the block's last step to its first
             mats, m0 = np.conj(block)[::-1], n_mid - k0 - len(block)
-        b = math.isqrt(len(mats)) if wide else 1
+        chunked = wide or small and not np.iscomplexobj(mats)
+        b = math.isqrt(len(mats)) if chunked else 1
         if b > 1:
             # prods[c b + j] = mats[c b] @ ... @ mats[c b + j], one product
             # per j over every chunk c

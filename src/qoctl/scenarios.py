@@ -641,7 +641,8 @@ SCHEMA = {
         "omega_b": Key(12.0, positive=True),
         "kappa": Key(2e-4, lo=0.0),
         "p_exc": Key(0.05, lo=0.0, hi=1.0),
-        "duration_fractions": Key(np.arange(0.5, 1.35, 0.1).tolist(),
+        "duration_fractions": Key([0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2,
+                                   1.3],
                                   [Key(REQUIRED, positive=True)], lo=1,
                                   build=_increasing),
         "nt": Key(301, int, lo=MIN_OPTIMIZED_NT, hi=MAX_NT)},

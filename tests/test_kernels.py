@@ -7,7 +7,10 @@ update of the Krotov passes, the Chebyshev tables they read their steps
 from and the step stacks those passes return at once.
 """
 
+import collections
 import inspect
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -381,6 +384,157 @@ class TestStepTable:
         assert close(steps, ref_steps)
 
 
+def plain_krotov(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
+    """``_fallback.krotov_forward`` written plainly, each operation one
+    numpy expression on indexed rows: the update added to ``amps[k]`` in
+    place, the weights of that row from the table's axes, their sum with
+    the coefficients and the step.  The sweep's reference, bitwise."""
+    n_mid, n_ctrl = amps.shape
+    proj = (chi[:-1, None].conj() @ ops).reshape(n_mid, n_ctrl, -1) \
+        * (gain / state0.shape[0])[:, None, None]
+    reach = np.linalg.norm(proj, axis=2)
+    dtype = np.result_type(state0, proj)
+    out = np.empty((n_mid + 1,) + state0.shape, dtype=dtype)
+    steps = np.empty((n_mid,) + ops.shape[1:], dtype=dtype)
+    flat = steps.reshape(n_mid, -1).view(float)
+    block = _kernels.block_rows(steps.shape[-1])
+    out[0] = state0
+    table = None
+    for k in range(n_mid):
+        row = amps[k]
+        row += (proj[k] @ out[k].ravel()).real
+        weights = None if table is None else plain_weights(table, row)
+        if weights is None:
+            norm = np.linalg.norm(out[k]) * (1.0 if table is None else 2.0)
+            table = _fallback.StepTable(stack_of, sizes, log_norm, amps[k:],
+                                        reach[k:] * norm,
+                                        max(n_mid - k, block), dtype)
+            weights = plain_weights(table, row)
+        np.dot(weights, table.coefs, out=flat[k])
+        np.dot(out[k], steps[k].T, out=out[k + 1])
+    return out, steps
+
+
+def plain_weights(table, u):
+    """``StepTable.weights`` of the row ``u`` with a new array per axis."""
+    weights = None
+    for uj, (lo, hi, mid, scale, ks) in zip(u.tolist(),
+                                            (a[:5] for a in table.axes)):
+        if uj < lo or uj > hi:
+            return None
+        xi = min(1.0, max(-1.0, (uj - mid) * scale))
+        t = np.cos(ks * math.acos(xi))
+        weights = t if weights is None \
+            else np.multiply.outer(weights, t).ravel()
+    return weights
+
+
+def reset_parts():
+    """The reset model's real GKLS parts in its 8-dimensional basis."""
+    h, jumps, rho0, target, _ = reset_model(0.15)
+    gen0, gens, _ = reduced_gkls_parts(Liouvillian(h, jumps),
+                                       [rho0.rho, target.rho])
+    return gen0, gens
+
+
+class TestKrotovSweep:
+    """``krotov_forward`` against ``plain_krotov`` on the same inputs:
+    bitwise equal amplitudes, states and steps, from as many tables."""
+
+    @staticmethod
+    def check(monkeypatch, tables, kernel, args, amps):
+        results, built = [], []
+        for sweep in (_fallback.krotov_forward, plain_krotov):
+            monkeypatch.setattr(_fallback, "krotov_forward", sweep)
+            updated = amps.copy()
+            results.append((updated,) + kernel(*args(updated)))
+            built.append(len(tables) - sum(built))
+        for got, ref in zip(*results):
+            assert np.array_equal(got, ref)
+        assert built[0] == built[1]
+        return built[0]
+
+    def test_ket(self, rng, monkeypatch, tables, hamiltonian_data):
+        drift, coups = hamiltonian_data
+        n_mid, n_ens, n = 120, 2, drift.shape[0]
+        psi0 = random_block(rng, (n_ens, n))
+        psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+        chi = random_block(rng, (n_mid + 1, n_ens, n))
+        gain = rng.uniform(0, 0.5, size=n_mid)
+        assert self.check(
+            monkeypatch, tables, _kernels.krotov_forward_ket,
+            lambda amps: (drift, coups, amps, chi, psi0, 0.05, gain),
+            rng.normal(size=(n_mid, 2))) == 1
+
+    def test_reset_model(self, rng, monkeypatch, tables):
+        gen0, gens = reset_parts()
+        n_mid, d = 300, gen0.shape[0]
+        rho = rng.normal(size=(1, d))
+        chi = rng.normal(size=(n_mid + 1, 1, d))
+        gain = np.full(n_mid, 0.1)
+        assert self.check(
+            monkeypatch, tables, _kernels.krotov_forward_dm,
+            lambda amps: (gen0, gens, amps, chi, rho, 0.05, gain),
+            0.9 + 0.01 * rng.normal(size=(n_mid, 1))) == 1
+
+    def test_widening(self, rng, monkeypatch, tables, generator_data):
+        # the generator of TestStepTable.test_widening: tables rebuilt
+        # partway through the pass
+        gen0, gens = (0.2 * g for g in generator_data)
+        gen0 = gen0 + np.eye(gen0.shape[0])
+        n_mid, n = 60, gen0.shape[0]
+        rho0 = random_block(rng, (2, n))
+        chi = random_block(rng, (n_mid + 1, 2, n))
+        gain = np.full(n_mid, 0.05)
+        assert self.check(
+            monkeypatch, tables, _kernels.krotov_forward_dm,
+            lambda amps: (gen0, gens, amps, chi, rho0, 0.05, gain),
+            np.zeros((n_mid, gens.shape[0]))) > 1
+
+    def test_numpy_calls_per_step(self, rng, monkeypatch, tables):
+        # Every array operation of a step is a numpy function looked up on
+        # the module or a C call from the kernels' own code, which the
+        # profiler sees: on the reset model the update, its floats, the
+        # weights' arccos and two ufuncs, the weighted sum and the block's
+        # product.  Counted over passes of two lengths from one table each,
+        # so that what a pass does once cancels, and a call added to every
+        # step shows 150 times.
+        gen0, gens = reset_parts()
+        d = gen0.shape[0]
+        calls = collections.Counter()
+
+        class Counting:
+            def __getattr__(self, name):
+                calls["np." + name] += 1
+                return getattr(np, name)
+
+        def profile(frame, event, arg):
+            if event == "c_call" and frame.f_globals is vars(_fallback):
+                calls[arg.__qualname__] += 1
+
+        monkeypatch.setattr(_fallback, "np", Counting())
+        counts = []
+        for n_mid in (150, 300):
+            amps = np.full((n_mid, 1), 0.9)
+            chi = rng.normal(size=(n_mid + 1, 1, d))
+            rho = rng.normal(size=(1, d))
+            calls.clear()
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho, 0.05,
+                                           np.full(n_mid, 0.1))
+            finally:
+                sys.setprofile(previous)
+            counts.append(calls.copy())
+        assert len(tables) == 2
+        per_150 = {name: counts[1][name] - counts[0][name]
+                   for name in counts[0] | counts[1]}
+        assert {name: n for name, n in per_150.items() if n} == {
+            "ndarray.dot": 3 * 150, "ndarray.tolist": 150, "acos": 150,
+            "np.multiply": 150, "np.cos": 150}
+
+
 class TestStepStack:
     """The stacks the optimizers build once per field, step by step against
     ``expm`` of the step generator."""
@@ -522,13 +676,14 @@ class TestChunkedSteps:
     @pytest.mark.parametrize("direction", [1, -1])
     def test_density(self, rng, direction, n_mid):
         # the reset model's GKLS steps in its real 8-dimensional basis:
-        # real, and not unitary
-        h, jumps, rho0, target, _ = reset_model(0.15)
-        gen0, gens, _ = reduced_gkls_parts(Liouvillian(h, jumps),
-                                           [rho0.rho, target.rho])
+        # real, and not unitary.  Real steps of N <= SMALL_REAL take chunks
+        # at any width, so single vectors and (2, d) blocks match the loop
+        # at RTOL too, and bitwise where the chunks are of one step
+        gen0, gens = reset_parts()
         steps = _kernels.step_stack_dm(gen0, gens,
                                        rng.normal(size=(n_mid, 1)), 0.5)
         d = steps.shape[-1]
+        assert d <= _fallback.SMALL_REAL
         for width in (d, d + 3):
             state = rng.normal(size=(width, d))
             got = _kernels.propagate_steps(steps, state, direction)
@@ -536,9 +691,11 @@ class TestChunkedSteps:
             assert close(got, per_step(steps, state, direction))
         for shape in ((d,), (2, d)):
             state = rng.normal(size=shape)
-            assert np.array_equal(
-                _kernels.propagate_steps(steps, state, direction),
-                per_step(steps, state, direction))
+            got = _kernels.propagate_steps(steps, state, direction)
+            ref = per_step(steps, state, direction)
+            assert close(got, ref)
+            if n_mid < 4:  # isqrt(n_mid) = 1
+                assert np.array_equal(got, ref)
 
     def test_member_block_of_single_kets(self, hamiltonian_data, rng):
         # the bichromatic shape: 16 members of one 3-level ket each
@@ -551,16 +708,32 @@ class TestChunkedSteps:
                 _kernels.propagate_steps(steps, state, direction),
                 per_step(steps, state, direction))
 
-    @pytest.mark.parametrize("width, most", [(4, 2 * 20 + 2), (1, 400)])
+    @pytest.mark.parametrize("shape, most", [
+        # (steps, members, N, W, real): a gate's basis, a single ket, the
+        # reset co-states and the bichromatic members
+        pytest.param((400, (), 4, 4, False), 2 * 20 + 2, id="4-42"),
+        pytest.param((400, (), 4, 1, False), 400, id="1-400"),
+        # two blocks of block_rows(8) = 256 and 44 steps: 15 + 16 and 5 + 8
+        pytest.param((300, (), 8, 1, True), 44, id="reset"),
+        pytest.param((113, (16,), 3, 1, False), 113, id="bichromatic")])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_products_per_pass(self, rng, monkeypatch, direction, width,
+    def test_products_per_pass(self, rng, monkeypatch, direction, shape,
                                most):
         # 400 steps of a gate's basis make about 2 sqrt(400) products, not
-        # one per step; a single ket makes one per step
-        drift, coups = hermitian_parts(rng, 4, 2)
-        steps = _kernels.step_stack_ket(_kernels.generator(
-            drift, coups, rng.normal(size=(400, 2))), 0.05)
-        state = random_block(rng, (width, 4))
+        # one per step, and so do the reset model's real 8x8 co-states of
+        # a single vector; complex single kets, members or not, make one
+        # per step
+        n_mid, members, n, width, real = shape
+        drift, coups = hermitian_parts(rng, n, 2, real)
+        steps = _kernels.generator(drift, coups,
+                                   rng.normal(size=(n_mid,) + members + (2,)))
+        if real:
+            steps = expm(0.05 * steps)
+            assert not np.iscomplexobj(steps) and n <= _fallback.SMALL_REAL
+        else:
+            steps = _kernels.step_stack_ket(steps, 0.05)
+        state = rng.normal(size=members + (width, n)) if real \
+            else random_block(rng, members + (width, n))
         calls = []
         matmul = np.matmul
 
@@ -569,7 +742,9 @@ class TestChunkedSteps:
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counting)
-        _kernels.propagate_steps(steps, state, direction)
+        got = _kernels.propagate_steps(steps, state, direction)
+        monkeypatch.undo()
+        assert close(got, per_step(steps, state, direction))
         assert len(calls) <= most
         assert len(calls) > most // 2
 

@@ -129,6 +129,26 @@ class TestKrotovStateToState:
         assert elapsed < 5.0
         assert rec.monotonic()
 
+    @pytest.mark.parametrize("kind", ["tls", "reset"])
+    def test_recorded_cost_resolution(self, kind):
+        # A record's J is the cost of the last accepted pass, whose steps
+        # are read off a Chebyshev table; an exact propagation of the
+        # record's final field costs up to about 1e-12 less or more (1.3e-12
+        # on the converged TLS transfer, whose exact cost is a round-off
+        # -2e-15): below that, thresholds cannot be told apart
+        if kind == "tls":
+            problem = tls_transfer_problem(nt=301)
+            guess = [ControlField.constant(problem.grid, 0.1)]
+            settings = KrotovSettings(lambda_=1.0, max_iters=200,
+                                      j_threshold=1e-13)
+        else:
+            problem, guess = qubit_reset_problem()
+            settings = KrotovSettings(lambda_=0.2, max_iters=20)
+        rec = krotov_ensemble(problem, guess, settings)
+        assert len(rec.iterations) > 1
+        exact = evaluate_cost(problem, rec.final_fields)
+        assert abs(rec.final_j - exact) <= 1e-11
+
     def test_update_pinned_at_endpoints(self):
         problem = tls_transfer_problem()
         guess = [ControlField.constant(problem.grid, 0.1)]

@@ -301,6 +301,19 @@ class TestQubitResetScenario:
         assert res["purities"][1] - res["purities"][0] >= 0.05
         assert bundle.summary["invariants"]["krotov_monotonic"]
 
+    def test_default_knee_on_t_min(self, tmp_path):
+        # The default fractions are decimals, so the "1.0" duration is t_min
+        # exactly and a knee on it is 0 steps off.  The default system with
+        # the iterations cut from 200 to 25 keeps the default knee.
+        path = write_config(tmp_path, {"scenario": "qubit_reset",
+                                       "optimizer": {"max_iters": 25}})
+        fractions = load_config(path)["system"]["duration_fractions"]
+        assert fractions == [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3]
+        res = run_scenario(path).summary["results"]
+        assert res["durations"][5] == res["t_min_theory"]
+        assert res["knee_duration"] == res["t_min_theory"]
+        assert res["knee_offset_steps"] == 0.0
+
     def test_swap_reaches_auxiliary_purity(self):
         # direct propagation at T = pi/(2J) on resonance (no optimization)
         from qoctl.dynamics import ControlField, propagate_density
