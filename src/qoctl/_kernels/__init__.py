@@ -19,20 +19,25 @@ in the stack function they run one loop with: the loop exponentiates one
 Chebyshev table of the step operator per pass, over a box of amplitudes
 that holds every update, reads each step off it as one weighted sum (a
 fixed handful of numpy calls per step, into buffers made once per pass)
-and returns the stack of the field it updated.  GKLS generators arrive as
-real matrices in the reduced Hermitian basis of
-``qoctl.dynamics.reduced_gkls_parts``.  ``direction=-1`` runs the adjoints
-of the forward steps, built from the same generator and ``dt``.  A stack
-may carry a member axis, ``(nt-1, P, N, N)``, so that P independent
-trajectories (the phases of ``bichromatic``) share each step as one
-``(P, 1, N)`` block; ``block_rows(N, P)`` is the number of steps that
-make one block, the size of the segments a caller builds such stacks in.
+and returns the stack of the field it updated.  ``ket_stack_builder``
+gives the stack builder of a ket field whose amplitudes lie in a known box:
+where one such table over the box needs no more nodes than one stack has
+matrices, every stack is read off it in one batched product, otherwise it
+is ``step_stack_ket``'s series (``bichromatic`` builds its segments with
+it).  GKLS generators arrive as real matrices in the reduced Hermitian
+basis of ``qoctl.dynamics.reduced_gkls_parts``.  ``direction=-1`` runs
+the adjoints of the forward steps, built from the same generator and
+``dt``.  A stack may carry a member axis, ``(nt-1, P, N, N)``, so that P
+independent trajectories (the phases of ``bichromatic``) share each step
+as one ``(P, 1, N)`` block; ``block_rows(N, P)`` is the number of steps
+that make one block, the size of the segments a caller builds such stacks
+in.
 ``generator`` is the only place that sums ``base + sum_j u_j parts[j]``:
 every step Hamiltonian and GKLS step generator of a field comes from it
 (above the kernels, through ``qoctl.dynamics.step_hamiltonians``).
 """
 
-from ._fallback import (BACKEND, block_rows, generator, krotov_forward_dm,
-                        krotov_forward_ket, propagate_pwc_dm,
-                        propagate_pwc_ket, propagate_steps, step_stack_dm,
-                        step_stack_ket)
+from ._fallback import (BACKEND, block_rows, generator, ket_stack_builder,
+                        krotov_forward_dm, krotov_forward_ket,
+                        propagate_pwc_dm, propagate_pwc_ket, propagate_steps,
+                        step_stack_dm, step_stack_ket)

@@ -313,15 +313,20 @@ def _bichromatic(config, bundle):
     # The phases are independent trajectories: step them as one (P, 1, 3)
     # block through (rows, P, 3, 3) stacks built a segment at a time, so
     # that memory grows with neither the grid nor the number of phases.
+    # |envelope (cos + cos)| <= 2 bounds every drive sample: the stacks
+    # are read off one table over that box where it needs no more nodes
+    # than a segment's stack has matrices.
     rows = _kernels.block_rows(3, len(phases))
+    stack_of = _kernels.ket_stack_builder(
+        h.drift_matrix, h.coupling_stack, grid.dt, [-2 * rabi_peak],
+        [2 * rabi_peak], min(rows, grid.nt - 1) * len(phases))
     state = np.repeat(psi0.ket[None, None], len(phases), axis=0)
     worst_drift = np.abs(np.linalg.norm(state, axis=-1) - 1.0).max()
     for k0 in range(0, grid.nt - 1, rows):
         t = mid[k0:k0 + rows]
         drive = rabi_peak * envelope[k0:k0 + rows] * (
             np.cos(omega1 * t) + np.cos(omega2 * t + phases))
-        steps = _kernels.step_stack_ket(_kernels.generator(
-            h.drift_matrix, h.coupling_stack, drive[..., None]), grid.dt)
+        steps = stack_of(drive[..., None])
         block = _kernels.propagate_steps(steps, state, 1)
         worst_drift = max(worst_drift, np.abs(
             np.linalg.norm(block[1:], axis=-1) - 1.0).max())

@@ -9,6 +9,7 @@ from and the step stacks those passes return at once.
 
 import collections
 import inspect
+import itertools
 import math
 import sys
 
@@ -260,7 +261,7 @@ def ket_pass(drift, coups, amps, chi, psi0, dt, gain):
 class TestStepTable:
     """The Chebyshev tables of the Krotov passes: one table of fewer nodes
     than steps per pass, read at every step to round-off of the per-step
-    ``expm`` of ``reference_krotov``."""
+    ``expm`` of ``reference_krotov``; and a table's batched read."""
 
     @pytest.mark.parametrize("n_ctrl, real", [(1, True), (2, False),
                                               (3, False)])
@@ -276,6 +277,31 @@ class TestStepTable:
                  rng.uniform(0, 0.1, size=n_mid))
         assert len(tables) == 1
         assert 2 ** n_ctrl <= tables[0].nodes < n_mid
+
+    @pytest.mark.parametrize("n_ctrl", [1, 2, 3])
+    def test_batched_read(self, rng, n_ctrl):
+        # A stack of rows read at once, the bichromatic scenario's path,
+        # against each row's weights and coefficients: the box's corners,
+        # xi = +-1, the floats next to them inside it and random rows.  On
+        # these boxes rounding carries xi just past 1 at 0.2 and just past
+        # -1 at -0.3.
+        drift, coups = hermitian_parts(rng, 3, n_ctrl)
+        box = np.array([[-1.0, -0.3, -0.5], [0.2, 0.9, 0.1]])[:, :n_ctrl]
+        lo, hi = box
+        table = _fallback.StepTable(*_fallback._ket_parts(drift, coups, 0.05),
+                                    box, np.zeros_like(box), 1000, complex)
+        assert table.nodes > 1
+        edges = np.array(list(itertools.product(*zip(
+            lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)))))
+        rows = np.concatenate([edges, rng.uniform(lo, hi, (50, n_ctrl))])
+        xi = np.array([(rows[:, j] - a[2]) * a[3]
+                       for j, a in enumerate(table.axes)])
+        assert np.max(np.abs(xi)) > 1.0
+        got = table.read(rows.reshape(-1, 2, n_ctrl))
+        assert got.shape == (len(rows) // 2, 2, 3, 3)
+        ref = [(table.weights(u) @ table.coefs).view(complex).reshape(3, 3)
+               for u in rows.tolist()]
+        assert close(got.reshape(-1, 3, 3), np.array(ref))
 
     def test_box_edges(self, rng, tables, hamiltonian_data):
         # The first and last rows hold each control's extremes and take no
@@ -550,6 +576,35 @@ class TestStepStack:
             for k in range(n_mid):
                 h = drift + np.tensordot(amps[k], coups, 1)
                 assert close(steps[k], expm(-1j * dt * h))
+
+    def test_builder(self, hamiltonian_data, rng, tables):
+        # A stack builder over the box [-1, 1]^2: stacks inside it are read
+        # off one table, at RTOL of expm; a stack with a row past the box,
+        # and every stack of a box that needs more than max_nodes nodes or
+        # is not finite, are the series, bit for bit.
+        drift, coups = hamiltonian_data
+        dt = 0.05
+        amps = rng.uniform(-1.0, 1.0, size=(60, 2, 2))
+
+        def series(amps):
+            return _kernels.step_stack_ket(
+                _kernels.generator(drift, coups, amps), dt)
+
+        stack_of = _kernels.ket_stack_builder(drift, coups, dt, [-1.0] * 2,
+                                              [1.0] * 2, amps.size // 2)
+        assert len(tables) == 1 and tables[0].nodes < amps.size // 2
+        steps = stack_of(amps)
+        assert steps.shape == (60, 2, 3, 3)
+        for k, p in np.ndindex(60, 2):
+            h = drift + np.tensordot(amps[k, p], coups, 1)
+            assert close(steps[k, p], expm(-1j * dt * h))
+        amps[7, 1, 0] = np.nextafter(1.0, 2.0)
+        assert np.array_equal(stack_of(amps), series(amps))
+        for hi, max_nodes in ((1.0, tables[0].nodes - 1), (np.inf, 80)):
+            stack_of = _kernels.ket_stack_builder(
+                drift, coups, dt, [-1.0] * 2, [hi] * 2, max_nodes)
+            assert np.array_equal(stack_of(amps), series(amps))
+        assert len(tables) == 1
 
     def test_density(self, generator_data, rng):
         gen0, gens = generator_data

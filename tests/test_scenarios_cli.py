@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qoctl import _kernels, shapes
+from qoctl._kernels import _fallback
 from qoctl.core import ControlledHamiltonian, Operator, QuantumState
 from qoctl.scenarios import (SCENARIOS, ConfigError, ScenarioError,
                              emit_plot_data, load_config, qubit_reset_purity,
@@ -243,15 +245,10 @@ class TestBichromaticScenario:
         assert rows[0] == "phase,population"
         assert len(rows) == 13
 
-    def test_equals_per_phase_propagation(self, tmp_path):
-        # the phases are stepped as one block, in segments of 113 steps for
-        # 16 phases; 1000 steps end in a partial segment
-        grid = TimeGrid(0.0, 60.0, 1001)
-        assert (grid.nt - 1) % _kernels.block_rows(3, 16) != 0
-        path = write_config(tmp_path, {
-            "scenario": "bichromatic", "system": {"rabi_peak": 0.05},
-            "grid": {"t0": grid.t0, "tf": grid.tf, "nt": grid.nt}})
-        summary = run_scenario(path).summary
+    @staticmethod
+    def model():
+        """The scenario's default Hamiltonian, with its two couplings as
+        two controls, and its initial state."""
         psi0 = QuantumState.from_ket(
             np.array([np.sqrt(0.7), np.sqrt(0.3), 0.0], dtype=complex)
             / np.hypot(np.sqrt(0.7), np.sqrt(0.3)))
@@ -259,18 +256,89 @@ class TestBichromaticScenario:
             Operator(np.diag([0.0, 1.0, 40.0]).astype(complex)),
             [(Operator([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), 0),
              (Operator([[0, 0, 0], [0, 0, 1], [0, 1, 0]]), 1)])
+        return h, psi0
+
+    @staticmethod
+    def drives(grid, rabi_peak):
+        """``(phase, drive)`` of the default 16 phases on ``grid``."""
         t = grid.midpoints
-        envelope = np.sin(np.pi * t / 60.0) ** 2
-        pops, drift = [], 0.0
+        envelope = np.sin(np.pi * (t - grid.t0) / (grid.tf - grid.t0)) ** 2
         for phi in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
-            drive = 0.05 * envelope * (np.cos(40.0 * t)
-                                       + np.cos(39.0 * t + phi))
+            yield float(phi), rabi_peak * envelope * (
+                np.cos(40.0 * t) + np.cos(39.0 * t + phi))
+
+    def test_equals_per_phase_propagation(self, tmp_path):
+        # A peak of 1e3 on 101 points: a table over the drive's box would
+        # need more nodes than the run's 1,600 steps of 16 phases, so the
+        # steps are the series' of propagate_ket, bit for bit.
+        grid = TimeGrid(0.0, 60.0, 101)
+        path = write_config(tmp_path, {
+            "scenario": "bichromatic", "system": {"rabi_peak": 1e3},
+            "grid": {"t0": grid.t0, "tf": grid.tf, "nt": grid.nt}})
+        summary = run_scenario(path).summary
+        h, psi0 = self.model()
+        pops, drift = [], 0.0
+        for phi, drive in self.drives(grid, 1e3):
             traj = propagate_ket(h, [ControlField(grid, drive)] * 2, grid,
                                  psi0)
-            pops.append([float(phi), float(traj.populations()[-1, 2])])
+            pops.append([phi, float(traj.populations()[-1, 2])])
             drift = max(drift, traj.max_norm_drift())
         assert summary["results"]["populations_vs_phase"] == pops
         assert summary["invariants"]["max_norm_drift"] == drift
+
+    def test_table_steps_against_expm(self, tmp_path):
+        # The steps are read off one table over the drive's box, whose
+        # errors are smooth in the drive: populations within 1e-12 of an
+        # expm per step, in segments of 113 steps for 16 phases, the last
+        # one partial
+        grid = TimeGrid(0.0, 60.0, 1001)
+        assert (grid.nt - 1) % _kernels.block_rows(3, 16) != 0
+        path = write_config(tmp_path, {
+            "scenario": "bichromatic", "system": {"rabi_peak": 0.05},
+            "grid": {"t0": grid.t0, "tf": grid.tf, "nt": grid.nt}})
+        summary = run_scenario(path).summary
+        h, psi0 = self.model()
+        pops = []
+        for phi, drive in self.drives(grid, 0.05):
+            hams = h.drift_matrix \
+                + drive[:, None, None] * h.coupling_stack.sum(axis=0)
+            steps = expm(-1j * grid.dt * hams)
+            psi = psi0.ket
+            for step in steps:
+                psi = step @ psi
+            pops.append(abs(psi[2]) ** 2)
+        got = [p for _, p in summary["results"]["populations_vs_phase"]]
+        assert np.max(np.abs(np.subtract(got, pops))) <= 1e-12
+        assert summary["invariants"]["max_norm_drift"] <= 1e-11
+
+    def test_default_run_exponentiates_one_table(self, tmp_path,
+                                                 monkeypatch):
+        # 16 phases x 24,000 steps read off a table of a few nodes: at most
+        # 16 matrices go through the series, where one per step made
+        # 384,000
+        counted = []
+        series = _fallback.step_stack_ket
+
+        def counting(hams, dt):
+            counted.append(np.prod(np.shape(hams)[:-2], dtype=int))
+            return series(hams, dt)
+
+        for module in (_kernels, _fallback):
+            monkeypatch.setattr(module, "step_stack_ket", counting)
+        run_scenario(write_config(tmp_path, {"scenario": "bichromatic"}))
+        assert 0 < sum(counted) <= 16
+
+    def test_overflowing_box_takes_the_series(self, tmp_path, capsys):
+        # a box of +-2e307 needs more nodes than any table may hold: the
+        # series overflows as it did before there was a table
+        from qoctl import cli
+        path = write_config(tmp_path, {
+            "scenario": "bichromatic", "system": {"rabi_peak": 1e307},
+            "grid": {"t0": 0.0, "tf": 60.0, "nt": 101}})
+        assert cli.main(["run", str(path)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "numerics",
+            "message": "numerics aborted: overflow encountered in matmul"}
 
     def test_memory_grows_with_neither_grid_nor_phases(self, tmp_path):
         # a (nt, P, 3) trajectory of 400 phases on 2001 points is 38 MB
