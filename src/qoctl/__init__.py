@@ -22,10 +22,9 @@ A run always loads numpy, and scipy only where it is called.
 ``scipy.linalg`` is imported by the GKLS steps (``expm``, in
 ``qoctl._kernels``: the ``qubit_reset`` and ``stirap`` scenarios) and by
 the GKLS GRAPE gradient (``expm`` too); closed-system runs use numpy
-alone.  ``scipy.optimize`` is imported by the simplex
-search of :func:`qoctl.optimize.gradient_free_search` (the ``gate_opt``
-scenario with ``budget > 0``) and by
-:func:`qoctl.adiabatic.dressed_frame`.
+alone.  No run imports ``scipy.optimize``: the simplex search of
+:func:`qoctl.optimize.gradient_free_search` and the assignment of
+:func:`qoctl.adiabatic.dressed_frame` are in-house.
 """
 
 __version__ = "0.1.0"

@@ -66,6 +66,61 @@ class DressedFrame:
         return np.min(np.diff(sorted_e, axis=1), axis=1)
 
 
+def _max_overlap_assignment(overlap: np.ndarray) -> np.ndarray:
+    """Column matched to each row of a square matrix, largest total first.
+
+    Kuhn's Hungarian method (Kuhn 1955) as shortest augmenting paths with
+    row and column potentials (Crouse, IEEE Trans. Aerosp. Electron. Syst.
+    52, 1679 (2016)), O(N^3) on the costs ``-overlap``.  Columns are
+    scanned and ties broken as scipy's ``linear_sum_assignment`` does, so a
+    tie-free matrix gets the same (unique) permutation and a constant one
+    the identity.
+    """
+    cost = (-overlap).tolist()
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for row in range(n):
+        # Dijkstra from ``row`` over the reduced costs to a free column
+        dist = [np.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []
+        i, min_val, sink = row, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            index, lowest = -1, np.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < lowest or (dist[j] == lowest
+                                        and row4col[j] < 0):
+                    lowest, index = dist[j], it
+            min_val = lowest
+            j = remaining[index]
+            cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[row] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - dist[j]
+        # augment along the path back to ``row``
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return np.array(col4row)
+
+
 def dressed_frame(h: ControlledHamiltonian,
                   controls: Sequence[ControlField],
                   grid: TimeGrid) -> DressedFrame:
@@ -77,10 +132,6 @@ def dressed_frame(h: ControlledHamiltonian,
     Steps where the assignment is ambiguous (tiny gap or overlap below 0.9)
     are flagged, not silently accepted.
     """
-    # deferred: scipy.optimize, with the scipy.linalg it loads, outweighs
-    # the rest of a start-up
-    from scipy.optimize import linear_sum_assignment
-
     energies, vectors = np.linalg.eigh(step_hamiltonians(h, controls, grid))
     n_steps, dim = energies.shape
     # deterministic gauge at the first step: largest component real positive
@@ -89,8 +140,7 @@ def dressed_frame(h: ControlledHamiltonian,
     flagged = []
     for k in range(1, n_steps):
         overlap = np.abs(vectors[k - 1].conj().T @ vectors[k])
-        # a square assignment matches every row, in order
-        perm = linear_sum_assignment(-overlap)[1]
+        perm = _max_overlap_assignment(overlap)
         w, v = energies[k, perm], vectors[k][:, perm]
         matched = overlap[np.arange(dim), perm]
         scale = max(1.0, float(np.max(np.abs(w))))

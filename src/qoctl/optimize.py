@@ -583,6 +583,10 @@ class Parametrization:
                              f"got {self.coefficients.shape}")
         if len(self.bounds) != n:
             raise ValueError(f"need {n} bounds pairs, got {len(self.bounds)}")
+        for i, (lo, hi) in enumerate(self.bounds):
+            if not lo <= hi:
+                raise ValueError(f"bounds[{i}] = ({lo}, {hi}): need lo <= hi "
+                                 f"and neither NaN")
 
     @property
     def n_params(self) -> int:
@@ -608,18 +612,102 @@ class Parametrization:
         return fields
 
 
+class _BudgetSpent(Exception):
+    """The simplex search asked for an evaluation beyond its budget."""
+
+
+def _nelder_mead(f, x0, lo, hi, budget) -> bool:
+    """Bounded Nelder-Mead simplex minimization of ``f`` from ``x0``.
+
+    Returns whether the search stopped on ``xatol`` and ``fatol`` before
+    its ``budget`` of evaluations was spent.  Every step is the arithmetic
+    of scipy 1.17.1's non-adaptive bounded ``Nelder-Mead``, so the two
+    evaluate the same points in the same order: 5% (or 0.00025 at zero)
+    start steps, reflected into the box where they pass an upper bound; a
+    clip into the bounds after every move; ``np.argsort`` ordering; and a
+    budget checked before each call, so a shrink can stop partway.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    xatol, fatol = 1e-10, 1e-12
+    n = len(x0)
+    calls = 0
+
+    def call(x):
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return f(x)
+
+    x0 = np.clip(x0, lo, hi)
+    sim = np.repeat(x0[None, :], n + 1, axis=0)
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+        # sorted twice, as scipy does: argsort need not keep ties in place
+        for _ in range(2):
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+        while calls < budget:
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and \
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                return True
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1],
+                             lo, hi)
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1],
+                                 lo, hi)
+                    fxc = call(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                    fxc = call(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]),
+                                         lo, hi)
+                        fsim[j] = call(sim[j])
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+    except _BudgetSpent:
+        pass
+    return False
+
+
 def gradient_free_search(problem: ControlProblem,
                          parametrization: Parametrization,
                          budget: int,
                          log_stream=None) -> OptimizationRecord:
     """Derivative-free simplex search over the field coefficients.
 
-    Nelder-Mead minimizes the problem's final-time cost
-    (:func:`evaluate_cost`) over ``parametrization``'s coefficients, with
-    at most ``budget`` evaluations.  With a zero budget or no coefficients
-    the rendered start fields are returned with
-    ``converged_reason="no_parameters"``; when the budget is exhausted,
-    the best-so-far fields with ``"budget_exhausted"``.
+    Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)) minimizes the
+    problem's final-time cost (:func:`evaluate_cost`) over
+    ``parametrization``'s coefficients, with at most ``budget``
+    evaluations, inside the bounds.  Its reflection, expansion,
+    contraction and shrink coefficients are 1, 2, 1/2 and 1/2, and its
+    arithmetic is scipy 1.17.1's bounded ``Nelder-Mead`` step for step
+    (:func:`_nelder_mead`), with ``xatol`` 1e-10 and ``fatol`` 1e-12.  A
+    start outside the bounds is clipped into them.  With a zero budget or
+    no coefficients the rendered start fields are returned with
+    ``converged_reason="no_parameters"``; a search that meets both
+    tolerances first returns its best fields with ``"converged"``, and
+    one that spends its budget with ``"budget_exhausted"``.
     """
     grid = problem.grid
     history = []
@@ -642,15 +730,11 @@ def gradient_free_search(problem: ControlProblem,
         return OptimizationRecord([entry], fields, "no_parameters",
                                   method="gradient_free")
 
-    # deferred: scipy.optimize, with the scipy.linalg it loads, outweighs
-    # the rest of a start-up
-    from scipy.optimize import minimize
-    res = minimize(objective, parametrization.coefficients,
-                   method="Nelder-Mead", bounds=parametrization.bounds,
-                   options={"maxfev": budget, "xatol": 1e-10,
-                            "fatol": 1e-12})
+    lo, hi = np.array(parametrization.bounds, dtype=float).T
+    converged = _nelder_mead(objective, parametrization.coefficients,
+                             lo, hi, budget)
     best_x = min(history, key=lambda h: h[0].j_tf)[1]
-    reason = "converged" if res.success else "budget_exhausted"
+    reason = "converged" if converged else "budget_exhausted"
     entries = [h[0] for h in history]
     return OptimizationRecord(entries, parametrization.render(grid, best_x),
                               reason, method="gradient_free")

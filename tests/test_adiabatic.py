@@ -3,9 +3,10 @@ import pytest
 
 from qoctl import core
 from qoctl.adiabatic import (DegenerateCrossingError, DetuningConditionError,
-                             adiabaticity_margin, counterdiabatic_generic,
-                             counterdiabatic_tls, dressed_frame,
-                             landau_zener, mixing_angles, stirap_dark_state)
+                             _max_overlap_assignment, adiabaticity_margin,
+                             counterdiabatic_generic, counterdiabatic_tls,
+                             dressed_frame, landau_zener, mixing_angles,
+                             stirap_dark_state)
 from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
 from qoctl.dynamics import (ControlField, TimeGrid, propagate_density,
                             propagate_ket)
@@ -32,6 +33,20 @@ def stirap_pulses(grid, rabi0, tau, delay, order):
 
 
 class TestDressedFrame:
+    def test_assignment_matches_scipy(self):
+        # seeded tie-free matrices have one best assignment; a constant
+        # one is matched in order
+        from scipy.optimize import linear_sum_assignment
+        rng = np.random.default_rng(32)
+        for n in range(1, 17):
+            for _ in range(4):
+                overlap = rng.random((n, n))
+                assert np.unique(overlap).size == n * n
+                assert np.array_equal(_max_overlap_assignment(overlap),
+                                      linear_sum_assignment(-overlap)[1])
+            assert np.array_equal(
+                _max_overlap_assignment(np.full((n, n), 0.5)), np.arange(n))
+
     def test_static_hamiltonian_constant_frame(self, rng):
         grid = TimeGrid(0.0, 1.0, 21)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

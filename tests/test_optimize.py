@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -1009,6 +1010,30 @@ class TestGradientFree:
         assert rec.converged_reason == "budget_exhausted"
         assert len(rec.iterations) <= 8
 
+    @pytest.mark.parametrize("bounds,index", [
+        ([(-1.0, 1.0), (2.0, 1.0)], 1),
+        ([(float("nan"), 1.0), (-1.0, 1.0)], 0),
+        ([(-1.0, 1.0), (0.0, float("nan"))], 1),
+    ], ids=["lo-above-hi", "nan-lo", "nan-hi"])
+    def test_bad_bounds_rejected_by_index(self, bounds, index):
+        with pytest.raises(ValueError, match=rf"bounds\[{index}\]"):
+            Parametrization(n_controls=1, n_terms=2, bounds=bounds)
+
+    def test_start_outside_bounds_is_clipped_silently(self, monkeypatch):
+        problem = tls_transfer_problem(nt=101)
+        par = Parametrization(n_controls=1, n_terms=1, bounds=[(-1.0, 1.0)],
+                              coefficients=np.array([5.0]))
+        samples = []
+        evaluate = optimize.evaluate_cost
+        monkeypatch.setattr(optimize, "evaluate_cost", lambda p, fields: (
+            samples.append(fields[0].samples), evaluate(p, fields))[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gradient_free_search(problem, par, budget=2)
+        start = par.render(problem.grid, np.array([1.0]))[0].samples
+        assert len(samples) == 2
+        assert np.array_equal(samples[0], start)
+
     def test_stirap_delay_search_prefers_stokes_first(self):
         # 2-parameter search (delay, amplitude) over the decaying three-level
         # system must land on the counterintuitive ordering (delay > 0 means
@@ -1041,6 +1066,77 @@ class TestGradientFree:
                        options={"maxfev": 60})
         assert res.x[0] > 0.5          # Stokes-before-pump selected
         assert res.fun < 0.05
+
+
+class TestSimplexMatchesScipy:
+    """The in-house simplex evaluates scipy's Nelder-Mead points, bit for
+    bit and in order, and reaches the same converged verdict."""
+
+    @staticmethod
+    def searches(f, x0, bounds, budget):
+        from scipy.optimize import OptimizeWarning, minimize
+        ours, theirs = [], []
+
+        def recorded(points):
+            return lambda x: (points.append(np.array(x)), f(x))[1]
+
+        lo, hi = np.array(bounds, dtype=float).T
+        converged = optimize._nelder_mead(recorded(ours),
+                                          np.array(x0, dtype=float),
+                                          lo, hi, budget)
+        with warnings.catch_warnings():
+            # a start outside the bounds, which the in-house search clips
+            warnings.simplefilter("ignore", OptimizeWarning)
+            res = minimize(recorded(theirs), x0, method="Nelder-Mead",
+                           bounds=bounds, options={"maxfev": budget,
+                                                   "xatol": 1e-10,
+                                                   "fatol": 1e-12})
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a, b)
+        assert converged == res.success
+        return ours, converged
+
+    def test_drawn_bounded_objectives(self):
+        rng = np.random.default_rng(32)
+        verdicts = set()
+        for draw in range(40):
+            n = int(rng.integers(1, 7))
+            centre = rng.normal(size=n)
+            a = rng.normal(size=(n, n))
+            hess = a @ a.T + 0.1 * np.eye(n)
+            if draw % 2:
+                def f(x):
+                    return float((x - centre) @ hess @ (x - centre))
+            else:
+                def f(x):
+                    return float(np.sum(np.sin(3 * x + centre))
+                                 + 0.1 * x @ x)
+            lo = rng.uniform(-2.0, -0.1, n)
+            hi = rng.uniform(0.1, 2.0, n)
+            x0 = [np.zeros(n), rng.uniform(lo, hi),
+                  rng.uniform(lo - 1.0, hi + 1.0)][draw % 3]
+            budget = int(rng.integers(1, 300))
+            verdicts.add(self.searches(f, x0, list(zip(lo, hi)), budget)[1])
+        assert verdicts == {True, False}
+
+    def test_start_near_upper_bound_reflects(self):
+        x0 = np.array([0.99999, 0.5, 0.0])
+        points, _ = self.searches(lambda x: float(np.sum((x - 0.2) ** 2)),
+                                  x0, [(-1.0, 1.0)] * 3, 60)
+        # the 5% step passes the bound and is reflected below the start
+        assert points[1][0] < x0[0]
+
+    def test_flat_objective_every_budget(self):
+        # a flat cost ties every vertex, which pins argsort's order, and
+        # shrinks every iteration, so the budgets stop inside shrinks
+        def flat(x):
+            return 1.0
+
+        x0, bounds = np.array([0.0, 0.3, -0.7]), [(-1.0, 1.0)] * 3
+        assert self.searches(flat, x0, bounds, 10_000)[1]
+        for budget in range(1, 40):
+            assert not self.searches(flat, x0, bounds, budget)[1]
 
 
 class TestHybrid:

@@ -719,8 +719,9 @@ class TestCliProcess:
                                    "OMP_NUM_THREADS": "1",
                                    "MKL_NUM_THREADS": "1"}
 
-    def test_only_the_simplex_search_loads_scipy_optimize(self, tmp_path):
-        # a fresh interpreter: which runs import scipy.optimize at all
+    def test_no_run_loads_scipy_optimize(self, tmp_path):
+        # a fresh interpreter: neither a run nor the dressed frame imports
+        # scipy.optimize
         configs = {
             "bichromatic": {"scenario": "bichromatic",
                             "grid": {"t0": 0, "tf": 60, "nt": 241},
@@ -744,16 +745,22 @@ class TestCliProcess:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = qoctl.cli.main(['run', path])\n"
             "    seen[name] = (code, 'scipy.optimize' in sys.modules)\n"
+            "from qoctl.adiabatic import dressed_frame, landau_zener\n"
+            "from qoctl.dynamics import TimeGrid\n"
+            "grid = TimeGrid(-4.0, 4.0, 41)\n"
+            "frame = dressed_frame(*landau_zener(grid, 0.8, 1.0), grid)\n"
+            "seen['dressed_frame'] = (frame.dim,"
+            " 'scipy.optimize' in sys.modules)\n"
             "print(json.dumps(seen))\n")
         result = subprocess.run([sys.executable, "-c", probe],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
             "import": False, "bichromatic": [0, False],
-            "qubit_reset": [0, False], "gate_opt": [0, True]}
+            "qubit_reset": [0, False], "gate_opt": [0, False],
+            "dressed_frame": [2, False]}
 
-    def test_only_gkls_steps_and_the_simplex_search_load_scipy_linalg(
-            self, tmp_path):
+    def test_only_gkls_steps_load_scipy_linalg(self, tmp_path):
         # fresh interpreters: the closed-system runs one after another in
         # one, then each run that loads scipy.linalg in one of its own
         small = {"grid": {"t0": 0, "tf": 2, "nt": 21}}
@@ -768,6 +775,9 @@ class TestCliProcess:
             "gate_opt_budget_0": {"scenario": "gate_opt", **small,
                                   "optimizer": {"budget": 0,
                                                 "max_iters": 1}},
+            "gate_opt": {"scenario": "gate_opt", **small,
+                         "optimizer": {"budget": 2, "max_iters": 1,
+                                       "n_fourier": 1}},
         }
         loading = {
             "qubit_reset": {"scenario": "qubit_reset",
@@ -776,9 +786,6 @@ class TestCliProcess:
                             "optimizer": {"max_iters": 1}},
             "stirap": {"scenario": "stirap",
                        "grid": {"t0": 0, "tf": 20, "nt": 201}},
-            "gate_opt": {"scenario": "gate_opt", **small,
-                         "optimizer": {"budget": 2, "max_iters": 1,
-                                       "n_fourier": 1}},
         }
 
         def loads(configs):
