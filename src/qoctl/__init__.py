@@ -18,13 +18,11 @@ that benchmark results can stamp the environment they ran in.  Importing
 the package itself loads no numpy, so :mod:`qoctl.cli` can set the BLAS
 thread count before numpy starts.
 
-A run always loads numpy, and scipy only where it is called.
-``scipy.linalg`` is imported by the GKLS steps (``expm``, in
-``qoctl._kernels``: the ``qubit_reset`` and ``stirap`` scenarios) and by
-the GKLS GRAPE gradient (``expm`` too); closed-system runs use numpy
-alone.  No run imports ``scipy.optimize``: the simplex search of
-:func:`qoctl.optimize.gradient_free_search` and the assignment of
-:func:`qoctl.adiabatic.dressed_frame` are in-house.
+A run loads numpy and no scipy.  The GKLS steps and the GKLS GRAPE
+gradient exponentiate with ``qoctl._kernels.expm_series``, a numpy Taylor
+series; the simplex search of :func:`qoctl.optimize.gradient_free_search`
+and the assignment of :func:`qoctl.adiabatic.dressed_frame` are
+in-house.
 """
 
 __version__ = "0.1.0"

@@ -6,8 +6,11 @@ rather than member by member.  The optimizers build one step stack per
 field (``step_stack_ket``: ``cos(H dt) - 1j sin(H dt)`` of a given stack
 of step Hamiltonians from Taylor series in real arithmetic, each step
 scaled by its own norm, a complex stack through its real realification;
-``step_stack_dm``: one stacked ``expm`` call) and take states forward and
-co-states backward through it with ``propagate_steps``.
+``step_stack_dm``: one ``expm_series`` call) and take states forward and
+co-states backward through it with ``propagate_steps``.  ``expm_series``
+exponentiates a stack of general real or complex matrices, a GKLS step
+stack or the GKLS gradient's Van Loan blocks, by a Taylor series with
+per-matrix power-of-two scaling, squared back as ``exp(X) - I``.
 ``propagate_pwc_ket`` and ``propagate_pwc_dm`` build and apply the steps a
 block at a time.  A block of at least as many states as their dimension,
 and a block of any width whose steps are real and at most ``SMALL_REAL``
@@ -37,7 +40,8 @@ every step Hamiltonian and GKLS step generator of a field comes from it
 (above the kernels, through ``qoctl.dynamics.step_hamiltonians``).
 """
 
-from ._fallback import (BACKEND, block_rows, generator, ket_stack_builder,
-                        krotov_forward_dm, krotov_forward_ket,
-                        propagate_pwc_dm, propagate_pwc_ket, propagate_steps,
-                        step_stack_dm, step_stack_ket)
+from ._fallback import (BACKEND, block_rows, expm_series, generator,
+                        ket_stack_builder, krotov_forward_dm,
+                        krotov_forward_ket, propagate_pwc_dm,
+                        propagate_pwc_ket, propagate_steps, step_stack_dm,
+                        step_stack_ket)

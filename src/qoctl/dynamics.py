@@ -301,12 +301,13 @@ def propagate_density(liouvillian: Liouvillian,
     The generator is exponentiated per step as a real ``d x d`` matrix on
     the smallest subspace of the coherence vector that holds ``rho0`` and
     is invariant under the generator parts and their transposes
-    (:func:`reduced_gkls_parts`; ``d <= N^2``, Pade scaling and squaring,
-    since the generator is not a normal matrix).  States become matrices
-    again only for the returned trajectory.  Forward propagation preserves
-    trace and positivity to round-off; the backward direction propagates
-    co-states with the adjoints of the forward steps (Heisenberg picture),
-    which in the real basis are their transposes.
+    (:func:`reduced_gkls_parts`; ``d <= N^2``, a Taylor series with
+    scaling and squaring, since the generator is not a normal matrix).
+    States become matrices again only for the returned trajectory.
+    Forward propagation preserves trace and positivity to round-off; the
+    backward direction propagates co-states with the adjoints of the
+    forward steps (Heisenberg picture), which in the real basis are their
+    transposes.
     """
     if not rho0.is_density:
         raise ValueError("propagate_density needs a density initial state")

@@ -10,12 +10,12 @@ final-time costs the total cost decreases monotonically.
 
 The concurrent method (GRAPE) computes the exact discrete gradient -- the
 Frechet derivative of each step exponential: an eigenbasis formula for
-kets, and for the GKLS generator one Van Loan ``expm`` of ``(nt-1) M``
-blocks of ``2d x 2d`` reals, ``4M`` times the step stack's memory -- and
-takes one limited-memory BFGS step per iteration in the update shape's
-metric, its length found by Armijo backtracking.  Its cost falls at every
-iteration; it stops like Krotov, or when no halving of the step is an
-Armijo point.
+kets, and for the GKLS generator one Van Loan ``_kernels.expm_series`` of
+``(nt-1) M`` blocks of ``2d x 2d`` reals, ``4M`` times the step stack's
+memory -- and takes one limited-memory BFGS step per iteration in the
+update shape's metric, its length found by Armijo backtracking.  Its cost
+falls at every iteration; it stops like Krotov, or when no halving of the
+step is an Armijo point.
 
 Each field is exponentiated once: a forward pass returns its step stack,
 and every co-state comes from the adjoints of the stack of the field's own
@@ -315,9 +315,6 @@ class _DensityEngine:
                                           self.rho0, self.grid.dt, gain)
 
     def gradient(self, amps, fwd, steps):
-        # deferred: scipy.linalg is over half a start-up; only this
-        # gradient and the GKLS steps use it
-        from scipy.linalg import expm
         chi = _kernels.propagate_steps(steps, self.chi_boundary(fwd[-1]), -1)
         # Van Loan: the upper-right block of expm([[G_k, R_j], [0, G_k]] dt)
         # is the Frechet derivative of the step expm(G_k dt) along R_j dt
@@ -327,7 +324,7 @@ class _DensityEngine:
             self.gen0, self.gens, amps)[:, None]
         blocks[..., :d, d:] = self.gens
         blocks *= self.grid.dt
-        dsteps = expm(blocks)[..., :d, d:]
+        dsteps = _kernels.expm_series(blocks)[..., :d, d:]
         return -2.0 * np.einsum("kwa,kjab,kwb->kj", chi[1:], dsteps,
                                 fwd[:-1]) / fwd.shape[1]
 

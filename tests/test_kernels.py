@@ -4,7 +4,10 @@ The references below step one member at a time through the textbook
 exponential of every step generator, so they check the batched cos/sin
 series of the ket steps, the block layout of ensembles, the in-place field
 update of the Krotov passes, the Chebyshev tables they read their steps
-from and the step stacks those passes return at once.
+from and the step stacks those passes return at once.  Where scipy's own
+round-off would decide the comparison (``expm_series`` across its accuracy
+domain, GKLS steps at ``||G dt||_1`` 1e3), the reference exponential is a
+40-digit mpmath one.
 """
 
 import collections
@@ -13,6 +16,7 @@ import itertools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,12 +25,13 @@ from scipy.linalg import expm
 
 from qoctl import _kernels
 from qoctl._kernels import _fallback
-from qoctl.core import Liouvillian
+from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
 from qoctl.dynamics import (ControlField, TimeGrid, gkls_generator_parts,
                             propagate_density, reduced_gkls_parts,
                             vectorize_density)
 from qoctl.scenarios import reset_model
 
+from conftest import random_hermitian
 from random_models import PROPERTY, models
 
 RTOL = 1e-12
@@ -57,9 +62,18 @@ def reference_propagation(gen0, gens, amps, scale, state0, direction):
     return out
 
 
-def reference_krotov(gen0, gens, ops, amps, chi, state0, scale, gain):
-    """Per-control, per-member update loop, then the expm step; returns the
-    states and the step operators."""
+def mp_expm(x):
+    """The exponential of one matrix in 40-digit mpmath, rounded to
+    ``x``'s dtype."""
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(),
+                        dtype=x.dtype)
+
+
+def reference_krotov(gen0, gens, ops, amps, chi, state0, scale, gain,
+                     step_expm=expm):
+    """Per-control, per-member update loop, then the ``step_expm`` step;
+    returns the states and the step operators."""
     n_mid, n_ctrl = amps.shape
     n_ens = state0.shape[0]
     out = np.empty((n_mid + 1,) + state0.shape, dtype=complex)
@@ -73,7 +87,7 @@ def reference_krotov(gen0, gens, ops, amps, chi, state0, scale, gain):
         g = gen0.copy()
         for j in range(n_ctrl):
             g += amps[k, j] * gens[j]
-        steps[k] = expm(scale * g)
+        steps[k] = step_expm(scale * g)
         for w in range(n_ens):
             out[k + 1, w] = steps[k] @ out[k, w]
     return out, steps
@@ -386,7 +400,9 @@ class TestStepTable:
     def test_density_at_large_norm(self, rng, tables):
         # The reset model on a step with ||G dt||_1 about 1e3: the degree
         # rule is evaluated in logarithms, so it neither overflows nor
-        # leaves the round-off of the per-step expm
+        # leaves the round-off of the per-step exponential.  The reference
+        # steps are 40-digit mpmath ones: scipy's expm is itself about
+        # 2e-11 off them at this norm.
         h, jumps, rho0, target, _ = reset_model(0.15)
         gen0, gens, _ = reduced_gkls_parts(Liouvillian(h, jumps),
                                            [rho0.rho, target.rho])
@@ -400,7 +416,7 @@ class TestStepTable:
         got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho,
                                                 dt, gain)
         ref, ref_steps = reference_krotov(gen0, gens, 1j * gens, amps_ref,
-                                          chi, rho, dt, gain)
+                                          chi, rho, dt, gain, mp_expm)
         norms = np.linalg.norm(dt * _kernels.generator(gen0, gens, amps),
                                1, axis=(1, 2))
         assert np.all(np.abs(norms - 1e3) < 50.0)
@@ -615,6 +631,52 @@ class TestStepStack:
         for k in range(n_mid):
             gen = gen0 + np.tensordot(amps[k], gens, 1)
             assert close(steps[k], expm(dt * gen))
+
+
+def dissipative_generator(seed, dim):
+    """A seeded complex GKLS generator ``G0 + 0.7 G1`` of ``dim`` levels:
+    a random drift and coupling, and two random jump operators."""
+    rng = np.random.default_rng(seed)
+    h = ControlledHamiltonian(random_hermitian(rng, dim),
+                              [(random_hermitian(rng, dim), 0)])
+    jumps = [Operator(0.3 * random_block(rng, (dim, dim))) for _ in range(2)]
+    gen0, gens = gkls_generator_parts(Liouvillian(h, jumps))
+    return gen0 + 0.7 * gens[0]
+
+
+class TestExpmSeries:
+    """``expm_series`` against 40-digit mpmath exponentials: the reset
+    model's real 8x8 GKLS generator and seeded complex ones, scaled to
+    ``||G dt||_1`` 1, 1e2 and 1e3, the domain its docstring states.  The
+    three scalings of a model go through one stacked call, so each matrix
+    takes its own number of squarings."""
+
+    NORMS = (1.0, 1e2, 1e3)
+
+    @pytest.mark.parametrize("model", ["reset", (1, 3), (2, 2)],
+                             ids=["reset", "seeded_3_level", "seeded_2_level"])
+    def test_against_mpmath(self, model):
+        if model == "reset":
+            gen0, gens = reset_parts()
+            gen = gen0 + gens[0]
+        else:
+            gen = dissipative_generator(*model)
+        stack = np.stack([gen * (n / np.linalg.norm(gen, 1))
+                          for n in self.NORMS])
+        got = _kernels.expm_series(stack)
+        assert got.dtype == gen.dtype and got.shape == stack.shape
+        for x, step, norm in zip(stack, got, self.NORMS):
+            # about ||G dt||_1 eps, measured at up to 0.16 of it
+            assert close(step, mp_expm(x), 4 * np.finfo(float).eps * norm)
+
+    def test_truncation_at_unit_norm(self):
+        # 1x1 matrices scaled to just below norm 1 by 0 to 3 squarings,
+        # where ||X^k|| = ||X||^k: the series' first term left out is
+        # largest here, so a lower degree fails
+        c = np.array([0.99, -0.99, 1.99, -3.99, 7.99])
+        got = _kernels.expm_series(c[:, None, None])
+        for step, x in zip(got, c):
+            assert close(step, math.exp(x), 4 * np.finfo(float).eps * abs(x))
 
 
 class TestPropagateAdjoint:

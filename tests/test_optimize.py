@@ -12,6 +12,7 @@ from scipy.linalg import expm as dense_expm
 from scipy.linalg import expm_frechet
 
 from qoctl import _kernels, core, optimize, shapes
+from qoctl._kernels import _fallback
 from qoctl.core import (ControlledHamiltonian, DimensionMismatchError,
                         Operator, StateVariantError, tensor_product)
 from qoctl.dynamics import (ControlField, TimeGrid, gkls_generator_parts,
@@ -347,9 +348,8 @@ class TestKrotovStepReuse:
             <= 1e-12 * np.max(np.abs(amps_ref))
 
     def test_one_exponential_call_per_pass(self, monkeypatch):
-        # the GKLS kernels import scipy.linalg.expm when they step
-        import scipy.linalg
-        expm, calls, phase = scipy.linalg.expm, [], ["forward"]
+        # every GKLS step comes from step_stack_dm's expm_series
+        expm, calls, phase = _fallback.expm_series, [], ["forward"]
 
         def counting_expm(a):
             # one call exponentiates a whole stack: count its matrices
@@ -365,7 +365,7 @@ class TestKrotovStepReuse:
                     phase[0] = "forward"
             return wrapper
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(_fallback, "expm_series", counting_expm)
         monkeypatch.setattr(_kernels, "krotov_forward_dm", in_phase(
             "krotov", _kernels.krotov_forward_dm))
         monkeypatch.setattr(_kernels, "propagate_steps", in_phase(
@@ -605,8 +605,6 @@ class TestGrape:
         settings = KrotovSettings(max_iters=6, grape_step=30.0)
         j_ref, amps_ref, trials = recomputing_grape(problem, fields, settings)
         assert trials > settings.max_iters  # some trials were rejected
-        # the GKLS kernels and gradient import scipy.linalg.expm when called
-        import scipy.linalg
         calls = {}
 
         def recording(name, func):
@@ -617,7 +615,10 @@ class TestGrape:
                 return func(a, *args)
             return wrapper
 
-        for module, name in ((np.linalg, "eigh"), (scipy.linalg, "expm"),
+        # the GKLS steps call _fallback's expm_series, the GKLS gradient
+        # _kernels' (the same function)
+        for module, name in ((np.linalg, "eigh"), (_fallback, "expm_series"),
+                             (_kernels, "expm_series"),
                              (_kernels, "step_stack_ket")):
             monkeypatch.setattr(module, name,
                                 recording(name, getattr(module, name)))
@@ -635,8 +636,8 @@ class TestGrape:
         n_ctrl = problem.hamiltonian.n_controls
         if kind == "open":
             d = _engine(problem).gen0.shape[0]
-            stacks = calls.pop(("expm", d))
-            assert calls.pop(("expm", 2 * d)) \
+            stacks = calls.pop(("expm_series", d))
+            assert calls.pop(("expm_series", 2 * d)) \
                 == [(n_steps, n_ctrl, 2 * d, 2 * d)] * settings.max_iters
         else:
             n = problem.hamiltonian.dim

@@ -760,11 +760,12 @@ class TestCliProcess:
             "qubit_reset": [0, False], "gate_opt": [0, False],
             "dressed_frame": [2, False]}
 
-    def test_only_gkls_steps_load_scipy_linalg(self, tmp_path):
-        # fresh interpreters: the closed-system runs one after another in
-        # one, then each run that loads scipy.linalg in one of its own
+    def test_no_run_loads_scipy(self, tmp_path):
+        # a fresh interpreter runs every scenario, the GKLS ones (qubit_reset
+        # and stirap) included, one after another: none loads any part of
+        # scipy
         small = {"grid": {"t0": 0, "tf": 2, "nt": 21}}
-        closed = {
+        configs = {
             "rabi": {"scenario": "rabi"},
             "landau_zener": {"scenario": "landau_zener"},
             "controllability": {"scenario": "controllability",
@@ -778,8 +779,6 @@ class TestCliProcess:
             "gate_opt": {"scenario": "gate_opt", **small,
                          "optimizer": {"budget": 2, "max_iters": 1,
                                        "n_fourier": 1}},
-        }
-        loading = {
             "qubit_reset": {"scenario": "qubit_reset",
                             "system": {"duration_fractions": [1.0],
                                        "nt": 5},
@@ -787,30 +786,24 @@ class TestCliProcess:
             "stirap": {"scenario": "stirap",
                        "grid": {"t0": 0, "tf": 20, "nt": 201}},
         }
-
-        def loads(configs):
-            paths = {name: str(write_config(tmp_path, config,
-                                            f"{name}.json"))
-                     for name, config in configs.items()}
-            probe = (
-                "import contextlib, io, json, sys\n"
-                "import qoctl.cli, qoctl.optimize\n"
-                "seen = {'import': 'scipy.linalg' in sys.modules}\n"
-                f"for name, path in {paths!r}.items():\n"
-                "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                "        code = qoctl.cli.main(['run', path])\n"
-                "    seen[name] = (code, 'scipy.linalg' in sys.modules)\n"
-                "print(json.dumps(seen))\n")
-            result = subprocess.run([sys.executable, "-c", probe],
-                                    capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-            return json.loads(result.stdout)
-
-        assert loads(closed) == {"import": False, **{
-            name: [0, False] for name in closed}}
-        for name, config in loading.items():
-            assert loads({name: config}) == {"import": False,
-                                             name: [0, True]}
+        paths = {name: str(write_config(tmp_path, config, f"{name}.json"))
+                 for name, config in configs.items()}
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "import qoctl.cli, qoctl.optimize\n"
+            "def scipy_loaded():\n"
+            "    return any(m.startswith('scipy') for m in sys.modules)\n"
+            "seen = {'import': scipy_loaded()}\n"
+            f"for name, path in {paths!r}.items():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = qoctl.cli.main(['run', path])\n"
+            "    seen[name] = (code, scipy_loaded())\n"
+            "print(json.dumps(seen))\n")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"import": False, **{
+            name: [0, False] for name in configs}}
 
     def test_missing_config_file_io_error(self, tmp_path):
         result = self.run_cli("run", str(tmp_path / "absent.json"))
