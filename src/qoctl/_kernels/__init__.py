@@ -18,11 +18,12 @@ and a block of any width whose steps are real and at most ``SMALL_REAL``
 products, about ``2 sqrt(n)`` numpy calls for ``n`` steps instead of one
 per step; a narrower complex block takes one per step.  The sequential
 Krotov passes ``krotov_forward_ket`` and ``krotov_forward_dm`` differ only
-in the stack function they run one loop with: the loop exponentiates one
-Chebyshev table of the step operator per pass, over a box of amplitudes
-that holds every update, reads each step off it as one weighted sum (a
-fixed handful of numpy calls per step, into buffers made once per pass)
-and returns the stack of the field it updated.  ``ket_stack_builder``
+in the stack function they run one loop with: the loop reads each step
+off a Chebyshev table of the step operator, over a box of amplitudes that
+holds every update, as one weighted sum (a fixed handful of numpy calls
+per step, into buffers made once per pass) and returns the stack of the
+field it updated and its table, which the next pass starts on when that
+table's box holds its own.  ``ket_stack_builder``
 gives the stack builder of a ket field whose amplitudes lie in a known box:
 where one such table over the box needs no more nodes than one stack has
 matrices, every stack is read off it in one batched product, otherwise it

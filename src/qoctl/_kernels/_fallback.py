@@ -20,10 +20,12 @@ and ``krotov_forward_dm`` differ only in the stack function they give one
 loop, ``krotov_forward``, which updates the field while it steps and
 returns the updated field's stack.  A step's amplitudes are known only
 once the step before it is taken, so the loop exponentiates none of them:
-it builds one ``StepTable`` per pass, a Chebyshev interpolant of the step
-operator over a box of amplitudes whose nodes come from one stacked call
-of that function, and reads each step off it as one weighted sum, five
-numpy calls a step for one control.  ``ket_stack_builder`` serves a
+it reads each step off a ``StepTable``, a Chebyshev interpolant of the
+step operator over a box of amplitudes whose nodes come from one stacked
+call of that function, as one weighted sum, five numpy calls a step for
+one control.  A pass starts on the table the last pass returned when that
+table's box holds its own, and builds one otherwise, so the passes of an
+optimization share a handful of tables.  ``ket_stack_builder`` serves a
 field whose amplitudes are known to lie in a box before any is stepped
 (the drive of ``bichromatic``): it builds one ``StepTable`` over the box,
 where that needs no more nodes than one stack has matrices, and reads
@@ -167,7 +169,7 @@ def _cos_sin(x):
     poly += parts[0::2]
     cos, sin = poly[0], np.matmul(x, poly[1], out=powers[2])
     for j in range(s.max(initial=0)):
-        sel = np.nonzero(s > j)
+        sel = s > j
         c, sn = cos[sel], sin[sel]
         sin[sel] = 2.0 * (sn @ c)
         # C^2 - S^2 in one product: C and S commute
@@ -286,17 +288,19 @@ def propagate_pwc_dm(gen0, gens, amps, dt, rho0_vec, direction):
                       np.result_type(gen0, gens, rho0_vec))
 
 
-def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
+def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain, table=None):
     """Sequential-update forward pass of the optimizer, ket variant.
 
     For each midpoint ``k`` the field update
     ``du_j = gain[k] * mean_w Im <chi[k, w] | C_j | psi[k, w]>``
     is applied to ``amps[k]`` **before** stepping the states through the
     exponential built from the updated amplitudes.  The steps are read off
-    the pass's ``StepTable``, whose nodes come from ``step_stack_ket``, so
-    they share its accuracy domain: unitary to about ``||H dt||_F * eps``,
-    some 1e-12 at ``||H dt||_F`` 1e3, where one ``eigh`` per step was
-    unitary to round-off at any norm.
+    a ``StepTable``, whose nodes come from ``step_stack_ket``, so they
+    share its accuracy domain: unitary to about ``||H dt||_F * eps``, some
+    1e-12 at ``||H dt||_F`` 1e3, where one ``eigh`` per step was unitary to
+    round-off at any norm.  The pass starts on ``table``, one that a pass
+    of the same model returned, where its box holds the pass's own
+    (``krotov_forward``).
 
     Parameters
     ----------
@@ -314,10 +318,12 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain):
     states : (nt, W, N) complex ndarray of forward-propagated states.
     steps : (nt-1, N, N) complex ndarray
         The step unitaries ``exp(-1j * H_k * dt)`` of the updated field.
+    table : StepTable
+        The table of the last step, for the next pass.
     """
     # Im <.|C|.> = Re <.|-1j C|.>
     return krotov_forward(*_ket_parts(drift, coups, dt), -1j * coups, amps,
-                          chi, psi0, gain)
+                          chi, psi0, gain, table)
 
 
 def _ket_parts(drift, coups, dt):
@@ -362,7 +368,8 @@ def ket_stack_builder(drift, coups, dt, lo, hi, max_nodes):
     return read
 
 
-def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain):
+def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain,
+                      table=None):
     """Sequential-update forward pass, GKLS variant.
 
     The update operator of control ``j`` is its generator part
@@ -371,8 +378,9 @@ def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain):
     rho[k, w])``, in the real basis of ``dynamics.reduced_gkls_parts`` the
     real product ``chi^T R_j rho``.  Returns the states and the step
     operators ``expm(G_k * dt)`` of the updated field, shaped as for kets,
-    read off the pass's ``StepTable``, whose nodes come from one
-    ``step_stack_dm`` call.
+    read off ``StepTable``s whose nodes come from one ``step_stack_dm``
+    call each, and the table of the last step; ``table`` is kept as for
+    kets.
     """
     herm0, herms = (0.5 * dt * (g + np.conj(np.swapaxes(g, -1, -2)))
                     for g in (gen0, gens))
@@ -385,31 +393,37 @@ def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain):
 
     return krotov_forward(lambda us: step_stack_dm(gen0, gens, us, dt),
                           np.linalg.norm(gens, axis=(1, 2)) * dt, log_norm,
-                          gens, amps, chi, rho0_vec, gain)
+                          gens, amps, chi, rho0_vec, gain, table)
 
 
-def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
+def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
+                   table=None):
     """The sequential pass both Krotov variants run.
 
     For each midpoint ``k`` the update
     ``du_j = gain[k] * mean_w Re(chi[k, w]^dag ops[j] state[k, w])`` is
     added to ``amps[k]`` in place, then the ``(W, N)`` block is stepped
     through the step operator of the updated row, one product of a
-    ``StepTable``'s weights with its coefficients.  The table's box holds
+    ``StepTable``'s weights with its coefficients.  The pass's box holds
     the old rows widened by a bound on each update, ``|du_kj| <=
-    |gain[k] / W| ||chi[k]^dag ops[j]|| ||state0||``; an update past it
-    (states that outgrew ``||state0||``) rebuilds the table on a box
-    widened from that step on.  ``stack_of`` exponentiates a stack of
-    amplitude rows, ``sizes[j]`` is the Frobenius norm of control ``j``'s
-    part of the step exponent and ``log_norm(mid, half)`` bounds the
-    exponent's log-norm over a box.  Returns the ``(nt, W, N)`` states and
-    the ``(nt-1, N, N)`` steps.
+    |gain[k] / W| ||chi[k]^dag ops[j]|| ||state0||``.  It starts on
+    ``table``, the table a pass of the same model returned, when that
+    table's box holds this one, and otherwise builds a table over it; an
+    update past the table's box (states that outgrew ``||state0||``)
+    rebuilds it on a box widened from that step on.  ``stack_of``
+    exponentiates a stack of amplitude rows, ``sizes[j]`` is the Frobenius
+    norm of control ``j``'s part of the step exponent and ``log_norm(mid,
+    half)`` bounds the exponent's log-norm over a box.  Returns the ``(nt,
+    W, N)`` states, the ``(nt-1, N, N)`` steps and the table of the last
+    step, for the next pass.
 
     The loop indexes no array: its views of ``proj``, the states and the
     steps are made once per pass, the update goes into one buffer and the
     rows are kept as floats, written back to ``amps`` at the end, so that
-    a step is five numpy calls for one control (the update, the weights'
-    two, the weighted sum and the block's product) and allocates no array.
+    a step allocates no array.  With one control it reads the row's
+    weights inline, into the table's buffers: a step is five numpy calls
+    (the update, the weights' two, the weighted sum and the block's
+    product).
     """
     n_mid, n_ctrl = amps.shape
     # chi is fixed for the pass: contract it with ops for every step at
@@ -428,36 +442,63 @@ def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
     # block of them: its memory grows no faster than the pass's own
     block = block_rows(steps.shape[-1])
     out[0] = state0
-    # the rows as floats, written back at the end (and before a rebuild,
-    # which reads the updated row): an update is one dot product into a
-    # buffer and a sum of floats
-    rows = amps.tolist()
     update = np.empty(n_ctrl, dtype=dtype)
     update_re = update.real  # a view: the rows take the real part
-    table = None
+    kept, table = table, None
+
+    def rebuild(k, row, table):
+        # the first step, or one past the box: a rebuild doubles the norm,
+        # so that growing states rebuild about once per doubling.  The
+        # first step takes the kept table where its box holds this one
+        norm = np.linalg.norm(out[k]) * (1.0 if table is None else 2.0)
+        amps[k] = row
+        rows, bounds = amps[k:], reach[k:] * norm
+        if table is None and kept is not None and kept.holds(rows, bounds):
+            return kept
+        return StepTable(stack_of, sizes, log_norm, rows, bounds,
+                         max(n_mid - k, block), dtype)
+
     # every view the loop reads, built once: proj[k], the block at k
     # flattened, the blocks at k and k + 1, step k as reals and transposed
     views = zip(proj, out.reshape(n_mid + 1, -1), out, out[1:], flat,
                 np.swapaxes(steps, 1, 2))
-    # ndarray.dot is np.dot's product without its dispatch, which costs
-    # about as much again on these sizes
+    # the rows as floats, written back at the end (and before a rebuild,
+    # which reads the updated row): an update is one dot product into a
+    # buffer and a sum of floats.  ndarray.dot is np.dot's product without
+    # its dispatch, which costs about as much again on these sizes
+    if n_ctrl == 1:
+        rows = amps[:, 0].tolist()
+        for k, (proj_k, vec, state, state_next, flat_k, step_t) in \
+                enumerate(views):
+            proj_k.dot(vec, update)
+            u = rows[k] = rows[k] + update_re.item()
+            if table is None or u < lo or u > hi:
+                table = rebuild(k, u, table)
+                lo, hi, mid, scale, ks, angle, cheb, _ = table.axes[0]
+                coefs = table.coefs
+            # StepTable.weights of the one axis, with its clamp
+            xi = (u - mid) * scale
+            angle[()] = math.acos(xi if -1.0 < xi < 1.0
+                                  else 1.0 if xi >= 1.0 else -1.0)
+            np.multiply(ks, angle, cheb)
+            np.cos(cheb, cheb)
+            cheb.dot(coefs, flat_k)
+            state.dot(step_t, state_next)
+        amps[:, 0] = rows
+        return out, steps, table
+    rows = amps.tolist()
     for k, (proj_k, vec, state, state_next, flat_k, step_t) in \
             enumerate(views):
         proj_k.dot(vec, update)
         row = rows[k] = list(map(operator.add, rows[k], update_re.tolist()))
         weights = None if table is None else table.weights(row)
         if weights is None:
-            # the first step, or one past the box: a rebuild doubles the
-            # norm, so that growing states rebuild about once per doubling
-            norm = np.linalg.norm(state) * (1.0 if table is None else 2.0)
-            amps[k] = row
-            table = StepTable(stack_of, sizes, log_norm, amps[k:],
-                              reach[k:] * norm, max(n_mid - k, block), dtype)
+            table = rebuild(k, row, table)
             coefs, weights = table.coefs, table.weights(row)
         weights.dot(coefs, flat_k)
         state.dot(step_t, state_next)
     amps[:] = rows
-    return out, steps
+    return out, steps, table
 
 
 # A table takes, per control, the least degree whose interpolation error
@@ -486,19 +527,20 @@ class StepTable:
     step size) costs one exponential per step, not a huge grid.
 
     Two readers use a table: ``krotov_forward`` reads one row at a time
-    with ``weights``, as each row is known only once the step before it is
-    taken; ``ket_stack_builder`` reads whole stacks with ``read``.  Ket
-    steps read off a table are unitary to about 1e-15, but their errors are
-    smooth in the amplitudes, so they are correlated from step to step and
-    the norm drift of a trajectory grows with its step count: up to 3.7e-12
-    over the 24,000 steps of the ``bichromatic`` runs of perfbench's
-    closed_sweep at seeds 1-10, where the series' steps drifted 1.3e-13.
+    with ``weights`` (inline for one control), as each row is known only
+    once the step before it is taken, over every pass whose box the
+    table's box holds (``holds``); ``ket_stack_builder`` reads whole
+    stacks with ``read``.  Ket steps read off a table are unitary to about
+    1e-15, but their errors are smooth in the amplitudes, so they are
+    correlated from step to step and the norm drift of a trajectory grows
+    with its step count: up to 3.7e-12 over the 24,000 steps of the
+    ``bichromatic`` runs of perfbench's closed_sweep at seeds 1-10, where
+    the series' steps drifted 1.3e-13.
     """
 
     def __init__(self, stack_of, sizes, log_norm, rows, reach, max_nodes,
                  dtype):
-        lo = (rows - reach).min(axis=0)
-        hi = (rows + reach).max(axis=0)
+        lo, hi = _box(rows, reach)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         degrees = _degrees(sizes, log_norm(mid, half), half, max_nodes)
         if degrees is None:
@@ -559,6 +601,12 @@ class StepTable:
                 else np.multiply.outer(weights, cheb, out=prod).ravel()
         return weights
 
+    def holds(self, rows, reach):
+        """Whether the box of a table over ``rows`` and ``reach`` lies
+        inside this table's box."""
+        return all(a[0] <= lo and hi <= a[1] for lo, hi, a in zip(
+            *(b.tolist() for b in _box(rows, reach)), self.axes))
+
     def read(self, rows):
         """The steps of a stack of rows ``(..., M)`` inside the box, shaped
         ``(..., N, N)``: per axis ``T_k(xi) = cos(k arccos xi)`` of every
@@ -574,6 +622,11 @@ class StepTable:
                 weights[:, :, None] * cheb[:, None]).reshape(len(flat), -1)
         return (weights @ self.coefs).view(self.dtype).reshape(
             np.shape(rows)[:-1] + self.shape)
+
+
+def _box(rows, reach):
+    """The per-control bounds of ``rows`` widened by ``reach``."""
+    return (rows - reach).min(axis=0), (rows + reach).max(axis=0)
 
 
 def _degrees(sizes, mu, half, max_nodes):

@@ -231,6 +231,7 @@ class _KetEngine:
         self.psi0 = np.stack([s.ket for s in problem.initial_states])
         self.grid = problem.grid
         self.tgt = np.stack([t.ket for t in problem.targets()])
+        self.table = None  # the last Krotov pass's step table
 
     def forward(self, amps):
         """States of the field ``amps`` and its step unitaries."""
@@ -251,9 +252,12 @@ class _KetEngine:
         return 0.5 * self.tgt
 
     def krotov_forward(self, amps, chi, gain):
-        return _kernels.krotov_forward_ket(self.drift, self.coups, amps,
-                                           chi, self.psi0, self.grid.dt,
-                                           gain)
+        """A Krotov pass (``_kernels.krotov_forward_ket``) started on the
+        last pass's table: the states and steps of the updated field."""
+        fwd, steps, self.table = _kernels.krotov_forward_ket(
+            self.drift, self.coups, amps, chi, self.psi0, self.grid.dt, gain,
+            self.table)
+        return fwd, steps
 
     def gradient(self, amps, fwd, steps):
         """Exact discrete gradient of the cost w.r.t. every sample, from
@@ -295,6 +299,7 @@ class _DensityEngine:
         coords = (np.stack([vectorize_density(rho) for rho in seeds])
                   @ basis.conj()).real
         self.rho0, self.tgt = np.split(coords, 2)
+        self.table = None
 
     def forward(self, amps):
         """States and step operators of the field ``amps``."""
@@ -311,8 +316,12 @@ class _DensityEngine:
         return 0.5 * (self.tgt - finals)
 
     def krotov_forward(self, amps, chi, gain):
-        return _kernels.krotov_forward_dm(self.gen0, self.gens, amps, chi,
-                                          self.rho0, self.grid.dt, gain)
+        """The GKLS pass (``_kernels.krotov_forward_dm``), on the last
+        pass's table as for kets."""
+        fwd, steps, self.table = _kernels.krotov_forward_dm(
+            self.gen0, self.gens, amps, chi, self.rho0, self.grid.dt, gain,
+            self.table)
+        return fwd, steps
 
     def gradient(self, amps, fwd, steps):
         chi = _kernels.propagate_steps(steps, self.chi_boundary(fwd[-1]), -1)
@@ -421,7 +430,10 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     and ``krotov_forward_dm``): it differs from the cost of an exact
     propagation of that field by up to about 1e-12 (1.3e-12 on a converged
     two-level transfer).  A ``j_threshold`` or ``dj_threshold`` below about
-    1e-12 is therefore below the record's resolution.
+    1e-12 is therefore below the record's resolution.  The engine keeps
+    each pass's table, a rejected trial's too, and the next pass starts on
+    it when its box holds the one that pass would build, so the passes of
+    a run share a handful of tables.
     """
     descent = _Descent(problem, guess, settings, log_stream, "krotov")
     engine, shape, lam = descent.engine, descent.shape, settings.lambda_

@@ -177,8 +177,8 @@ class TestKrotovForward:
         chi = random_block(rng, (n_mid + 1, n_ens, n))
         gain = rng.uniform(0, 0.5, size=n_mid)
         amps_ref = amps.copy()
-        got, steps = _kernels.krotov_forward_ket(drift, coups, amps, chi,
-                                                 psi0, 0.05, gain)
+        got, steps, _ = _kernels.krotov_forward_ket(drift, coups, amps, chi,
+                                                    psi0, 0.05, gain)
         ref, ref_steps = reference_krotov(drift, coups, coups, amps_ref, chi,
                                           psi0, -0.05j, gain)
         assert close(amps, amps_ref)
@@ -195,8 +195,8 @@ class TestKrotovForward:
         chi = random_block(rng, (n_mid + 1, n_ens, n))
         gain = rng.uniform(0, 0.1, size=n_mid)
         amps_ref = amps.copy()
-        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho0,
-                                                0.05, gain)
+        got, steps, _ = _kernels.krotov_forward_dm(gen0, gens, amps, chi,
+                                                   rho0, 0.05, gain)
         # the GKLS update operators are the control parts R_j = gens[j]:
         # Re(chi^dag R_j rho) = Im(chi^dag (1j R_j) rho)
         ref, ref_steps = reference_krotov(gen0, gens, 1j * gens, amps_ref,
@@ -223,8 +223,8 @@ class TestKrotovForward:
         chi = rng.normal(size=(n_mid + 1, n_ens, d))
         gain = rng.uniform(0, 0.1, size=n_mid)
         amps_ref = amps.copy()
-        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho,
-                                                0.05, gain)
+        got, steps, _ = _kernels.krotov_forward_dm(gen0, gens, amps, chi,
+                                                   rho, 0.05, gain)
         ref, ref_steps = reference_krotov(full0, fulls, commutators, amps_ref,
                                           chi @ basis.T, rho @ basis.T, 0.05,
                                           gain)
@@ -262,8 +262,8 @@ def ket_pass(drift, coups, amps, chi, psi0, dt, gain):
     """A ket pass against ``reference_krotov`` at ``RTOL``: amplitudes,
     states and steps."""
     amps_ref = amps.copy()
-    got, steps = _kernels.krotov_forward_ket(drift, coups, amps, chi, psi0,
-                                             dt, gain)
+    got, steps, _ = _kernels.krotov_forward_ket(drift, coups, amps, chi,
+                                                psi0, dt, gain)
     ref, ref_steps = reference_krotov(drift, coups, coups, amps_ref, chi,
                                       psi0, -1j * dt, gain)
     assert close(amps, amps_ref)
@@ -347,8 +347,8 @@ class TestStepTable:
         chi = random_block(rng, (n_mid + 1, n_ens, gen0.shape[0]))
         gain = np.full(n_mid, 0.05)
         amps_ref = amps.copy()
-        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho0,
-                                                dt, gain)
+        got, steps, _ = _kernels.krotov_forward_dm(gen0, gens, amps, chi,
+                                                   rho0, dt, gain)
         ref, ref_steps = reference_krotov(gen0, gens, 1j * gens, amps_ref,
                                           chi, rho0, dt, gain)
         assert np.linalg.norm(got[-1]) > 10 * np.linalg.norm(rho0)
@@ -369,7 +369,7 @@ class TestStepTable:
         psi0 = random_block(rng, (2, 3))
         psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
         chi = random_block(rng, (n_mid + 1, 2, 3))
-        got, steps = _kernels.krotov_forward_ket(
+        got, steps, _ = _kernels.krotov_forward_ket(
             drift, coups, amps, chi, psi0, dt, np.full(n_mid, 1e3))
         assert np.max(np.abs(amps)) > 1e2
         assert [t.nodes for t in tables] == [1] * n_mid
@@ -386,7 +386,7 @@ class TestStepTable:
         amps = 0.1 * rng.normal(size=(n_mid, 1))
         psi0 = random_block(rng, (1, 3))
         chi = random_block(rng, (n_mid + 1, 1, 3))
-        _, steps = _kernels.krotov_forward_ket(
+        _, steps, _ = _kernels.krotov_forward_ket(
             drift, coups, amps, chi, psi0 / np.linalg.norm(psi0), dt,
             np.full(n_mid, 0.1))
         norms = np.linalg.norm(dt * _kernels.generator(drift, coups, amps),
@@ -413,8 +413,8 @@ class TestStepTable:
         chi = rng.normal(size=(n_mid + 1, n_ens, d))
         gain = np.full(n_mid, 1e-4)
         amps_ref = amps.copy()
-        got, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho,
-                                                dt, gain)
+        got, steps, _ = _kernels.krotov_forward_dm(gen0, gens, amps, chi,
+                                                   rho, dt, gain)
         ref, ref_steps = reference_krotov(gen0, gens, 1j * gens, amps_ref,
                                           chi, rho, dt, gain, mp_expm)
         norms = np.linalg.norm(dt * _kernels.generator(gen0, gens, amps),
@@ -426,11 +426,14 @@ class TestStepTable:
         assert close(steps, ref_steps)
 
 
-def plain_krotov(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
+def plain_krotov(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
+                 table=None):
     """``_fallback.krotov_forward`` written plainly, each operation one
     numpy expression on indexed rows: the update added to ``amps[k]`` in
     place, the weights of that row from the table's axes, their sum with
-    the coefficients and the step.  The sweep's reference, bitwise."""
+    the coefficients and the step.  The first step takes ``table`` where
+    its box holds the box a table built there would take.  The sweep's
+    reference, bitwise."""
     n_mid, n_ctrl = amps.shape
     proj = (chi[:-1, None].conj() @ ops).reshape(n_mid, n_ctrl, -1) \
         * (gain / state0.shape[0])[:, None, None]
@@ -441,20 +444,27 @@ def plain_krotov(stack_of, sizes, log_norm, ops, amps, chi, state0, gain):
     flat = steps.reshape(n_mid, -1).view(float)
     block = _kernels.block_rows(steps.shape[-1])
     out[0] = state0
-    table = None
+    kept, table = table, None
     for k in range(n_mid):
         row = amps[k]
         row += (proj[k] @ out[k].ravel()).real
         weights = None if table is None else plain_weights(table, row)
         if weights is None:
             norm = np.linalg.norm(out[k]) * (1.0 if table is None else 2.0)
-            table = _fallback.StepTable(stack_of, sizes, log_norm, amps[k:],
-                                        reach[k:] * norm,
-                                        max(n_mid - k, block), dtype)
+            lo = np.min(amps[k:] - reach[k:] * norm, axis=0)
+            hi = np.max(amps[k:] + reach[k:] * norm, axis=0)
+            if table is None and kept is not None and all(
+                    a[0] <= lo[j] and hi[j] <= a[1]
+                    for j, a in enumerate(kept.axes)):
+                table = kept
+            else:
+                table = _fallback.StepTable(stack_of, sizes, log_norm,
+                                            amps[k:], reach[k:] * norm,
+                                            max(n_mid - k, block), dtype)
             weights = plain_weights(table, row)
         np.dot(weights, table.coefs, out=flat[k])
         np.dot(out[k], steps[k].T, out=out[k + 1])
-    return out, steps
+    return out, steps, table
 
 
 def plain_weights(table, u):
@@ -481,20 +491,24 @@ def reset_parts():
 
 class TestKrotovSweep:
     """``krotov_forward`` against ``plain_krotov`` on the same inputs:
-    bitwise equal amplitudes, states and steps, from as many tables."""
+    bitwise equal amplitudes, states and steps, from as many tables, with
+    and without a kept table to start on."""
 
     @staticmethod
-    def check(monkeypatch, tables, kernel, args, amps):
-        results, built = [], []
-        for sweep in (_fallback.krotov_forward, plain_krotov):
-            monkeypatch.setattr(_fallback, "krotov_forward", sweep)
-            updated = amps.copy()
-            results.append((updated,) + kernel(*args(updated)))
-            built.append(len(tables) - sum(built))
-        for got, ref in zip(*results):
+    def check(monkeypatch, tables, kernel, args, amps, table=None):
+        """The tables the sweep built and its amplitudes, states, steps
+        and last table."""
+        results, built, sweep = [], [], _fallback.krotov_forward
+        for each in (sweep, plain_krotov):
+            monkeypatch.setattr(_fallback, "krotov_forward", each)
+            updated, before = amps.copy(), len(tables)
+            results.append((updated,) + kernel(*args(updated), table))
+            built.append(len(tables) - before)
+        monkeypatch.setattr(_fallback, "krotov_forward", sweep)
+        for got, ref in zip(*(r[:-1] + (r[-1].coefs,) for r in results)):
             assert np.array_equal(got, ref)
         assert built[0] == built[1]
-        return built[0]
+        return built[0], results[0]
 
     def test_ket(self, rng, monkeypatch, tables, hamiltonian_data):
         drift, coups = hamiltonian_data
@@ -506,7 +520,7 @@ class TestKrotovSweep:
         assert self.check(
             monkeypatch, tables, _kernels.krotov_forward_ket,
             lambda amps: (drift, coups, amps, chi, psi0, 0.05, gain),
-            rng.normal(size=(n_mid, 2))) == 1
+            rng.normal(size=(n_mid, 2)))[0] == 1
 
     def test_reset_model(self, rng, monkeypatch, tables):
         gen0, gens = reset_parts()
@@ -517,21 +531,81 @@ class TestKrotovSweep:
         assert self.check(
             monkeypatch, tables, _kernels.krotov_forward_dm,
             lambda amps: (gen0, gens, amps, chi, rho, 0.05, gain),
-            0.9 + 0.01 * rng.normal(size=(n_mid, 1))) == 1
+            0.9 + 0.01 * rng.normal(size=(n_mid, 1)))[0] == 1
+
+    @pytest.mark.parametrize("model", ["reset", "ket"])
+    def test_kept_table(self, rng, monkeypatch, tables, hamiltonian_data,
+                        model):
+        # A pass with the gain doubled, and the first row's update 0, takes
+        # a box that holds the pass's own: a pass on its table builds none,
+        # and agrees with a fresh-table pass to RTOL.  A pass with the gain
+        # halved takes a box inside the pass's own, and a pass on rows
+        # shifted down one whose upper edges fall short of it, so a pass on
+        # either table builds its own, bitwise as on none.
+        if model == "reset":
+            gen0, gens = reset_parts()
+            n_mid, d = 300, gen0.shape[0]
+            kernel = _kernels.krotov_forward_dm
+            parts, state0 = (gen0, gens), rng.normal(size=(1, d))
+            chi = rng.normal(size=(n_mid + 1, 1, d))
+            amps = 0.9 + 0.01 * rng.normal(size=(n_mid, 1))
+            gain = np.full(n_mid, 0.1)
+        else:
+            parts, n_mid, n = hamiltonian_data, 120, 3
+            kernel = _kernels.krotov_forward_ket
+            state0 = random_block(rng, (2, n))
+            state0 /= np.linalg.norm(state0, axis=1, keepdims=True)
+            chi = random_block(rng, (n_mid + 1, 2, n))
+            amps = rng.normal(size=(n_mid, 2))
+            gain = rng.uniform(0, 0.5, size=n_mid)
+        gain[0] = 0.0
+
+        def args(gain):
+            return lambda amps: parts + (amps, chi, state0, 0.05, gain)
+
+        fresh = (amps.copy(),)
+        fresh += kernel(*args(gain)(fresh[0]))
+        wide, narrow = (kernel(*args(scale * gain)(amps.copy()))[-1]
+                        for scale in (2.0, 0.5))
+        low = kernel(*args(gain)(amps - 1e-3))[-1]
+        assert len(tables) == 4
+        built, kept = self.check(monkeypatch, tables, kernel, args(gain),
+                                 amps, wide)
+        assert built == 0 and kept[-1] is wide
+        for got, ref in zip(kept[:3], fresh):
+            assert close(got, ref)
+        for table in (narrow, low):
+            built, rebuilt = self.check(monkeypatch, tables, kernel,
+                                        args(gain), amps, table)
+            assert built == 1
+            for got, ref in zip(rebuilt[:3], fresh):
+                assert np.array_equal(got, ref)
 
     def test_widening(self, rng, monkeypatch, tables, generator_data):
-        # the generator of TestStepTable.test_widening: tables rebuilt
-        # partway through the pass
+        # The generator of TestStepTable.test_widening, with one control
+        # (the sweep's own loop) and with two: tables rebuilt partway
+        # through the pass.  The pass's first table holds its own box, so a
+        # pass started on it builds one table fewer, bitwise the same.
         gen0, gens = (0.2 * g for g in generator_data)
         gen0 = gen0 + np.eye(gen0.shape[0])
         n_mid, n = 60, gen0.shape[0]
         rho0 = random_block(rng, (2, n))
         chi = random_block(rng, (n_mid + 1, 2, n))
         gain = np.full(n_mid, 0.05)
-        assert self.check(
-            monkeypatch, tables, _kernels.krotov_forward_dm,
-            lambda amps: (gen0, gens, amps, chi, rho0, 0.05, gain),
-            np.zeros((n_mid, gens.shape[0]))) > 1
+        for parts in (gens[:1], gens):
+            def args(amps, parts=parts):
+                return gen0, parts, amps, chi, rho0, 0.05, gain
+
+            amps, first = np.zeros((n_mid, len(parts))), len(tables)
+            built, fresh = self.check(
+                monkeypatch, tables, _kernels.krotov_forward_dm, args, amps)
+            assert built > 1
+            rebuilt, kept = self.check(
+                monkeypatch, tables, _kernels.krotov_forward_dm, args, amps,
+                tables[first])
+            assert rebuilt == built - 1
+            for got, ref in zip(kept[:3], fresh):
+                assert np.array_equal(got, ref)
 
     def test_numpy_calls_per_step(self, rng, monkeypatch, tables):
         # Every array operation of a step is a numpy function looked up on
@@ -573,7 +647,7 @@ class TestKrotovSweep:
         per_150 = {name: counts[1][name] - counts[0][name]
                    for name in counts[0] | counts[1]}
         assert {name: n for name, n in per_150.items() if n} == {
-            "ndarray.dot": 3 * 150, "ndarray.tolist": 150, "acos": 150,
+            "ndarray.dot": 3 * 150, "ndarray.item": 150, "acos": 150,
             "np.multiply": 150, "np.cos": 150}
 
 
@@ -592,6 +666,10 @@ class TestStepStack:
             for k in range(n_mid):
                 h = drift + np.tensordot(amps[k], coups, 1)
                 assert close(steps[k], expm(-1j * dt * h))
+        # one bare matrix that needs double-angle steps, ||h dt||_F > 1
+        for h in (np.array([[0.0, 3.0], [3.0, 0.0]]), hamiltonian_data[0]):
+            dt = 2.0 / np.linalg.norm(h)
+            assert close(_kernels.step_stack_ket(h, dt), expm(-1j * dt * h))
 
     def test_builder(self, hamiltonian_data, rng, tables):
         # A stack builder over the box [-1, 1]^2: stacks inside it are read
@@ -693,8 +771,8 @@ class TestPropagateAdjoint:
         psi0 = random_block(rng, (3, n))
         chi = random_block(rng, (n_mid + 1, 3, n))
         gain = rng.uniform(0, 0.5, size=n_mid)
-        _, steps = _kernels.krotov_forward_ket(drift, coups, amps, chi, psi0,
-                                               dt, gain)
+        _, steps, _ = _kernels.krotov_forward_ket(drift, coups, amps, chi,
+                                                  psi0, dt, gain)
         shape = (n,) if n_ens is None else (n_ens, n)
         state = random_block(rng, shape)
         got = _kernels.propagate_steps(steps, state, direction)
@@ -711,8 +789,8 @@ class TestPropagateAdjoint:
         rho0 = random_block(rng, (2, n))
         chi = random_block(rng, (n_mid + 1, 2, n))
         gain = rng.uniform(0, 0.1, size=n_mid)
-        _, steps = _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho0,
-                                              dt, gain)
+        _, steps, _ = _kernels.krotov_forward_dm(gen0, gens, amps, chi,
+                                                 rho0, dt, gain)
         shape = (n,) if n_ens is None else (n_ens, n)
         state = random_block(rng, shape)
         got = _kernels.propagate_steps(steps, state, direction)
