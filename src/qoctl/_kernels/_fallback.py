@@ -23,8 +23,8 @@ once the step before it is taken, so the loop exponentiates none of them:
 it reads each step off a ``StepTable``, a Chebyshev interpolant of the
 step operator over a box of amplitudes whose nodes come from one stacked
 call of that function, as one weighted sum, five numpy calls a step for
-one control.  A pass starts on the table the last pass returned when that
-table's box holds its own, and builds one otherwise, so the passes of an
+one control.  A pass starts on the table the last pass returned and
+builds one only at a row outside its box, so the passes of an
 optimization share a handful of tables.  ``ket_stack_builder`` serves a
 field whose amplitudes are known to lie in a box before any is stepped
 (the drive of ``bichromatic``): it builds one ``StepTable`` over the box,
@@ -299,8 +299,7 @@ def krotov_forward_ket(drift, coups, amps, chi, psi0, dt, gain, table=None):
     share its accuracy domain: unitary to about ``||H dt||_F * eps``, some
     1e-12 at ``||H dt||_F`` 1e3, where one ``eigh`` per step was unitary to
     round-off at any norm.  The pass starts on ``table``, one that a pass
-    of the same model returned, where its box holds the pass's own
-    (``krotov_forward``).
+    of the same model returned (``krotov_forward``).
 
     Parameters
     ----------
@@ -379,8 +378,8 @@ def krotov_forward_dm(gen0, gens, amps, chi, rho0_vec, dt, gain,
     real product ``chi^T R_j rho``.  Returns the states and the step
     operators ``expm(G_k * dt)`` of the updated field, shaped as for kets,
     read off ``StepTable``s whose nodes come from one ``step_stack_dm``
-    call each, and the table of the last step; ``table`` is kept as for
-    kets.
+    call each, and the table of the last step; the pass starts on
+    ``table`` as for kets.
     """
     herm0, herms = (0.5 * dt * (g + np.conj(np.swapaxes(g, -1, -2)))
                     for g in (gen0, gens))
@@ -404,13 +403,13 @@ def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
     ``du_j = gain[k] * mean_w Re(chi[k, w]^dag ops[j] state[k, w])`` is
     added to ``amps[k]`` in place, then the ``(W, N)`` block is stepped
     through the step operator of the updated row, one product of a
-    ``StepTable``'s weights with its coefficients.  The pass's box holds
-    the old rows widened by a bound on each update, ``|du_kj| <=
-    |gain[k] / W| ||chi[k]^dag ops[j]|| ||state0||``.  It starts on
-    ``table``, the table a pass of the same model returned, when that
-    table's box holds this one, and otherwise builds a table over it; an
-    update past the table's box (states that outgrew ``||state0||``)
-    rebuilds it on a box widened from that step on.  ``stack_of``
+    ``StepTable``'s weights with its coefficients.  The pass starts on
+    ``table``, the table a pass of the same model returned, or on none.
+    A row ``k`` outside the table's box, or the first row with no table,
+    builds a table over the rows left, ``amps[k:]``, each widened by twice
+    its update bound at the block's norm there, ``2 reach ||state[k]||``,
+    where ``|du_kj| <= reach[k, j] ||state[k]||`` (Cauchy-Schwarz), so
+    that states that grow rebuild about once per doubling.  ``stack_of``
     exponentiates a stack of amplitude rows, ``sizes[j]`` is the Frobenius
     norm of control ``j``'s part of the step exponent and ``log_norm(mid,
     half)`` bounds the exponent's log-norm over a box.  Returns the ``(nt,
@@ -444,18 +443,12 @@ def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
     out[0] = state0
     update = np.empty(n_ctrl, dtype=dtype)
     update_re = update.real  # a view: the rows take the real part
-    kept, table = table, None
 
-    def rebuild(k, row, table):
-        # the first step, or one past the box: a rebuild doubles the norm,
-        # so that growing states rebuild about once per doubling.  The
-        # first step takes the kept table where its box holds this one
-        norm = np.linalg.norm(out[k]) * (1.0 if table is None else 2.0)
+    def rebuild(k, row):
+        # the table over the rows left, from the updated row on
         amps[k] = row
-        rows, bounds = amps[k:], reach[k:] * norm
-        if table is None and kept is not None and kept.holds(rows, bounds):
-            return kept
-        return StepTable(stack_of, sizes, log_norm, rows, bounds,
+        return StepTable(stack_of, sizes, log_norm, amps[k:],
+                         reach[k:] * (np.linalg.norm(out[k]) * 2.0),
                          max(n_mid - k, block), dtype)
 
     # every view the loop reads, built once: proj[k], the block at k
@@ -468,12 +461,15 @@ def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
     # its dispatch, which costs about as much again on these sizes
     if n_ctrl == 1:
         rows = amps[:, 0].tolist()
+        if table is not None:
+            lo, hi, mid, scale, ks, angle, cheb, _ = table.axes[0]
+            coefs = table.coefs
         for k, (proj_k, vec, state, state_next, flat_k, step_t) in \
                 enumerate(views):
             proj_k.dot(vec, update)
             u = rows[k] = rows[k] + update_re.item()
             if table is None or u < lo or u > hi:
-                table = rebuild(k, u, table)
+                table = rebuild(k, u)
                 lo, hi, mid, scale, ks, angle, cheb, _ = table.axes[0]
                 coefs = table.coefs
             # StepTable.weights of the one axis, with its clamp
@@ -493,9 +489,9 @@ def krotov_forward(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
         row = rows[k] = list(map(operator.add, rows[k], update_re.tolist()))
         weights = None if table is None else table.weights(row)
         if weights is None:
-            table = rebuild(k, row, table)
-            coefs, weights = table.coefs, table.weights(row)
-        weights.dot(coefs, flat_k)
+            table = rebuild(k, row)
+            weights = table.weights(row)
+        weights.dot(table.coefs, flat_k)
         state.dot(step_t, state_next)
     amps[:] = rows
     return out, steps, table
@@ -528,19 +524,19 @@ class StepTable:
 
     Two readers use a table: ``krotov_forward`` reads one row at a time
     with ``weights`` (inline for one control), as each row is known only
-    once the step before it is taken, over every pass whose box the
-    table's box holds (``holds``); ``ket_stack_builder`` reads whole
-    stacks with ``read``.  Ket steps read off a table are unitary to about
-    1e-15, but their errors are smooth in the amplitudes, so they are
-    correlated from step to step and the norm drift of a trajectory grows
-    with its step count: up to 3.7e-12 over the 24,000 steps of the
-    ``bichromatic`` runs of perfbench's closed_sweep at seeds 1-10, where
-    the series' steps drifted 1.3e-13.
+    once the step before it is taken, over the passes of an optimization
+    until a row leaves the box; ``ket_stack_builder`` reads whole stacks
+    with ``read``.  Ket steps read off a table are unitary to about 1e-15,
+    but their errors are smooth in the amplitudes, so they are correlated
+    from step to step and the norm drift of a trajectory grows with its
+    step count: up to 3.7e-12 over the 24,000 steps of the ``bichromatic``
+    runs of perfbench's closed_sweep at seeds 1-10, where the series' steps
+    drifted 1.3e-13.
     """
 
     def __init__(self, stack_of, sizes, log_norm, rows, reach, max_nodes,
                  dtype):
-        lo, hi = _box(rows, reach)
+        lo, hi = (rows - reach).min(axis=0), (rows + reach).max(axis=0)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         degrees = _degrees(sizes, log_norm(mid, half), half, max_nodes)
         if degrees is None:
@@ -601,12 +597,6 @@ class StepTable:
                 else np.multiply.outer(weights, cheb, out=prod).ravel()
         return weights
 
-    def holds(self, rows, reach):
-        """Whether the box of a table over ``rows`` and ``reach`` lies
-        inside this table's box."""
-        return all(a[0] <= lo and hi <= a[1] for lo, hi, a in zip(
-            *(b.tolist() for b in _box(rows, reach)), self.axes))
-
     def read(self, rows):
         """The steps of a stack of rows ``(..., M)`` inside the box, shaped
         ``(..., N, N)``: per axis ``T_k(xi) = cos(k arccos xi)`` of every
@@ -622,11 +612,6 @@ class StepTable:
                 weights[:, :, None] * cheb[:, None]).reshape(len(flat), -1)
         return (weights @ self.coefs).view(self.dtype).reshape(
             np.shape(rows)[:-1] + self.shape)
-
-
-def _box(rows, reach):
-    """The per-control bounds of ``rows`` widened by ``reach``."""
-    return (rows - reach).min(axis=0), (rows + reach).max(axis=0)
 
 
 def _degrees(sizes, mu, half, max_nodes):

@@ -431,9 +431,9 @@ def krotov_ensemble(problem: ControlProblem, guess: Sequence[ControlField],
     propagation of that field by up to about 1e-12 (1.3e-12 on a converged
     two-level transfer).  A ``j_threshold`` or ``dj_threshold`` below about
     1e-12 is therefore below the record's resolution.  The engine keeps
-    each pass's table, a rejected trial's too, and the next pass starts on
-    it when its box holds the one that pass would build, so the passes of
-    a run share a handful of tables.
+    each pass's table, a rejected trial's too; the next pass starts on it
+    and builds a table only at a row outside its box, so the passes of a
+    run share a handful of tables.
     """
     descent = _Descent(problem, guess, settings, log_stream, "krotov")
     engine, shape, lam = descent.engine, descent.shape, settings.lambda_

@@ -6,11 +6,26 @@ import numpy as np
 import pytest
 
 from qoctl import core
+from qoctl._kernels import _fallback
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250808)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every ``StepTable`` the Krotov passes build, in order."""
+    built = []
+
+    class Recorded(_fallback.StepTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(_fallback, "StepTable", Recorded)
+    return built
 
 
 @pytest.fixture

@@ -244,20 +244,6 @@ def hermitian_parts(rng, n, m, real=False):
     return herm[0].copy(), herm[1:].copy()
 
 
-@pytest.fixture
-def tables(monkeypatch):
-    """Every ``StepTable`` the Krotov passes build, in order."""
-    built = []
-
-    class Recorded(_fallback.StepTable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(_fallback, "StepTable", Recorded)
-    return built
-
-
 def ket_pass(drift, coups, amps, chi, psi0, dt, gain):
     """A ket pass against ``reference_krotov`` at ``RTOL``: amplitudes,
     states and steps."""
@@ -431,9 +417,10 @@ def plain_krotov(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
     """``_fallback.krotov_forward`` written plainly, each operation one
     numpy expression on indexed rows: the update added to ``amps[k]`` in
     place, the weights of that row from the table's axes, their sum with
-    the coefficients and the step.  The first step takes ``table`` where
-    its box holds the box a table built there would take.  The sweep's
-    reference, bitwise."""
+    the coefficients and the step.  The pass starts on ``table``; a row
+    outside its box, or the first row with no table, builds a table over
+    the rows left at twice the block's norm.  The sweep's reference,
+    bitwise."""
     n_mid, n_ctrl = amps.shape
     proj = (chi[:-1, None].conj() @ ops).reshape(n_mid, n_ctrl, -1) \
         * (gain / state0.shape[0])[:, None, None]
@@ -444,23 +431,15 @@ def plain_krotov(stack_of, sizes, log_norm, ops, amps, chi, state0, gain,
     flat = steps.reshape(n_mid, -1).view(float)
     block = _kernels.block_rows(steps.shape[-1])
     out[0] = state0
-    kept, table = table, None
     for k in range(n_mid):
         row = amps[k]
         row += (proj[k] @ out[k].ravel()).real
         weights = None if table is None else plain_weights(table, row)
         if weights is None:
-            norm = np.linalg.norm(out[k]) * (1.0 if table is None else 2.0)
-            lo = np.min(amps[k:] - reach[k:] * norm, axis=0)
-            hi = np.max(amps[k:] + reach[k:] * norm, axis=0)
-            if table is None and kept is not None and all(
-                    a[0] <= lo[j] and hi[j] <= a[1]
-                    for j, a in enumerate(kept.axes)):
-                table = kept
-            else:
-                table = _fallback.StepTable(stack_of, sizes, log_norm,
-                                            amps[k:], reach[k:] * norm,
-                                            max(n_mid - k, block), dtype)
+            norm = np.linalg.norm(out[k]) * 2.0
+            table = _fallback.StepTable(stack_of, sizes, log_norm, amps[k:],
+                                        reach[k:] * norm,
+                                        max(n_mid - k, block), dtype)
             weights = plain_weights(table, row)
         np.dot(weights, table.coefs, out=flat[k])
         np.dot(out[k], steps[k].T, out=out[k + 1])
@@ -536,12 +515,14 @@ class TestKrotovSweep:
     @pytest.mark.parametrize("model", ["reset", "ket"])
     def test_kept_table(self, rng, monkeypatch, tables, hamiltonian_data,
                         model):
-        # A pass with the gain doubled, and the first row's update 0, takes
-        # a box that holds the pass's own: a pass on its table builds none,
-        # and agrees with a fresh-table pass to RTOL.  A pass with the gain
-        # halved takes a box inside the pass's own, and a pass on rows
-        # shifted down one whose upper edges fall short of it, so a pass on
-        # either table builds its own, bitwise as on none.
+        # Passes started on the tables that other passes left agree with a
+        # fresh pass to RTOL.  The table of a pass with the gain doubled
+        # holds every row of this one's, which builds none; a pass with a
+        # tenth of the gain, and one on rows shifted down by 0.4 of the
+        # fresh table's width, leave tables that hold the first row but not
+        # every one, and the pass builds where a row leaves their box.  A
+        # huge gain (a tiny lambda) leaves a one-node table at its last
+        # row, which holds none of this pass's rows.
         if model == "reset":
             gen0, gens = reset_parts()
             n_mid, d = 300, gen0.shape[0]
@@ -565,21 +546,22 @@ class TestKrotovSweep:
 
         fresh = (amps.copy(),)
         fresh += kernel(*args(gain)(fresh[0]))
-        wide, narrow = (kernel(*args(scale * gain)(amps.copy()))[-1]
-                        for scale in (2.0, 0.5))
-        low = kernel(*args(gain)(amps - 1e-3))[-1]
-        assert len(tables) == 4
-        built, kept = self.check(monkeypatch, tables, kernel, args(gain),
-                                 amps, wide)
-        assert built == 0 and kept[-1] is wide
-        for got, ref in zip(kept[:3], fresh):
-            assert close(got, ref)
-        for table in (narrow, low):
-            built, rebuilt = self.check(monkeypatch, tables, kernel,
-                                        args(gain), amps, table)
-            assert built == 1
-            for got, ref in zip(rebuilt[:3], fresh):
-                assert np.array_equal(got, ref)
+        wide, narrow, tiny = (kernel(*args(scale * gain)(amps.copy()))[-1]
+                              for scale in (2.0, 0.1, 1e3))
+        width = np.array([hi - lo for lo, hi, *_ in fresh[-1].axes])
+        low = kernel(*args(gain)(amps - 0.4 * width))[-1]
+        assert tiny.nodes == 1
+        for table, first_row_inside in ((wide, True), (narrow, True),
+                                        (low, True), (tiny, False)):
+            built, kept = self.check(monkeypatch, tables, kernel,
+                                     args(gain), amps, table)
+            lo, hi = np.array([axis[:2] for axis in table.axes]).T
+            outside = np.any((kept[0] < lo) | (kept[0] > hi), axis=1)
+            assert outside[0] != first_row_inside
+            assert (built > 0) == outside.any()
+            assert (kept[-1] is table) == (table is wide)
+            for got, ref in zip(kept[:3], fresh):
+                assert close(got, ref)
 
     def test_widening(self, rng, monkeypatch, tables, generator_data):
         # The generator of TestStepTable.test_widening, with one control
@@ -612,11 +594,16 @@ class TestKrotovSweep:
         # the module or a C call from the kernels' own code, which the
         # profiler sees: on the reset model the update, its floats, the
         # weights' arccos and two ufuncs, the weighted sum and the block's
-        # product.  Counted over passes of two lengths from one table each,
-        # so that what a pass does once cancels, and a call added to every
-        # step shows 150 times.
+        # product.  Counted over passes of two lengths started on one table
+        # that holds both, so that they build none, what a pass does once
+        # cancels, and a call added to every step shows 150 times.
         gen0, gens = reset_parts()
         d = gen0.shape[0]
+        chi = rng.normal(size=(301, 1, d))
+        rho = rng.normal(size=(1, d))
+        _, _, wide = _kernels.krotov_forward_dm(
+            gen0, gens, np.full((300, 1), 0.9), chi, rho, 0.05,
+            np.full(300, 0.2))
         calls = collections.Counter()
 
         class Counting:
@@ -632,18 +619,17 @@ class TestKrotovSweep:
         counts = []
         for n_mid in (150, 300):
             amps = np.full((n_mid, 1), 0.9)
-            chi = rng.normal(size=(n_mid + 1, 1, d))
-            rho = rng.normal(size=(1, d))
             calls.clear()
             previous = sys.getprofile()
             sys.setprofile(profile)
             try:
-                _kernels.krotov_forward_dm(gen0, gens, amps, chi, rho, 0.05,
-                                           np.full(n_mid, 0.1))
+                _kernels.krotov_forward_dm(gen0, gens, amps, chi[:n_mid + 1],
+                                           rho, 0.05, np.full(n_mid, 0.1),
+                                           wide)
             finally:
                 sys.setprofile(previous)
             counts.append(calls.copy())
-        assert len(tables) == 2
+        assert tables == [wide]
         per_150 = {name: counts[1][name] - counts[0][name]
                    for name in counts[0] | counts[1]}
         assert {name: n for name, n in per_150.items() if n} == {

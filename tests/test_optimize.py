@@ -1,4 +1,3 @@
-import functools
 import io
 import json
 import time
@@ -347,7 +346,7 @@ class TestKrotovStepReuse:
         assert np.max(np.abs(amps - amps_ref)) \
             <= 1e-12 * np.max(np.abs(amps_ref))
 
-    def test_krotov_passes_share_one_table(self, monkeypatch):
+    def test_krotov_passes_share_one_table(self, monkeypatch, tables):
         # every GKLS step comes from step_stack_dm's expm_series
         expm, calls, phase = _fallback.expm_series, [], ["forward"]
 
@@ -370,23 +369,33 @@ class TestKrotovStepReuse:
             "krotov", _kernels.krotov_forward_dm))
         monkeypatch.setattr(_kernels, "propagate_steps", in_phase(
             "propagate", _kernels.propagate_steps))
-        per_pass = {}
+        nodes = {}
         for nt in (41, 161):
             calls.clear()
+            tables.clear()
             problem, guess = qubit_reset_problem(nt)
             rec = krotov_ensemble(problem, guess, self.SETTINGS)
             assert len(rec.iterations) - 1 == self.SETTINGS.max_iters
             # one stack for the guess's forward pass; no backward pass
             # exponentiates, as each reuses the steps of the field's
-            # forward pass.  The engine keeps each pass's table for the
-            # next, and on this problem the first pass's box holds every
-            # later one's, rejected trials included: the 20 passes build
-            # one table, where a table per pass built 20
+            # forward pass.  Each pass starts on the table the last one
+            # left, rejected trials included, and builds only at a row
+            # outside its box: the 20 passes build one table, where a
+            # table per pass built 20
             assert calls[0] == ("forward", nt - 1)
-            assert [name for name, _ in calls[1:]] == ["krotov"]
-            per_pass[nt] = calls[1][1]
+            assert {name for name, _ in calls[1:]} == {"krotov"}
+            assert len(tables) == 1
+            nodes[nt] = tables[0].nodes
         # the table's size is set by the field, not by its grid
-        assert per_pass[161] <= per_pass[41] < 40
+        assert nodes[161] <= nodes[41] < 40
+        # and so do the two-qubit gate's 20 passes, with two controls
+        tables.clear()
+        problem = two_qubit_gate_problem(nt=41)
+        guess = [shapes.sin2_ramp(problem.grid, 0.5, 0.1),
+                 shapes.sin2_ramp(problem.grid, -0.3, 0.1)]
+        rec = krotov_ensemble(problem, guess, self.SETTINGS)
+        assert len(rec.iterations) - 1 == self.SETTINGS.max_iters
+        assert len(tables) == 1
 
 
 @pytest.mark.parametrize("kind", ["closed", "open"])
@@ -755,43 +764,28 @@ class TestGrape:
                               free.j_history[:n_accepted + 1])
 
 
-@functools.cache
-def zero_field_stall():
-    """The iteration of the ninth rejected Krotov trial from the zero gate
-    field (lambda 0.25), read off a run that nothing else stops.  At the
-    zero field J moves by about 1e-13, so round-off decides which trials
-    are rejected, and the iteration is not pinned."""
-    problem = two_qubit_gate_problem(nt=41)
-    rec = krotov_ensemble(problem,
-                          [ControlField.constant(problem.grid, 0.0)] * 2,
-                          KrotovSettings(lambda_=0.25, max_iters=40))
-    return rec.iterations[-1].index
-
-
 class TestStopReasons:
     """Every ``converged_reason`` of the gradient methods, mostly on the
-    two-qubit gate.  The zero field is a stationary point of the gate
-    cost: Krotov gains almost nothing from it, and its ninth rejected trial
-    in total stalls the run at the iteration ``zero_field_stall`` reads
-    (the zero-field counts below are functions of it); GRAPE's line search
-    finds no Armijo point in its 25 halvings.  A rejected trial is no
-    improvement below ``dj_threshold``: the reset run stops on that only
-    after three rejections and seven accepted sweeps.  From the ramps,
-    GRAPE at grape_step 100 reaches J 2e-3 at its ninth L-BFGS step and
-    first improves by less than 1e-4 at its thirteenth; it rejects no
-    iteration."""
+    two-qubit gate.  From the ramps at lambda 1e-6, Krotov's trials
+    overshoot: a rejected one doubles lambda, and the ninth rejection in
+    total, at iteration 13, stalls the run (trials 3, 5-8, 10-13 are
+    rejected).  The zero field is a stationary point of the gate cost,
+    where GRAPE's line search finds no Armijo point in its 25 halvings.  A
+    rejected trial is no improvement below ``dj_threshold``: the reset run
+    stops on that only after three rejections and seven accepted sweeps.
+    From the ramps, GRAPE at grape_step 100 reaches J 2e-3 at its ninth
+    L-BFGS step and first improves by less than 1e-4 at its thirteenth; it
+    rejects no iteration."""
 
     @pytest.mark.parametrize(
         "optimizer,guess,settings,reason,n_entries,n_rejected", [
-            (krotov_ensemble, "zero",
-             dict(lambda_=0.25, max_iters=lambda stall: stall - 1),
-             "max_iters", lambda stall: stall, 8),
+            (krotov_ensemble, "ramps", dict(lambda_=1e-6, max_iters=12),
+             "max_iters", 13, 8),
             # the ninth rejection falls on the last allowed iteration
-            (krotov_ensemble, "zero",
-             dict(lambda_=0.25, max_iters=lambda stall: stall),
-             "stalled", lambda stall: stall + 1, 9),
-            (krotov_ensemble, "zero", dict(lambda_=0.25, max_iters=40),
-             "stalled", lambda stall: stall + 1, 9),
+            (krotov_ensemble, "ramps", dict(lambda_=1e-6, max_iters=13),
+             "stalled", 14, 9),
+            (krotov_ensemble, "ramps", dict(lambda_=1e-6, max_iters=40),
+             "stalled", 14, 9),
             (krotov_ensemble, "ramps", dict(lambda_=0.25, dj_threshold=1e-4),
              "dj_threshold", 29, 0),
             (krotov_ensemble, "ramps", dict(lambda_=0.25, j_threshold=1e-2),
@@ -826,11 +820,6 @@ class TestStopReasons:
         else:
             fields = [shapes.sin2_ramp(problem.grid, 0.5, 0.1),
                       shapes.sin2_ramp(problem.grid, -0.3, 0.1)]
-        if callable(n_entries):
-            stall = zero_field_stall()
-            settings = {name: value(stall) if callable(value) else value
-                        for name, value in settings.items()}
-            n_entries = n_entries(stall)
         stream = io.StringIO()
         rec = optimizer(problem, fields, KrotovSettings(**settings),
                         log_stream=stream)
