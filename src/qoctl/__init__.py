@@ -21,8 +21,9 @@ thread count before numpy starts.
 A run loads numpy and no scipy.  The GKLS steps and the GKLS GRAPE
 gradient exponentiate with ``qoctl._kernels.expm_series``, a numpy Taylor
 series; the simplex search of :func:`qoctl.optimize.gradient_free_search`
-and the assignment of :func:`qoctl.adiabatic.dressed_frame` are
-in-house.
+is in-house, and :func:`qoctl.adiabatic.dressed_frame` matches eigenvectors
+greedily by largest overlap, which is the optimal assignment at every step
+it does not flag.
 """
 
 __version__ = "0.1.0"

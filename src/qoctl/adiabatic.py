@@ -1,10 +1,12 @@
 """Instantaneous eigensystem tracking and counterdiabatic drive synthesis.
 
-The dressed frame orders the per-step eigensystem by continuity (maximal
-successive overlap) and fixes the gauge by making successive overlaps real
-and positive; with that gauge the generic counterdiabatic construction
-reduces to the closed-form ``(theta_dot / 2) sigma_y`` for a real two-level
-Hamiltonian.
+The dressed frame orders the per-step eigensystem by continuity, matching
+each step's eigenvectors to the previous step's greedily by largest
+overlap (the maximal-overlap assignment at every step it does not flag,
+and at every step for two levels), and fixes the gauge by making
+successive overlaps real and positive; with that gauge the generic
+counterdiabatic construction reduces to the closed-form
+``(theta_dot / 2) sigma_y`` for a real two-level Hamiltonian.
 
 Angle convention: ``tan(theta) = Omega0 / Delta_L`` with
 ``theta = arctan2(Omega0, Delta_L)`` continuous through the crossing, so
@@ -61,62 +63,32 @@ class DressedFrame:
         return self.energies.shape[1]
 
     def gaps(self) -> np.ndarray:
-        """(nt-1,) smallest gap between adjacent ordered energies."""
+        """(nt-1,) smallest gap between adjacent ordered energies;
+        infinite for one level."""
         sorted_e = np.sort(self.energies, axis=1)
-        return np.min(np.diff(sorted_e, axis=1), axis=1)
+        return np.min(np.diff(sorted_e, axis=1), axis=1, initial=np.inf)
 
 
 def _max_overlap_assignment(overlap: np.ndarray) -> np.ndarray:
-    """Column matched to each row of a square matrix, largest total first.
+    """Column matched to each row of a square matrix, largest entry first.
 
-    Kuhn's Hungarian method (Kuhn 1955) as shortest augmenting paths with
-    row and column potentials (Crouse, IEEE Trans. Aerosp. Electron. Syst.
-    52, 1679 (2016)), O(N^3) on the costs ``-overlap``.  Columns are
-    scanned and ties broken as scipy's ``linear_sum_assignment`` does, so a
-    tie-free matrix gets the same (unique) permutation and a constant one
-    the identity.
+    Greedy: the entries are taken in decreasing order (ties to the lower
+    row, then the lower column) and each row gets the first column still
+    free, so a constant matrix is matched in order.  For the overlap
+    matrix ``|V^dag W|`` of two orthonormal bases this is the maximal-sum
+    assignment whenever every matched entry is at least 0.9: such entries
+    (``2 * 0.9^2 > 1``) are the unique maxima of their rows and columns.
+    For two levels it is the maximal-sum assignment always, because
+    ``|V^dag W|`` then has equal diagonal and equal off-diagonal entries.
     """
-    cost = (-overlap).tolist()
-    n = len(cost)
-    u, v = [0.0] * n, [0.0] * n
-    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
-    for row in range(n):
-        # Dijkstra from ``row`` over the reduced costs to a free column
-        dist = [np.inf] * n
-        remaining = list(range(n - 1, -1, -1))
-        rows, cols = [], []
-        i, min_val, sink = row, 0.0, -1
-        while sink < 0:
-            rows.append(i)
-            index, lowest = -1, np.inf
-            for it, j in enumerate(remaining):
-                r = min_val + cost[i][j] - u[i] - v[j]
-                if r < dist[j]:
-                    path[j], dist[j] = i, r
-                if dist[j] < lowest or (dist[j] == lowest
-                                        and row4col[j] < 0):
-                    lowest, index = dist[j], it
-            min_val = lowest
-            j = remaining[index]
-            cols.append(j)
-            if row4col[j] < 0:
-                sink = j
-            else:
-                i = row4col[j]
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[row] += min_val
-        for i in rows[1:]:
-            u[i] += min_val - dist[col4row[i]]
-        for j in cols:
-            v[j] -= min_val - dist[j]
-        # augment along the path back to ``row``
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == row:
+    n = len(overlap)
+    col4row, free = [-1] * n, set(range(n))
+    for flat in np.argsort(-overlap, axis=None, kind="stable").tolist():
+        row, col = divmod(flat, n)
+        if col4row[row] < 0 and col in free:
+            col4row[row] = col
+            free.discard(col)
+            if not free:
                 break
     return np.array(col4row)
 
@@ -126,11 +98,15 @@ def dressed_frame(h: ControlledHamiltonian,
                   grid: TimeGrid) -> DressedFrame:
     """Per-midpoint eigendecomposition with continuity ordering.
 
-    The first step is ordered by ascending eigenvalue; subsequent steps are
-    matched to the previous one by maximal overlap, and each eigenvector's
-    phase is fixed so that ``<phi_n(t_k)|phi_n(t_k+1)>`` is real positive.
-    Steps where the assignment is ambiguous (tiny gap or overlap below 0.9)
-    are flagged, not silently accepted.
+    The first step is ordered by ascending eigenvalue; each later step's
+    eigenvectors are matched to the previous step's by the greedy rule of
+    :func:`_max_overlap_assignment` (largest overlap first), and each
+    eigenvector's phase is fixed so that ``<phi_n(t_k)|phi_n(t_k+1)>`` is
+    real positive.  Steps where the assignment is ambiguous (tiny gap or a
+    matched overlap below 0.9) are flagged, not silently accepted.  At every
+    unflagged step the greedy match is the maximal-overlap assignment; only
+    at a flagged step with three or more mutually ambiguous levels may it
+    differ, and later steps' labels with it.
     """
     energies, vectors = np.linalg.eigh(step_hamiltonians(h, controls, grid))
     n_steps, dim = energies.shape
@@ -145,7 +121,7 @@ def dressed_frame(h: ControlledHamiltonian,
         matched = overlap[np.arange(dim), perm]
         scale = max(1.0, float(np.max(np.abs(w))))
         if np.min(matched) < CONTINUITY_MIN_OVERLAP or \
-                np.min(np.diff(np.sort(w))) < 1e-10 * scale:
+                np.min(np.diff(np.sort(w)), initial=np.inf) < 1e-10 * scale:
             flagged.append(k)
         inner = np.einsum("in,in->n", vectors[k - 1].conj(), v)
         phases = np.where(np.abs(inner) > 0, inner / np.abs(inner), 1.0)

@@ -222,13 +222,14 @@ class QuantumState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantumState":
-        kind = data["kind"]
-        if kind == "ket":
-            vec = np.array([complex(re, im) for re, im in data["entries"]])
-            return cls("ket", vec)
-        rho = np.array([[complex(re, im) for re, im in row]
-                        for row in data["entries"]])
-        return cls("density", rho)
+        kind, dim = data["kind"], int(data["dim"])
+        pairs = np.array(data["entries"], dtype=float)
+        shape = (dim,) if kind == "ket" else (dim, dim)
+        if pairs.shape != shape + (2,):
+            raise ValueError(f"entries shape {pairs.shape[:-1]} contradicts "
+                             f"dim={dim}")
+        # the constructor rejects a kind other than "ket" and "density"
+        return cls(kind, pairs.view(complex)[..., 0])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

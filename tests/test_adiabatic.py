@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from qoctl import core
-from qoctl.adiabatic import (DegenerateCrossingError, DetuningConditionError,
-                             _max_overlap_assignment, adiabaticity_margin,
-                             counterdiabatic_generic, counterdiabatic_tls,
-                             dressed_frame, landau_zener, mixing_angles,
-                             stirap_dark_state)
+from qoctl.adiabatic import (CONTINUITY_MIN_OVERLAP, DegenerateCrossingError,
+                             DetuningConditionError, _max_overlap_assignment,
+                             adiabaticity_margin, counterdiabatic_generic,
+                             counterdiabatic_tls, dressed_frame, landau_zener,
+                             mixing_angles, stirap_dark_state)
 from qoctl.core import ControlledHamiltonian, Liouvillian, Operator
 from qoctl.dynamics import (ControlField, TimeGrid, propagate_density,
-                            propagate_ket)
+                            propagate_ket, step_hamiltonians)
 from qoctl.frames import ThreeLevelDriveSpec, rwa_three_level
+
+from conftest import random_hermitian
 
 
 def static_detuning_problem(grid, rabi_samples, detuning_samples):
@@ -32,20 +34,93 @@ def stirap_pulses(grid, rabi0, tau, delay, order):
     return ControlField(grid, pump), ControlField(grid, stokes)
 
 
+def optimal_dressed_frame(h, fields, grid):
+    """``dressed_frame``'s arithmetic with scipy's optimal assignment:
+    energies, vectors and flagged steps."""
+    from scipy.optimize import linear_sum_assignment
+    energies, vectors = np.linalg.eigh(step_hamiltonians(h, fields, grid))
+    n_steps, dim = energies.shape
+    lead = vectors[0][np.argmax(np.abs(vectors[0]), axis=0), np.arange(dim)]
+    vectors[0] /= lead / np.abs(lead)
+    flagged = []
+    for k in range(1, n_steps):
+        overlap = np.abs(vectors[k - 1].conj().T @ vectors[k])
+        perm = linear_sum_assignment(-overlap)[1]
+        w, v = energies[k, perm], vectors[k][:, perm]
+        matched = overlap[np.arange(dim), perm]
+        scale = max(1.0, float(np.max(np.abs(w))))
+        if np.min(matched) < CONTINUITY_MIN_OVERLAP or \
+                np.min(np.diff(np.sort(w)), initial=np.inf) < 1e-10 * scale:
+            flagged.append(k)
+        inner = np.einsum("in,in->n", vectors[k - 1].conj(), v)
+        phases = np.where(np.abs(inner) > 0, inner / np.abs(inner), 1.0)
+        energies[k] = w
+        vectors[k] = v / phases[None, :]
+    return energies, vectors, tuple(flagged)
+
+
 class TestDressedFrame:
-    def test_assignment_matches_scipy(self):
-        # seeded tie-free matrices have one best assignment; a constant
-        # one is matched in order
-        from scipy.optimize import linear_sum_assignment
-        rng = np.random.default_rng(32)
+    def test_frame_matches_optimal_assignment(self):
+        # up to its first flagged step a frame is bitwise the one that
+        # scipy's optimal assignment tracks, on 2 to 16 levels
+        rng = np.random.default_rng(37)
+        grid = TimeGrid(0.0, 1.0, 201)
+        unflagged = 0
+        for dim in range(2, 17):
+            for _ in range(2):
+                h = ControlledHamiltonian(random_hermitian(rng, dim),
+                                          [(random_hermitian(rng, dim), 0)])
+                phase = rng.uniform(0.0, 2 * np.pi)
+                fields = [ControlField(grid, 3.0 * np.sin(
+                    2 * np.pi * grid.midpoints + phase))]
+                frame = dressed_frame(h, fields, grid)
+                energies, vectors, flagged = optimal_dressed_frame(
+                    h, fields, grid)
+                assert frame.flagged_steps[:1] == flagged[:1]
+                stop = (flagged + (grid.nt - 1,))[0]
+                assert np.array_equal(frame.energies[:stop], energies[:stop])
+                assert np.array_equal(frame.vectors[:stop], vectors[:stop])
+                unflagged += not flagged
+        assert unflagged > 0
+
+    def test_two_levels_match_optimal_assignment_everywhere(self, rng):
+        # for two levels greedy is optimal at flagged steps too
+        cross_grid = TimeGrid(-1.0, 1.0, 12)
+        crossing = (ControlledHamiltonian(Operator(np.zeros((2, 2))),
+                                          [(core.sigma_z(), 0)]),
+                    [ControlField(cross_grid, cross_grid.midpoints)],
+                    cross_grid)
+        lz_grid = TimeGrid(-4.0, 4.0, 101)
+        problems = [crossing, (*landau_zener(lz_grid, 0.8, 1.0), lz_grid)]
+        grid = TimeGrid(0.0, 1.0, 201)
+        for _ in range(4):
+            h = ControlledHamiltonian(random_hermitian(rng, 2),
+                                      [(random_hermitian(rng, 2), 0)])
+            problems.append((h, [ControlField(grid, 3.0 * np.sin(
+                2 * np.pi * grid.midpoints))], grid))
+        for h, fields, grid in problems:
+            frame = dressed_frame(h, fields, grid)
+            energies, vectors, flagged = optimal_dressed_frame(
+                h, fields, grid)
+            assert frame.flagged_steps == flagged
+            assert np.array_equal(frame.energies, energies)
+            assert np.array_equal(frame.vectors, vectors)
+        assert dressed_frame(*crossing).flagged_steps
+
+    def test_constant_overlap_matched_in_order(self):
         for n in range(1, 17):
-            for _ in range(4):
-                overlap = rng.random((n, n))
-                assert np.unique(overlap).size == n * n
-                assert np.array_equal(_max_overlap_assignment(overlap),
-                                      linear_sum_assignment(-overlap)[1])
             assert np.array_equal(
                 _max_overlap_assignment(np.full((n, n), 0.5)), np.arange(n))
+
+    def test_one_level(self):
+        grid = TimeGrid(0.0, 1.0, 5)
+        h = ControlledHamiltonian(Operator([[1.0]]),
+                                  [(Operator([[2.0]]), 0)])
+        frame = dressed_frame(h, [ControlField(grid, grid.midpoints)], grid)
+        assert np.allclose(frame.energies[:, 0], 1.0 + 2 * grid.midpoints)
+        assert np.array_equal(frame.vectors, np.ones((4, 1, 1)))
+        assert frame.flagged_steps == ()
+        assert frame.gaps().tolist() == [np.inf] * 4
 
     def test_static_hamiltonian_constant_frame(self, rng):
         grid = TimeGrid(0.0, 1.0, 21)

@@ -109,6 +109,19 @@ class TestQuantumState:
         back = QuantumState.from_json(rho.to_json())
         assert np.max(np.abs(back.rho - rho.rho)) == 0.0
 
+    def test_from_dict_rejects_unknown_kind(self):
+        data = dict(core.maximally_mixed(2).to_dict(), kind="bogus")
+        with pytest.raises(ValueError, match="unknown state variant"):
+            QuantumState.from_dict(data)
+
+    @pytest.mark.parametrize("state", [core.basis_ket(2, 0),
+                                       core.maximally_mixed(2)],
+                             ids=["ket", "density"])
+    def test_from_dict_rejects_entries_contradicting_dim(self, state):
+        assert QuantumState.from_dict(state.to_dict()).dim == 2
+        with pytest.raises(ValueError, match="contradicts dim=5"):
+            QuantumState.from_dict(dict(state.to_dict(), dim=5))
+
 
 class TestBlochVector:
     def test_maximally_mixed_is_origin(self):

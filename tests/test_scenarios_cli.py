@@ -720,8 +720,8 @@ class TestCliProcess:
                                    "MKL_NUM_THREADS": "1"}
 
     def test_no_run_loads_scipy_optimize(self, tmp_path):
-        # a fresh interpreter: neither a run nor the dressed frame imports
-        # scipy.optimize
+        # a fresh interpreter: neither a run nor a three-level dressed frame
+        # imports scipy.optimize
         configs = {
             "bichromatic": {"scenario": "bichromatic",
                             "grid": {"t0": 0, "tf": 60, "nt": 241},
@@ -745,10 +745,16 @@ class TestCliProcess:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = qoctl.cli.main(['run', path])\n"
             "    seen[name] = (code, 'scipy.optimize' in sys.modules)\n"
-            "from qoctl.adiabatic import dressed_frame, landau_zener\n"
-            "from qoctl.dynamics import TimeGrid\n"
+            "import numpy as np\n"
+            "from qoctl.adiabatic import dressed_frame\n"
+            "from qoctl.core import ControlledHamiltonian, Operator\n"
+            "from qoctl.dynamics import ControlField, TimeGrid\n"
             "grid = TimeGrid(-4.0, 4.0, 41)\n"
-            "frame = dressed_frame(*landau_zener(grid, 0.8, 1.0), grid)\n"
+            "ladder = Operator(0.4 * (np.eye(3, k=1) + np.eye(3, k=-1)))\n"
+            "h = ControlledHamiltonian(ladder,"
+            " [(Operator(np.diag([-1.0, 0.0, 1.0])), 0)])\n"
+            "frame = dressed_frame(h, [ControlField(grid, grid.midpoints)],"
+            " grid)\n"
             "seen['dressed_frame'] = (frame.dim,"
             " 'scipy.optimize' in sys.modules)\n"
             "print(json.dumps(seen))\n")
@@ -758,7 +764,7 @@ class TestCliProcess:
         assert json.loads(result.stdout) == {
             "import": False, "bichromatic": [0, False],
             "qubit_reset": [0, False], "gate_opt": [0, False],
-            "dressed_frame": [2, False]}
+            "dressed_frame": [3, False]}
 
     def test_no_run_loads_scipy(self, tmp_path):
         # a fresh interpreter runs every scenario, the GKLS ones (qubit_reset
