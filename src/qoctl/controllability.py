@@ -5,16 +5,14 @@ Two independent criteria:
 * Lie-algebra rank: build the real span of ``{i H_0, i H_j}`` closed under
   commutators (breadth-first) and compare its dimension against ``N^2``
   (or ``N^2 - 1`` when every generator is traceless).  Full rank certifies
-  controllability; truncation at the depth limit is reported, never
-  silently treated as "not controllable".
+  controllability.
 
 * Transition graph: drift eigenstates are nodes, control matrix elements
-  are edges.  The system is certified controllable when a connected
-  subgraph exists that spans all nodes using at most one edge per group of
-  coupled transitions (same control, same transition frequency).  The
-  graph criterion is sufficient only, so a failed search reports "not
-  established by graph test" reasons rather than impossibility; the Lie
-  rank is the fallback arbiter.
+  are edges.  The system is certified controllable when some spanning
+  tree takes at most one edge from each group of coupled transitions
+  (same control, same transition frequency).  The graph criterion is sufficient
+  only, so a failure reports "not established by graph test" reasons
+  rather than impossibility; the Lie rank is the fallback arbiter.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ class LieAlgebraReport:
     dimension_found: int
     full_rank: bool
     target_dimension: int
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class TransitionGraph:
 @dataclass(frozen=True)
 class GraphControllabilityResult:
     controllable: bool
-    witness_edges: Optional[tuple]  # edges of the spanning subgraph
+    witness_edges: Optional[tuple]  # edges of the spanning tree
     reason: Optional[str]           # 'disconnected' | 'only_coupled_spanning'
 
     def to_dict(self) -> dict:
@@ -125,34 +122,27 @@ class _RealSpan:
         return len(self.basis)
 
 
-def lie_rank(h: ControlledHamiltonian,
-             max_depth: Optional[int] = None) -> LieAlgebraReport:
+def lie_rank(h: ControlledHamiltonian) -> LieAlgebraReport:
     """Dimension of the dynamical Lie algebra via breadth-first closure.
 
     Generators are ``i H_0`` and ``i H_j``; new directions come from
     commutators of the frontier with everything found so far, orthogonal
-    components below ``1e-10`` of the candidate norm are dropped.  The
-    default depth limit ``2 N^2`` is far beyond typical closure depth.
+    components below ``1e-10`` of the candidate norm are dropped; by the
+    same rule a generator is traceless when ``|tr g| / sqrt(N)``, its
+    identity component, is that small against its norm.  Each round adds
+    a direction or ends the closure, so it ends within ``N^2`` rounds.
     """
     n = h.dim
-    if max_depth is None:
-        max_depth = 2 * n * n
-    generators = [1j * h.drift.matrix]
-    generators += list(1j * h.coupling_stack)
-    traceless = all(abs(np.trace(g)) <= 1e-12 for g in generators)
+    generators = [1j * h.drift.matrix, *(1j * h.coupling_stack)]
+    traceless = all(abs(np.trace(g)) <= DROP_TOL * np.sqrt(n)
+                    * np.linalg.norm(g) for g in generators)
     target = n * n - 1 if traceless else n * n
     span = _RealSpan()
     frontier = []
     for g in generators:
         if span.add(g):
             frontier.append(span.basis[-1])
-    depth = 0
-    truncated = False
     while frontier and len(span) < target:
-        if depth >= max_depth:
-            truncated = True
-            break
-        depth += 1
         new_frontier = []
         snapshot = list(span.basis)
         for f in frontier:
@@ -164,10 +154,7 @@ def lie_rank(h: ControlledHamiltonian,
                 break
         frontier = new_frontier
     found = len(span)
-    return LieAlgebraReport(dimension_found=found,
-                            full_rank=found >= target,
-                            target_dimension=target,
-                            truncated=truncated)
+    return LieAlgebraReport(found, found >= target, target)
 
 
 def build_graph(h: ControlledHamiltonian) -> TransitionGraph:
@@ -221,17 +208,15 @@ def coupled_transitions(graph: TransitionGraph) -> list:
 
 def graph_controllability(graph: TransitionGraph
                           ) -> GraphControllabilityResult:
-    """Search for a spanning connected subgraph of decoupled transitions.
+    """Exact test for a spanning tree of decoupled transitions.
 
-    At most one edge per coupled group may be used.  On success the
-    witness subgraph is returned; on failure the reason distinguishes a
-    graph that cannot connect all nodes at all (``disconnected``) from one
-    that connects them only through coupled transitions
-    (``only_coupled_spanning``).
+    The tree takes at most one edge per coupled group, found by matroid
+    intersection.  On success the witness tree is returned; on failure the
+    reason tells a graph that cannot connect all nodes at all
+    (``disconnected``) from one that connects them only through coupled
+    transitions (``only_coupled_spanning``).
     """
     n = graph.n_nodes
-    if n == 1:
-        return GraphControllabilityResult(True, (), None)
     if not _spans(n, graph.edges):
         return GraphControllabilityResult(False, None, "disconnected")
     witness = _spanning_selection(n, coupled_transitions(graph))
@@ -241,44 +226,60 @@ def graph_controllability(graph: TransitionGraph
     return GraphControllabilityResult(True, tuple(witness), None)
 
 
-def _spans(n_nodes: int, edges) -> bool:
-    """Whether ``edges`` connect all ``n_nodes`` nodes (union-find)."""
+def _components(n_nodes: int, edges) -> list:
+    """Component root of each node under ``edges`` (union-find)."""
     parent = list(range(n_nodes))
 
-    def find(x):
+    def find(x):  # a plain root walk: the graphs are small
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    comps = n_nodes
     for e in edges:
-        ra, rb = find(e.node_a), find(e.node_b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1
+        parent[find(e.node_a)] = find(e.node_b)
+    return [find(x) for x in range(n_nodes)]
+
+
+def _spans(n_nodes: int, edges) -> bool:
+    """Whether ``edges`` connect all ``n_nodes`` nodes."""
+    return len(set(_components(n_nodes, edges))) == 1
 
 
 def _spanning_selection(n_nodes: int, groups):
-    """Depth-first search: one edge from each group in turn until they
-    span.  Skipping a group never helps, as no added edge disconnects."""
-    if len(groups) < n_nodes - 1:
-        return None
-    chosen = []
+    """A spanning tree with at most one edge from each group, or None.
 
-    def recurse(idx):
-        if _spans(n_nodes, chosen):
-            return True
-        # bound: the chosen edges and every remaining one cannot span
-        if idx == len(groups) or not _spans(
-                n_nodes, chosen + [e for g in groups[idx:] for e in g]):
-            return False
-        for edge in groups[idx]:
-            chosen.append(edge)
-            if recurse(idx + 1):
-                return True
-            chosen.pop()
-        return False
+    Edmonds' cardinality matroid intersection of forests and one edge per
+    group (Schrijver, *Combinatorial Optimization*, ch. 41): the chosen
+    edges, returned in group order, grow along shortest augmenting paths
+    of the exchange graph until they span or no path is left.
+    """
+    edges = [e for g in groups for e in g]
+    group_of = [k for k, g in enumerate(groups) for _ in g]
+    chosen = set()  # indices into edges
 
-    return list(chosen) if recurse(0) else None
+    def joining(forest):  # the unchosen edges joining two of its trees
+        roots = _components(n_nodes, [edges[i] for i in forest])
+        return [x for x in range(len(edges)) if x not in chosen
+                and roots[edges[x].node_a] != roots[edges[x].node_b]]
+
+    while len(chosen) < n_nodes - 1:
+        owner = {group_of[y]: y for y in chosen}
+        # arcs y -> x where x joins two trees of the forest without y;
+        # paths start at the x that join two trees of the whole forest
+        arcs = {y: joining(chosen - {y}) for y in [None, *chosen]}
+        prev = dict.fromkeys(arcs[None])
+        queue = list(prev)
+        for node in queue:  # breadth-first; grows while it is read
+            if node not in chosen and group_of[node] not in owner:
+                break  # the group of node is free: the path ends here
+            # arcs x -> y where x and y share a group
+            for z in arcs[node] if node in chosen else [owner[group_of[node]]]:
+                if z not in prev:
+                    prev[z] = node
+                    queue.append(z)
+        else:
+            return None
+        while node is not None:
+            chosen ^= {node}
+            node = prev[node]
+    return [edges[i] for i in sorted(chosen)]

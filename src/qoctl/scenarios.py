@@ -550,7 +550,6 @@ def _controllability(config, bundle):
         "lie_dimension": lie.dimension_found,
         "lie_target_dimension": lie.target_dimension,
         "lie_full_rank": lie.full_rank,
-        "lie_truncated": lie.truncated,
     }
     bundle.summary["invariants"] = {
         "graph_positive_implies_lie_full":

@@ -361,6 +361,21 @@ class TestExpectation:
         with pytest.raises(core.DimensionMismatchError):
             expectation(core.identity(3), core.basis_ket(2, 0))
 
+    def test_density_trajectory_matches_each_state(self, rng):
+        grid = TimeGrid(0.0, 2.0, 101)
+        h = ControlledHamiltonian(random_hermitian(rng, 3),
+                                  [(random_hermitian(rng, 3), 0)])
+        liou = Liouvillian(h, [0.3 * Operator(np.diag([1.0, 1.0], 1))])
+        field = ControlField(grid, np.sin(grid.midpoints))
+        traj = propagate_density(liou, [field], grid, random_density(rng, 3))
+        general = Operator(rng.normal(size=(3, 3))
+                           + 1j * rng.normal(size=(3, 3)))
+        for op in (random_hermitian(rng, 3), general):
+            vals = traj.expectations(op)
+            assert np.iscomplexobj(vals) != op.hermitian
+            ref = [expectation(op, traj.state(k)) for k in range(len(traj))]
+            assert np.max(np.abs(vals - ref)) <= 1e-13
+
 
 class TestBlochPrecession:
     def test_precession_about_z(self):

@@ -447,6 +447,23 @@ class TestControllabilityScenario:
         bundle = run_scenario(path)
         assert bundle.summary["results"]["lie_dimension"] == 3
 
+    def test_traceless_drift_with_round_off_trace(self, tmp_path):
+        # the drift's float trace is -2.3e-12, round-off at its norm 2.5e3
+        energies = [-1557.6425235188271, -406.4393833439872,
+                    1964.081906862812]
+        ladder = np.diag([1.0, 1.0], 1)
+        path = write_config(tmp_path, {
+            "scenario": "controllability",
+            "system": {
+                "drift": Operator(np.diag(energies)).to_dict(),
+                "couplings": [{"operator": Operator(ladder + ladder.T)
+                               .to_dict(), "control_index": 0}]}})
+        bundle = run_scenario(path)
+        assert bundle.summary["results"]["lie_target_dimension"] == 8
+        assert bundle.summary["results"]["lie_full_rank"] is True
+        assert bundle.summary["invariants"][
+            "graph_positive_implies_lie_full"] is True
+
     @pytest.mark.parametrize("system, message", [
         ({"drift": {"dim": 17, "entries": [[[0.0, 0.0]] * 17] * 17}},
          "config.system.drift.dim must be a finite int in [1, 16], got 17"),
